@@ -8,6 +8,7 @@ from .bell import (
     bell_eval,
     bell_recursive,
     bell_symbolic,
+    bell_table,
     stirling1_unsigned,
     stirling2,
 )

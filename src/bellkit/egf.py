@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .bell import bell_table
 from .rationals import rat, rat_str
 from .sequences import SequenceSpec
-from .transforms import TransformParams, forward_transform, q_function
+from .transforms import TransformParams, _forward, _q_sum
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,8 @@ def egf_apply_poly(
     _require_unit_constant(z)
     n_max = z.order
     x.require(n_max)
-    expected = forward_transform(x, params, n_max)
-    if z.coeffs[1:] != expected.values:
+    bell = bell_table(x, n_max)
+    if z.coeffs[1:] != _forward(params, n_max, bell).values:
         raise ValueError("series does not match the forward transform of x")
     coeffs = [rat(c) for c in f_coeffs]
     out = [sum(coeffs, Fraction(0))]
@@ -177,6 +178,6 @@ def egf_apply_poly(
         acc = Fraction(0)
         for l, c in enumerate(coeffs):
             if l >= 1 and c:
-                acc += c * l * q_function(n, params.b, l - 1 + params.a * n, x)
+                acc += c * l * _q_sum(n, params.b, l - 1 + params.a * n, bell)
         out.append(acc)
     return TruncatedEGF(tuple(out))

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable
 
-from .bell import bell_eval, stirling1_unsigned, stirling2
+from .bell import bell_table, stirling1_unsigned, stirling2
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros, w_coefficient
 from .rationals import binomial_general, rat, rat_str
 from .sequences import SequenceSpec
@@ -389,18 +389,6 @@ def th1a_weight(v, alpha: AffineForm) -> Callable:
     return p
 
 
-def _bell_fn(x: SequenceSpec):
-    cache: dict[tuple[int, int], Fraction] = {}
-
-    def b(n: int, k: int) -> Fraction:
-        key = (n, k)
-        if key not in cache:
-            cache[key] = bell_eval(n, k, x)
-        return cache[key]
-
-    return b
-
-
 CONVOLUTION_VARIANTS = ("cor33_first", "cor33_second", "cor34")
 
 
@@ -419,7 +407,7 @@ def check_bell_convolution(
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     x.require(n)
     tau = rat(tau)
-    bell = _bell_fn(x)
+    bell = bell_table(x, n)
     a00, akn = alpha(0, 0), alpha(k, n)
     if variant == "cor34":
         if akn == 0:
@@ -480,7 +468,7 @@ def check_alpha_constant(n: int, k: int, r: int, x: SequenceSpec) -> IdentityRep
     if not 0 < r <= k <= n:
         raise ValueError(f"need 0 < r <= k <= n, got r={r}, k={k}, n={n}")
     x.require(n)
-    bell = _bell_fn(x)
+    bell = bell_table(x, n)
     lhs = comb(k, r) * bell(n, k)
     rhs = sum(
         (comb(n, m) * bell(m, k - r) * bell(n - m, r) for m in range(k - r, n - r + 1)),
@@ -499,7 +487,7 @@ def check_zerosum(n: int, k: int, x: SequenceSpec) -> IdentityReport:
     if not 1 <= k <= n or n < 2:
         raise ValueError(f"need 1 <= k <= n and n >= 2, got k={k}, n={n}")
     x.require(n - k + 1)
-    bell = _bell_fn(x)
+    bell = bell_table(x, n - 1)
     lhs = Fraction(0)
     for m in range(k - 1, n):
         weight = Fraction(comb(n, m), k) - comb(n - 1, m)

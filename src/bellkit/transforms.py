@@ -13,6 +13,9 @@ generating functions.  Specializing b = 0 gives the logarithmic polynomials
 binomial weights; composed in either order they give back the input,
 exactly, whenever a*n + b stays away from 0.  ``lambda_identity_check``
 certifies the composition identity that makes the inversion work.
+
+Every function here reads its Bell values from one ``bell_table`` per
+sequence per call.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .bell import bell_eval
+from .bell import BellTable, bell_table
 from .identities import IdentityReport, PoleError, _report
 from .rationals import binomial_general, rat
 from .sequences import SequenceSpec
@@ -44,14 +47,14 @@ def q_function(n: int, b: int, lam, z: SequenceSpec) -> Fraction:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     z.require(n)
-    lam = rat(lam)
+    return _q_sum(n, b, rat(lam), bell_table(z, n))
+
+
+def _q_sum(n: int, b: int, lam, bell: BellTable) -> Fraction:
+    """q_function(n, b, lam, z) from a Bell table of z."""
     total = Fraction(0)
     for k in range(1, n + 1):
-        total += (
-            binomial_general(lam + b * k, k - 1)
-            * factorial(k - 1)
-            * bell_eval(n, k, z)
-        )
+        total += binomial_general(lam + b * k, k - 1) * factorial(k - 1) * bell(n, k)
     return total
 
 
@@ -64,12 +67,13 @@ def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
     if lam < 0 or not isinstance(lam, int):
         raise ValueError(f"lam must be a nonnegative integer, got {lam!r}")
     z.require(n)
-    lhs = q_function(n, 0, lam, z)
+    bell = bell_table(z, n)
+    lhs = _q_sum(n, 0, lam, bell)
     rhs = z[n]
     for i in range(1, lam + 1):
         inner = Fraction(0)
         for m in range(1, n):
-            inner += comb(n, m) * z[n - m] * q_function(m, 0, i - 1, z)
+            inner += comb(n, m) * z[n - m] * _q_sum(m, 0, i - 1, bell)
         rhs += Fraction(i, lam + 1) * inner
     return _report("q-recurrence", {"n": n, "lambda": lam, "z": z}, lhs, rhs)
 
@@ -87,7 +91,8 @@ def q_product_check(
         raise ValueError(f"orders must be positive, got n1={n1}, n2={n2}")
     z.require(max(n1, n2))
     lam1, lam2 = rat(lam1), rat(lam2)
-    lhs = q_function(n1, b1, lam1, z) * q_function(n2, b2, lam2, z)
+    bell = bell_table(z, max(n1, n2))
+    lhs = _q_sum(n1, b1, lam1, bell) * _q_sum(n2, b2, lam2, bell)
     rhs = Fraction(0)
     for l in range(1, n2 + 1):
         den2 = lam2 + b2 * l + 1
@@ -103,8 +108,8 @@ def q_product_check(
                 * binomial_general(den1, j)
                 * binomial_general(den2, l)
                 / (den1 * den2 * comb(k, l))
-                * bell_eval(n1, j, z)
-                * bell_eval(n2, l, z)
+                * bell(n1, j)
+                * bell(n2, l)
             )
     return _report(
         "q-product",
@@ -127,8 +132,13 @@ def forward_transform(
 ) -> SequenceSpec:
     """y_n = sum_{k=1}^{n} C(a*n + b*k, k-1) (k-1)! B(n, k)(x), n = 1..n_max."""
     x.require(n_max)
+    return _forward(params, n_max, bell_table(x, n_max))
+
+
+def _forward(params: TransformParams, n_max: int, bell: BellTable) -> SequenceSpec:
+    """forward_transform from a Bell table of x."""
     return SequenceSpec(
-        tuple(q_function(n, params.b, params.a * n, x) for n in range(1, n_max + 1))
+        tuple(_q_sum(n, params.b, params.a * n, bell) for n in range(1, n_max + 1))
     )
 
 
@@ -136,6 +146,10 @@ def inverse_value(y: SequenceSpec, params: TransformParams, n: int) -> Fraction:
     """Single entry of the inverse transform; needs a*n + b != 0."""
     params.require_invertible()
     y.require(n)
+    return _inverse_entry(params, n, bell_table(y, n))
+
+
+def _inverse_entry(params: TransformParams, n: int, bell: BellTable) -> Fraction:
     a, b = params.a, params.b
     den = a * n + b
     if den == 0:
@@ -146,7 +160,7 @@ def inverse_value(y: SequenceSpec, params: TransformParams, n: int) -> Fraction:
             Fraction(a * n + b * k, den)
             * binomial_general(-a * n - b, k - 1)
             * factorial(k - 1)
-            * bell_eval(n, k, y)
+            * bell(n, k)
         )
     return total
 
@@ -161,8 +175,9 @@ def inverse_transform(
     """
     params.require_invertible()
     y.require(n_max)
+    bell = bell_table(y, n_max)
     return SequenceSpec(
-        tuple(inverse_value(y, params, n) for n in range(1, n_max + 1))
+        tuple(_inverse_entry(params, n, bell) for n in range(1, n_max + 1))
     )
 
 
@@ -181,15 +196,16 @@ def lambda_identity_check(
         raise ValueError(f"k0 must be >= 1, got {k0}")
     x.require(n)
     lam = rat(lam)
-    y = forward_transform(x, params, n)
+    bell_x = bell_table(x, n)
+    bell_y = bell_table(_forward(params, n, bell_x), n)
     lhs = Fraction(0)
     rhs = Fraction(0)
     for k in range(k0, n + 1):
-        lhs += binomial_general(lam, k - k0) * factorial(k - 1) * bell_eval(n, k, y)
+        lhs += binomial_general(lam, k - k0) * factorial(k - 1) * bell_y(n, k)
         rhs += (
             binomial_general(lam + params.a * n + params.b * k, k - k0)
             * factorial(k - 1)
-            * bell_eval(n, k, x)
+            * bell_x(n, k)
         )
     return _report(
         "lambda-composition",
@@ -202,8 +218,9 @@ def lambda_identity_check(
 def log_polynomials(z: SequenceSpec, n_max: int) -> SequenceSpec:
     """Logarithmic polynomials: the b = 0 weighted sum at lam = -1."""
     z.require(n_max)
+    bell = bell_table(z, n_max)
     return SequenceSpec(
-        tuple(q_function(n, 0, Fraction(-1), z) for n in range(1, n_max + 1))
+        tuple(_q_sum(n, 0, Fraction(-1), bell) for n in range(1, n_max + 1))
     )
 
 
@@ -211,6 +228,7 @@ def potential_polynomials(r, z: SequenceSpec, n_max: int) -> SequenceSpec:
     """Potential polynomials: r times the b = 0 weighted sum at lam = r - 1."""
     z.require(n_max)
     r = rat(r)
+    bell = bell_table(z, n_max)
     return SequenceSpec(
-        tuple(r * q_function(n, 0, r - 1, z) for n in range(1, n_max + 1))
+        tuple(r * _q_sum(n, 0, r - 1, bell) for n in range(1, n_max + 1))
     )

@@ -1,13 +1,22 @@
 import itertools
+import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bellkit.bell
+import bellkit.partitions
 from bellkit.bell import (
     bell_eval,
     bell_recursive,
     bell_symbolic,
+    bell_table,
     stirling1_unsigned,
     stirling2,
 )
@@ -134,6 +143,122 @@ class TestBellRecursive:
         k = data.draw(st.integers(1, n))
         x = SequenceSpec(tuple(values))
         assert bell_recursive(n, k, x) == bell_eval(n, k, x)
+
+
+def seeded_sequence(length, seed, max_den, zero_at=None):
+    """Signed rationals with denominators up to max_den, optionally one zero x_j."""
+    rng = random.Random(seed)
+    values = [
+        Fraction(rng.randint(-3 * max_den, 3 * max_den), rng.randint(1, max_den))
+        for _ in range(length)
+    ]
+    if zero_at is not None:
+        values[zero_at - 1] = Fraction(0)
+    return SequenceSpec(tuple(values))
+
+
+TABLE_SEQUENCES = [
+    seeded_sequence(12, 1, 9),
+    seeded_sequence(12, 2, 9, zero_at=2),
+    seeded_sequence(12, 3, 10**6),
+    seeded_sequence(12, 4, 10**6, zero_at=1),
+    SequenceSpec.from_values([-1, 0, 2, "-1/2", 0, 3, "7/3", -5, 1, "1/9", 0, -2]),
+]
+
+
+class TestBellTable:
+    @pytest.mark.parametrize("x", TABLE_SEQUENCES)
+    def test_matches_both_oracles(self, x):
+        bell = bell_table(x, 12)
+        for n in range(13):
+            for k in range(n + 1):
+                assert bell(n, k) == bell_eval(n, k, x)
+                if k >= 1:
+                    assert bell(n, k) == bell_recursive(n, k, x)
+
+    @pytest.mark.parametrize("length", range(13))
+    def test_short_sequence_reaches_what_the_definition_sum_reaches(self, length):
+        # B(n, k) needs only x_1 ... x_{n-k+1}, as in bell_eval
+        x = seeded_sequence(length, 10 + length, 10**6)
+        bell = bell_table(x, 12)
+        for n in range(13):
+            for k in range(n + 1):
+                if k == 0 or n - k + 1 <= length:
+                    assert bell(n, k) == bell_eval(n, k, x)
+                else:
+                    with pytest.raises(SequenceTooShort):
+                        bell_eval(n, k, x)
+                    with pytest.raises(SequenceTooShort):
+                        bell(n, k)
+
+    def test_conventions(self):
+        bell = bell_table(ones(5), 5)
+        assert bell(0, 0) == 1
+        assert bell(4, 0) == 0
+        assert bell(3, 5) == 0
+        assert bell(4, 2) == 7
+        for n, k in ((-1, 0), (2, -1), (6, 1)):
+            with pytest.raises(ValueError):
+                bell(n, k)
+        with pytest.raises(ValueError):
+            bell_table(ones(3), -1)(0, 0)
+
+    def test_shares_no_code_with_the_oracles(self, monkeypatch):
+        x = TABLE_SEQUENCES[2]
+        expected = {(n, k): bell_eval(n, k, x) for n in range(10) for k in range(n + 1)}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bell_table must not reach the oracle routes")
+
+        monkeypatch.setattr(bellkit.partitions, "enumerate_pi", forbidden)
+        monkeypatch.setattr(bellkit.bell, "enumerate_pi", forbidden)
+        monkeypatch.setattr(bellkit.bell, "bell_eval", forbidden)
+        monkeypatch.setattr(bellkit.bell, "bell_recursive", forbidden)
+        monkeypatch.setattr(bellkit.bell, "_term_coefficient", forbidden)
+        bell = bell_table(x, 9)
+        assert {key: bell(*key) for key in expected} == expected
+        with pytest.raises(AssertionError):
+            bell_eval(5, 2, x)
+
+
+class TestIntegralityGuards:
+    """The guards raise explicit errors, so they survive ``python -O``."""
+
+    def test_guards_hold_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction
+
+            import bellkit.bell as b
+            from bellkit.sequences import SequenceSpec
+
+            def raises(fn, *args):
+                try:
+                    fn(*args)
+                except ArithmeticError:
+                    return True
+                return False
+
+            halves = lambda n: SequenceSpec((Fraction(1, 2),) * n)
+            # n = 1 with index vector (0, 1) asks for 1!/2!, not an integer
+            ok = [raises(b._term_coefficient, 1, (0, 1))]
+            b.ones = halves
+            ok.append(raises(b.stirling2, 2, 1))
+            b.factorials = halves
+            ok.append(raises(b.stirling1_unsigned, 2, 1))
+            print(sys.flags.optimize, ok)
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            cwd=Path(bellkit.bell.__file__).resolve().parents[1],
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1 [True, True, True]"
 
 
 class TestHomogeneity:

@@ -62,6 +62,16 @@ class TestTransformCommand:
         assert payload["exact_match"] is True
         assert payload["recovered"] == payload["x"]
 
+    def test_roundtrip_at_forty(self, capsys):
+        code, out, _ = run(
+            capsys, "transform", "roundtrip", "--a", "1", "--b", "1",
+            "--n-max", "40", "--x", "random", "--seed", "40",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact_match"] is True
+        assert payload["recovered"] == payload["x"]
+
     def test_forward_then_inverse_files(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "transform", "forward", "--a", "1", "--b", "1",

@@ -124,6 +124,14 @@ class TestInverse:
             inverse_transform(Z, TransformParams(1, -2), 4)
         assert "n = 2" in str(err.value)
 
+    @pytest.mark.parametrize("a, b", [(2, 3), (0, 1)])
+    def test_exact_roundtrip_at_sixty(self, a, b):
+        # p(60) = 966,467 partitions: out of reach of the definition sum
+        params = TransformParams(a, b)
+        x = random_rationals(60, seed=60 + a)
+        y = forward_transform(x, params, 60)
+        assert inverse_transform(y, params, 60).values == x.values
+
     def test_pole_free_entries_still_invert(self):
         params = TransformParams(1, -2)
         x = random_rationals(5, seed=13)
