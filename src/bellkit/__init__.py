@@ -19,6 +19,7 @@ from .identities import (
     GridResult,
     IdentityReport,
     PoleError,
+    certify_double_sums,
     certify_th1_grid,
     check_alpha_constant,
     check_bell_convolution,
@@ -30,6 +31,7 @@ from .identities import (
     check_th1c,
     check_vanishing_sum,
     check_zerosum,
+    th1_plan,
     th1a_weight,
 )
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros, w_coefficient

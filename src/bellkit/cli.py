@@ -21,22 +21,20 @@ from .egf import TruncatedEGF, egf_apply_poly, egf_log, egf_pow
 from .identities import (
     DEFAULT_ALPHAS,
     AffineForm,
+    GridResult,
     IdentityReport,
     PoleError,
+    certify_double_sums,
     check_alpha_constant,
     check_bell_convolution,
     check_general_binomial,
     check_hagen_rothe,
-    check_negative_one,
     check_stirling_recurrence,
     check_th1,
-    check_th1c,
     check_vanishing_sum,
     check_zerosum,
-    support_alpha_pole,
-    tau_samples,
     th1a_weight,
-    _support_alpha_values,
+    vanishing_sum_monomials,
 )
 from .partitions import enumerate_pi, strip_trailing_zeros
 from .rationals import rat, rat_str
@@ -269,20 +267,11 @@ def cmd_series(args):
 
 
 def _reports_payload(name: str, reports: list[IdentityReport], skipped_pairs=()) -> dict:
-    failed = sum(1 for r in reports if not r.passed)
     return {
         "command": "verify",
         "identity": name,
         "reports": [r.to_json_obj() for r in reports],
-        "summary": {
-            "checked": len(reports),
-            "passed": len(reports) - failed,
-            "failed": failed,
-            "skipped_pairs": [
-                {"v": list(v), "alpha": a.describe(), "pole_at": list(w)}
-                for v, a, w in skipped_pairs
-            ],
-        },
+        "summary": GridResult(list(reports), list(skipped_pairs)).summary(),
     }
 
 
@@ -299,35 +288,17 @@ def _grid_vs(args) -> list[tuple[int, ...]]:
     return out
 
 
+def _verify_double_sum(name: str, result: GridResult):
+    payload = _reports_payload(name, result.reports, result.skipped_pairs)
+    return payload, not result.all_passed()
+
+
 def _verify_th1(args, variant: str):
     alphas = [_parse_alpha(args.alpha)] if args.alpha else list(DEFAULT_ALPHAS)
-    reports: list[IdentityReport] = []
-    skipped_pairs = []
-    for v in _grid_vs(args):
-        k = sum(v)
-        for alpha in alphas:
-            if args.tau is not None:
-                tau = _parse_rat(args.tau, "--tau")
-                if variant == "C":
-                    reports.append(check_th1c(v, alpha, tau))
-                else:
-                    reports.append(check_th1(variant, v, alpha, tau))
-                continue
-            pole = support_alpha_pole(v, alpha)
-            if pole is not None:
-                skipped_pairs.append((v, alpha, pole))
-                continue
-            avoid = _support_alpha_values(v, alpha) if variant == "C" else {}
-            taus, skipped = tau_samples(2 * k + 2, avoid)
-            for tau in taus:
-                if variant == "C":
-                    rep = check_th1c(v, alpha, tau)
-                    rep.skipped_poles = tuple(skipped)
-                else:
-                    rep = check_th1(variant, v, alpha, tau)
-                reports.append(rep)
-    name = f"th1{variant.lower()}"
-    return _reports_payload(name, reports, skipped_pairs), any(not r.passed for r in reports)
+    vs = _grid_vs(args)
+    tau = _parse_rat(args.tau, "--tau") if args.tau is not None else None
+    result = certify_double_sums(vs, alphas, (variant,), tau=tau)
+    return _verify_double_sum(f"th1{variant.lower()}", result)
 
 
 def _verify_hagen_rothe(args, variants):
@@ -351,48 +322,24 @@ def _verify_hagen_rothe(args, variants):
 
 
 def _verify_negative_one(args):
-    alphas: list[AffineForm]
-    reports = []
-    skipped_pairs = []
-    for v in _grid_vs(args):
-        k = sum(v)
-        if args.alpha:
-            alphas = [_parse_alpha(args.alpha)]
-        else:
-            # include the shifted-by-l form that triggers the reciprocal check
-            alphas = list(DEFAULT_ALPHAS) + [AffineForm(2, 1)]
-        for alpha in alphas:
-            pole = support_alpha_pole(v, alpha)
-            if pole is not None:
-                skipped_pairs.append((v, alpha, pole))
-                continue
-            reports.append(check_negative_one(v, alpha))
-    return _reports_payload("negative-one", reports, skipped_pairs), any(
-        not r.passed for r in reports
-    )
+    vs = _grid_vs(args)
+    if args.alpha:
+        alphas = [_parse_alpha(args.alpha)]
+    else:
+        # include the shifted-by-l form that triggers the reciprocal check
+        alphas = list(DEFAULT_ALPHAS) + [AffineForm(2, 1)]
+    result = certify_double_sums(vs, alphas, ("negative-one",))
+    return _verify_double_sum("negative-one", result)
 
 
 def _verify_vanishing_sum(args):
     v = _parse_vec(_need(args, "v"), "--v")
-    bound = sum(v)
-    if bound < 1:
+    if sum(v) < 1:
         raise UsageError("--v must have positive sum")
-    reports = []
-    d = len(v)
-    # all monomials of total degree below sum(v)
-    def monomials(dim, degree):
-        if dim == 0:
-            yield ()
-            return
-        for e in range(degree + 1):
-            for rest in monomials(dim - 1, degree - e):
-                yield (e,) + rest
-
-    for degree in range(bound):
-        for exps in monomials(d, degree):
-            if sum(exps) != degree:
-                continue
-            reports.append(check_vanishing_sum(v, SparsePoly.monomial(exps)))
+    reports = [
+        check_vanishing_sum(v, SparsePoly.monomial(exps))
+        for exps in vanishing_sum_monomials(v)
+    ]
     return _reports_payload("vanishing-sum", reports), any(not r.passed for r in reports)
 
 

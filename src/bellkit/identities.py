@@ -181,6 +181,22 @@ def check_vanishing_sum(v, P: SparsePoly) -> IdentityReport:
     )
 
 
+def vanishing_sum_monomials(v):
+    """Exponents of every monomial of total degree below sum(v) in len(v)
+    variables, by ascending degree: the polynomials the vanishing sum kills."""
+
+    def of_degree(dim: int, degree: int):
+        if dim == 1:
+            yield (degree,)
+            return
+        for e in range(degree + 1):
+            for rest in of_degree(dim - 1, degree - e):
+                yield (e,) + rest
+
+    for degree in range(sum(v)):
+        yield from of_degree(len(v), degree)
+
+
 def _w_support(v, n: int, k: int):
     """(l, m, W) triples over the summation rectangle, nonzero W only."""
     for l in range(k + 1):
@@ -190,66 +206,126 @@ def _w_support(v, n: int, k: int):
                 yield l, m, w
 
 
-def check_th1(variant: str, v, alpha: AffineForm, tau) -> IdentityReport:
+def _support(v) -> tuple[IndexVector, int, int, tuple[tuple[int, int, int], ...]]:
+    """(v, n, k, its (l, m, W) triples); it does not depend on alpha or tau."""
+    v, n, k = _vnk(v)
+    return v, n, k, tuple(_w_support(v, n, k))
+
+
+class Th1Plan:
+    """The tau-independent part of the double sums at one (v, alpha).
+
+    Summation terms with equal (l, alpha(l, m)) differ only in their weight
+    W(m, l; v), so they are merged, in first-appearance order, into one term
+    carrying the summed weight; the sums are exact, so merging cannot change
+    a value.  ``pole`` is the first (l, m), in l-major, m-minor order, where
+    alpha vanishes at nonzero weight (None if there is none), and ``avoid``
+    maps each value alpha takes on the support to the first (l, m) taking it.
+    """
+
+    def __init__(self, support, alpha: AffineForm):
+        self.v, self.n, self.k, terms = support
+        self.alpha = alpha
+        self.a00, self.akn = alpha(0, 0), alpha(self.k, self.n)
+        self.pole: tuple[int, int] | None = None
+        self.avoid: dict[Fraction, tuple[int, int]] = {}
+        merged: dict[tuple[int, Fraction], int] = {}
+        for l, m, w in terms:
+            a = alpha(l, m)
+            if a == 0 and self.pole is None:
+                self.pole = (l, m)
+            self.avoid.setdefault(a, (l, m))
+            merged[l, a] = merged.get((l, a), 0) + w
+        self.merged = tuple((l, a, w) for (l, a), w in merged.items())
+        self._coefficients: dict[str, list] = {}
+
+    def coefficients(self, variant: str) -> list[tuple[Fraction, int, Fraction]]:
+        """(a, j, c) per merged term whose tau-independent factor c is nonzero.
+
+        Variants A and B sum c * C(tau - a, j); variant C is tau times the
+        sum of c * C(tau - a, j) / (tau - a).  Needs ``pole`` to be None.
+        """
+        if variant not in self._coefficients:
+            k = self.k
+            out = []
+            for l, a, w in self.merged:
+                if variant == "A":
+                    c = self.akn / a * binomial_general(a, k - l) * w / comb(k, l)
+                    j = l
+                elif variant == "B":
+                    c = self.a00 / a * binomial_general(a, l) * w / comb(k, l)
+                    j = k - l
+                else:
+                    c = binomial_general(a, k - l) * w / (a * comb(k, l))
+                    j = l
+                if c:
+                    out.append((a, j, c))
+            self._coefficients[variant] = out
+        return self._coefficients[variant]
+
+    def params(self, tau: Fraction) -> dict:
+        return {"v": self.v, "alpha": self.alpha, "tau": tau, "n": self.n, "k": self.k}
+
+
+def th1_plan(v, alpha: AffineForm) -> Th1Plan:
+    """The plan of one (v, alpha); reuse it for every tau and variant there."""
+    return Th1Plan(_support(v), alpha)
+
+
+def _raise_at_pole(plan: Th1Plan) -> None:
+    if plan.pole is not None:
+        l, m = plan.pole
+        raise PoleError(f"alpha({l},{m}) = 0", where=plan.pole)
+
+
+def check_th1(
+    variant: str, v, alpha: AffineForm, tau, *, plan: Th1Plan | None = None
+) -> IdentityReport:
     """Variant A or B of the parametrized binomial double sum.
 
     Both variants equal the generalized binomial C(tau, k), where
     k = sum(v).  Raises :class:`PoleError` when alpha vanishes at a
-    contributing (l, m).
+    contributing (l, m).  ``plan``, if given, is ``th1_plan(v, alpha)``.
     """
     if variant not in ("A", "B"):
         raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
-    v, n, k = _vnk(v)
+    plan = plan or th1_plan(v, alpha)
     tau = rat(tau)
-    a_corner = alpha(k, n) if variant == "A" else alpha(0, 0)
+    _raise_at_pole(plan)
     lhs = Fraction(0)
-    for l, m, w in _w_support(v, n, k):
-        a = alpha(l, m)
-        if a == 0:
-            raise PoleError(f"alpha({l},{m}) = 0", where=(l, m))
-        if variant == "A":
-            prod = binomial_general(a, k - l) * binomial_general(tau - a, l)
-        else:
-            prod = binomial_general(tau - a, k - l) * binomial_general(a, l)
-        lhs += (a_corner / a) * prod * w / comb(k, l)
+    for a, j, c in plan.coefficients(variant):
+        lhs += c * binomial_general(tau - a, j)
     return _report(
-        f"th1{variant.lower()}",
-        {"v": v, "alpha": alpha, "tau": tau, "n": n, "k": k},
-        lhs,
-        binomial_general(tau, k),
+        f"th1{variant.lower()}", plan.params(tau), lhs, binomial_general(tau, plan.k)
     )
 
 
-def check_th1c(v, alpha: AffineForm, tau) -> IdentityReport:
-    """Partial-fraction combination of the two double-sum variants."""
-    v, n, k = _vnk(v)
+def check_th1c(
+    v, alpha: AffineForm, tau, *, plan: Th1Plan | None = None
+) -> IdentityReport:
+    """Partial-fraction combination of the two double-sum variants.
+
+    ``plan``, if given, is ``th1_plan(v, alpha)``.
+    """
+    plan = plan or th1_plan(v, alpha)
     tau = rat(tau)
-    a00, akn = alpha(0, 0), alpha(k, n)
+    a00, akn = plan.a00, plan.akn
     if akn == 0:
-        raise PoleError(f"alpha({k},{n}) = 0", where=(k, n))
+        raise PoleError(f"alpha({plan.k},{plan.n}) = 0", where=(plan.k, plan.n))
     if tau == a00:
         raise PoleError(f"tau = alpha(0,0) = {rat_str(tau)}", where=(0, 0))
-    lhs = Fraction(0)
-    for l, m, w in _w_support(v, n, k):
-        a = alpha(l, m)
-        if a == 0:
-            raise PoleError(f"alpha({l},{m}) = 0", where=(l, m))
-        if a == tau:
-            raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=(l, m))
-        lhs += (
-            tau
-            * binomial_general(a, k - l)
-            * binomial_general(tau - a, l)
-            / (a * (tau - a) * comb(k, l))
-            * w
-        )
-    rhs = (tau - a00 + akn) / (akn * (tau - a00)) * binomial_general(tau, k)
-    return _report(
-        "th1c",
-        {"v": v, "alpha": alpha, "tau": tau, "n": n, "k": k},
-        lhs,
-        rhs,
-    )
+    # the first contributing (l, m) where alpha is 0 or tau decides the error
+    hit = plan.avoid.get(tau)
+    if hit is not None and (plan.pole is None or hit < plan.pole):
+        l, m = hit
+        raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=hit)
+    _raise_at_pole(plan)
+    total = Fraction(0)
+    for a, j, c in plan.coefficients("C"):
+        d = tau - a
+        total += c * binomial_general(d, j) / d
+    rhs = (tau - a00 + akn) / (akn * (tau - a00)) * binomial_general(tau, plan.k)
+    return _report("th1c", plan.params(tau), tau * total, rhs)
 
 
 def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
@@ -301,22 +377,22 @@ def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def check_negative_one(v, alpha: AffineForm) -> IdentityReport:
+def check_negative_one(
+    v, alpha: AffineForm, *, plan: Th1Plan | None = None
+) -> IdentityReport:
     """The alternating double sum that collapses to the constant 1.
 
     When alpha(l, m) = l + c0 with z = c0 + k an integer above k, the same
     instance yields the reciprocal-binomial expansion of 1/C(z, k), which is
-    then verified as well.
+    then verified as well.  ``plan``, if given, is ``th1_plan(v, alpha)``.
     """
-    v, n, k = _vnk(v)
-    a00 = alpha(0, 0)
+    plan = plan or th1_plan(v, alpha)
+    _raise_at_pole(plan)
+    k = plan.k
     lhs = Fraction(0)
-    for l, m, w in _w_support(v, n, k):
-        a = alpha(l, m)
-        if a == 0:
-            raise PoleError(f"alpha({l},{m}) = 0", where=(l, m))
-        lhs += (-1) ** l * (a00 / a) * binomial_general(a + k - l, k) * w
-    params = {"v": v, "alpha": alpha, "n": n, "k": k}
+    for l, a, w in plan.merged:
+        lhs += (-1) ** l * (plan.a00 / a) * binomial_general(a + k - l, k) * w
+    params = {"v": plan.v, "alpha": alpha, "n": plan.n, "k": k}
     passed_extra = True
     if alpha.c1 == 1 and alpha.c2 == 0:
         z = alpha.c0 + k
@@ -514,21 +590,12 @@ def check_stirling_recurrence(n: int, k: int, r: int, kind: str) -> IdentityRepo
 TH1_VARIANTS = ("A", "B", "C")
 
 
-def support_alpha_pole(v, alpha: AffineForm):
-    """First (l, m) with nonzero weight where alpha vanishes, or None."""
-    v, n, k = _vnk(v)
-    for l, m, _ in _w_support(v, n, k):
-        if alpha(l, m) == 0:
-            return (l, m)
-    return None
+def support_alpha_pole(v, alpha: AffineForm, *, plan: Th1Plan | None = None):
+    """First (l, m) with nonzero weight where alpha vanishes, or None.
 
-
-def _support_alpha_values(v, alpha: AffineForm) -> dict[Fraction, tuple[int, int]]:
-    v, n, k = _vnk(v)
-    values: dict[Fraction, tuple[int, int]] = {}
-    for l, m, _ in _w_support(v, n, k):
-        values.setdefault(alpha(l, m), (l, m))
-    return values
+    ``plan``, if given, is ``th1_plan(v, alpha)``.
+    """
+    return (plan or th1_plan(v, alpha)).pole
 
 
 def tau_samples(count: int, avoid: dict) -> tuple[list[Fraction], list[tuple]]:
@@ -581,6 +648,56 @@ class GridResult:
         }
 
 
+def certify_double_sums(
+    vs,
+    alphas,
+    variants=TH1_VARIANTS,
+    samples: int | None = None,
+    tau=None,
+) -> GridResult:
+    """Check each variant at every (v, alpha): v-major, then alpha, variant, tau.
+
+    ``variants`` holds "A", "B", "C" (the th1 double sums) and
+    "negative-one".  The support of each v is built once, and each
+    (v, alpha) builds one :class:`Th1Plan` shared by its variants and taus.
+
+    With ``tau`` None, each th1 variant is checked at ``samples`` (default
+    2k+2) pole-free tau values from :func:`tau_samples`; variant C's tau
+    poles are skipped and recorded on its reports, and a pair where alpha
+    vanishes at a nonzero-weight (l, m) is recorded in ``skipped_pairs``
+    and not checked.  With an explicit ``tau`` every pair is checked there,
+    and a pole raises :class:`PoleError`.
+    """
+    result = GridResult()
+    sampled = tau is None and any(variant in TH1_VARIANTS for variant in variants)
+    taus, skipped = [tau], []
+    for support in map(_support, vs):
+        for alpha in alphas:
+            plan = Th1Plan(support, alpha)
+            v = plan.v
+            if tau is None:
+                pole = support_alpha_pole(v, alpha, plan=plan)
+                if pole is not None:
+                    result.skipped_pairs.append((v, alpha, pole))
+                    continue
+            if sampled:
+                count = samples if samples is not None else 2 * plan.k + 2
+                taus, skipped = tau_samples(count, plan.avoid if "C" in variants else {})
+            for variant in variants:
+                if variant == "negative-one":
+                    result.reports.append(check_negative_one(v, alpha, plan=plan))
+                elif variant == "C":
+                    for t in taus:
+                        rep = check_th1c(v, alpha, t, plan=plan)
+                        rep.skipped_poles = tuple(skipped)
+                        result.reports.append(rep)
+                else:
+                    result.reports.extend(
+                        check_th1(variant, v, alpha, t, plan=plan) for t in taus
+                    )
+    return result
+
+
 def certify_th1_grid(
     n_max: int,
     alphas: tuple[AffineForm, ...] = DEFAULT_ALPHAS,
@@ -596,25 +713,10 @@ def certify_th1_grid(
     Combinations where alpha vanishes at a nonzero-weight (l, m) are
     tau-independent poles: they are recorded and skipped, never checked.
     """
-    result = GridResult()
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            for raw_v in enumerate_pi(n, k, n):
-                v = strip_trailing_zeros(raw_v)
-                for alpha in alphas:
-                    pole = support_alpha_pole(v, alpha)
-                    if pole is not None:
-                        result.skipped_pairs.append((v, alpha, pole))
-                        continue
-                    count = samples if samples is not None else 2 * k + 2
-                    avoid = _support_alpha_values(v, alpha) if "C" in variants else {}
-                    taus, skipped = tau_samples(count, avoid)
-                    for variant in variants:
-                        for tau in taus:
-                            if variant == "C":
-                                rep = check_th1c(v, alpha, tau)
-                                rep.skipped_poles = tuple(skipped)
-                            else:
-                                rep = check_th1(variant, v, alpha, tau)
-                            result.reports.append(rep)
-    return result
+    vs = [
+        strip_trailing_zeros(raw_v)
+        for n in range(1, n_max + 1)
+        for k in range(1, n + 1)
+        for raw_v in enumerate_pi(n, k, n)
+    ]
+    return certify_double_sums(vs, alphas, variants, samples)

@@ -75,7 +75,8 @@ def w_coefficient(m: int, l: int, v) -> int:
     return _w(m, l, v)
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long-lived process keeps bounded memory
+@lru_cache(maxsize=2**14)
 def _w(m: int, l: int, v: IndexVector) -> int:
     total = 0
     for i in enumerate_pi(m, l, len(v)):

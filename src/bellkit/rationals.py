@@ -17,12 +17,14 @@ Rational = Fraction
 def rat(value) -> Fraction:
     """Parse a rational from "p/q" or "p" strings, ints, or Fractions.
 
-    Tolerates a unicode minus sign in string input.
+    Tolerates a unicode minus sign in string input.  Floats and booleans
+    are refused rather than coerced.
     """
     if isinstance(value, str):
         value = value.replace("−", "-").strip()
-    if isinstance(value, float):
-        raise ValueError(f"refusing float input {value!r}; pass a string or int")
+    if isinstance(value, (float, bool)):
+        kind = type(value).__name__
+        raise ValueError(f"refusing {kind} input {value!r}; pass a string or int")
     return Fraction(value)
 
 
@@ -53,7 +55,8 @@ def binomial_general(t, j: int):
     return _binom(t, j)
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long-lived process keeps bounded memory
+@lru_cache(maxsize=2**14)
 def _binom(t, j: int):
     if isinstance(t, int):
         if t >= 0:

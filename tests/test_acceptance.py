@@ -20,6 +20,7 @@ from bellkit.identities import (
     check_stirling_recurrence,
     check_vanishing_sum,
     check_zerosum,
+    vanishing_sum_monomials,
 )
 from bellkit.sequences import random_rationals
 from bellkit.sparsepoly import SparsePoly
@@ -225,28 +226,11 @@ def _vectors_with_sum_at_most(total: int, max_dim: int):
                 yield v
 
 
-def _monomials(dim: int, degree_below: int):
-    def rec(remaining_dim, budget):
-        if remaining_dim == 0:
-            yield ()
-            return
-        for e in range(budget + 1):
-            for rest in rec(remaining_dim - 1, budget - e):
-                yield (e,) + rest
-
-    seen = set()
-    for degree in range(degree_below):
-        for exps in rec(dim, degree):
-            if sum(exps) == degree and exps not in seen:
-                seen.add(exps)
-                yield exps
-
-
 def test_criterion_9_low_level_sum_checks():
     started = time.perf_counter()
     checked = 0
     for v in _vectors_with_sum_at_most(6, max_dim=4):
-        for exps in _monomials(len(v), sum(v)):
+        for exps in vanishing_sum_monomials(v):
             rep = check_vanishing_sum(v, SparsePoly.monomial(exps))
             assert rep.passed, (v, exps)
             checked += 1

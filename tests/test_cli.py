@@ -283,3 +283,10 @@ class TestLoadSequence:
         f.write_text('["1", "x/y"]')
         with pytest.raises(UsageError):
             load_sequence(str(f))
+
+    def test_boolean_entry_refused(self, tmp_path, capsys):
+        f = tmp_path / "bool.json"
+        f.write_text('[true, "1/2", 3]')
+        code, out, err = run(capsys, "bell", "--n", "3", "--k", "2", "--x", str(f))
+        assert code == 2 and out == ""
+        assert "bool.json" in err and "True" in err

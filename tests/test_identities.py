@@ -7,6 +7,7 @@ from bellkit.identities import (
     DEFAULT_ALPHAS,
     AffineForm,
     PoleError,
+    certify_double_sums,
     certify_th1_grid,
     check_alpha_constant,
     check_bell_convolution,
@@ -20,9 +21,11 @@ from bellkit.identities import (
     check_zerosum,
     support_alpha_pole,
     tau_samples,
+    th1_plan,
     th1a_weight,
+    vanishing_sum_monomials,
 )
-from bellkit.partitions import enumerate_pi
+from bellkit.partitions import enumerate_pi, strip_trailing_zeros, w_coefficient
 from bellkit.rationals import binomial_general, rat
 from bellkit.sequences import ones, naturals, random_rationals
 from bellkit.sparsepoly import SparsePoly
@@ -350,3 +353,136 @@ class TestGrid:
         taus, skipped = tau_samples(4, avoid)
         assert taus == [Fraction(0), Fraction(1, 2), Fraction(2), Fraction(5, 2)]
         assert skipped == [(0, 1, Fraction(1)), (1, 2, Fraction(3, 2))]
+
+
+def oracle_double_sum(variant, v, alpha, tau=None):
+    """The double sum term by term over (l, m), W(m, l; v) recomputed at each.
+
+    The reference the merged-term plans are checked against; variant is
+    "A", "B", "C" or "negative-one" (which ignores tau).  Raises PoleError at
+    the first contributing (l, m), l-major, where alpha is 0 (or tau, for C,
+    after checking alpha(k, n) and tau = alpha(0, 0)).
+    """
+    v = strip_trailing_zeros(v)
+    k = sum(v)
+    n = sum(j * e for j, e in enumerate(v, start=1))
+    a00, akn = alpha(0, 0), alpha(k, n)
+    if variant == "C":
+        if akn == 0:
+            raise PoleError(f"alpha({k},{n}) = 0", where=(k, n))
+        if tau == a00:
+            raise PoleError("tau = alpha(0,0)", where=(0, 0))
+    lhs = Fraction(0)
+    for l in range(k + 1):
+        for m in range(l, n + 1):
+            w = w_coefficient(m, l, v)
+            if not w:
+                continue
+            a = alpha(l, m)
+            if a == 0:
+                raise PoleError(f"alpha({l},{m}) = 0", where=(l, m))
+            if variant == "A":
+                term = (
+                    (akn / a)
+                    * binomial_general(a, k - l)
+                    * binomial_general(tau - a, l)
+                    / comb(k, l)
+                )
+            elif variant == "B":
+                term = (
+                    (a00 / a)
+                    * binomial_general(tau - a, k - l)
+                    * binomial_general(a, l)
+                    / comb(k, l)
+                )
+            elif variant == "C":
+                if a == tau:
+                    raise PoleError(f"alpha({l},{m}) = tau", where=(l, m))
+                term = (
+                    tau
+                    * binomial_general(a, k - l)
+                    * binomial_general(tau - a, l)
+                    / (a * (tau - a) * comb(k, l))
+                )
+            else:
+                term = (-1) ** l * (a00 / a) * binomial_general(a + k - l, k)
+            lhs += term * w
+    return lhs
+
+
+def _vectors_up_to(n_max):
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            for v in enumerate_pi(n, k, n):
+                yield strip_trailing_zeros(v)
+
+
+def _pole_at(check, *args):
+    """The ``where`` of the PoleError ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except PoleError as err:
+        return err.where
+    return None
+
+
+#: alphas vanishing at some contributing (l, m) for some v with n <= 5
+POLE_ALPHAS = (AffineForm(-1, 1), AffineForm(-2, 1, Fraction(-1, 3)), AffineForm(3, -1))
+
+
+class TestPlanAgainstOracle:
+    def test_every_variant_every_v_up_to_five(self):
+        for v in _vectors_up_to(5):
+            k = sum(v)
+            for alpha in DEFAULT_ALPHAS:
+                plan = th1_plan(v, alpha)
+                assert plan.pole is None
+                taus, _ = tau_samples(2 * k + 2, plan.avoid)
+                for tau in taus + [Fraction(-7, 3)]:
+                    reports = {
+                        "A": check_th1("A", v, alpha, tau, plan=plan),
+                        "B": check_th1("B", v, alpha, tau, plan=plan),
+                        "C": check_th1c(v, alpha, tau, plan=plan),
+                    }
+                    for variant, rep in reports.items():
+                        assert rep.lhs == oracle_double_sum(variant, v, alpha, tau)
+                rep = check_negative_one(v, alpha, plan=plan)
+                assert rep.lhs == oracle_double_sum("negative-one", v, alpha)
+
+    def test_merging_is_a_real_regrouping(self):
+        # alpha = 1 + l takes one value per l, so each l-column merges to one term
+        plan = th1_plan((2, 2), AffineForm(1, 1))
+        weights = [w_coefficient(m, l, (2, 2)) for l in range(5) for m in range(l, 7)]
+        assert len(plan.merged) == 5 < sum(1 for w in weights if w)
+        assert sum(w for _, _, w in plan.merged) == sum(weights)
+
+    def test_pole_witnesses_match_the_oracle(self):
+        for v in _vectors_up_to(5):
+            for alpha in DEFAULT_ALPHAS + POLE_ALPHAS:
+                pole = _pole_at(oracle_double_sum, "negative-one", v, alpha)
+                assert support_alpha_pole(v, alpha) == pole
+                assert _pole_at(check_th1, "A", v, alpha, 5) == pole
+                for tau in (Fraction(0), Fraction(1), Fraction(2), Fraction(5, 2)):
+                    assert _pole_at(check_th1c, v, alpha, tau) == _pole_at(
+                        oracle_double_sum, "C", v, alpha, tau
+                    )
+
+    def test_explicit_tau_raises_at_poles(self):
+        with pytest.raises(PoleError) as err:
+            certify_double_sums([(2, 1)], [AffineForm(-1, 1)], ("A",), tau=Fraction(5))
+        assert err.value.where == (1, 1)
+        result = certify_double_sums([(2, 1)], [AffineForm(-1, 1)], ("A",))
+        assert result.reports == [] and result.skipped_pairs == [
+            ((2, 1), AffineForm(-1, 1), (1, 1))
+        ]
+
+
+class TestVanishingSumMonomials:
+    def test_every_monomial_below_the_bound_once_by_degree(self):
+        for v in [(1,), (3,), (2, 1), (1, 1, 1), (0, 2, 1)]:
+            exps = list(vanishing_sum_monomials(v))
+            degrees = [sum(e) for e in exps]
+            assert degrees == sorted(degrees) and max(degrees) == sum(v) - 1
+            assert all(len(e) == len(v) for e in exps) and len(set(exps)) == len(exps)
+            # monomials of degree < s in d variables: C(s - 1 + d, d)
+            assert len(exps) == comb(sum(v) - 1 + len(v), len(v))

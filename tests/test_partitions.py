@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from bellkit.partitions import (
+    _w,
     enumerate_pi,
     strip_trailing_zeros,
     w_coefficient,
@@ -74,6 +75,9 @@ class TestStripTrailingZeros:
 
 
 class TestWCoefficient:
+    def test_cache_is_bounded(self):
+        assert _w.cache_info().maxsize is not None
+
     def test_examples(self):
         # pi_2(2,2) = {(2,0)}: C(2,2)C(1,0) = 1
         assert w_coefficient(2, 2, (2, 1)) == 1

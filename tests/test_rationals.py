@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bellkit.rationals import binomial_general, factorial, multinomial, rat, rat_str
+from bellkit.rationals import _binom, binomial_general, factorial, multinomial, rat, rat_str
 
 
 small_rationals = st.fractions(
@@ -26,6 +26,9 @@ class TestBinomialGeneral:
     def test_half(self):
         # falling factorial by hand: (1/2)(-1/2) / 2!
         assert binomial_general(Fraction(1, 2), 2) == Fraction(-1, 8)
+
+    def test_cache_is_bounded(self):
+        assert _binom.cache_info().maxsize is not None
 
     def test_negative_lower_index_rejected(self):
         with pytest.raises(ValueError):
@@ -103,6 +106,12 @@ class TestRatParsing:
     def test_rejects_float(self):
         with pytest.raises(ValueError):
             rat(0.5)
+
+    def test_rejects_bool(self):
+        # bool is an int subclass, so Fraction(True) would silently give 1
+        for value in (True, False):
+            with pytest.raises(ValueError):
+                rat(value)
 
     @given(q=small_rationals)
     def test_roundtrip(self, q):
