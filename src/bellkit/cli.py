@@ -3,7 +3,12 @@
 Output is JSON by default (CSV with ``--format csv``); exit status is 0 on
 success, 1 when some identity check reports a failure, and 2 for usage or
 input errors.  Rational flag values accept "p/q" strings; negative values
-are easiest passed as ``--tau=-7/3``.
+are easiest passed as ``--tau=-7/3``.  An empty flag value is an error, not
+a request for the default.
+
+``VERIFY`` maps each ``bellkit verify`` identity to the function that
+checks it; ``FLAGS`` defines every option once, and ``COMMANDS`` names the
+options each subcommand takes.
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ from pathlib import Path
 from .bell import bell_symbolic, bell_table, stirling1_unsigned, stirling2
 from .egf import TruncatedEGF, egf_apply_poly, egf_log, egf_pow
 from .identities import (
+    CONVOLUTION_VARIANTS,
     DEFAULT_ALPHAS,
     AffineForm,
     GridResult,
-    IdentityReport,
-    PoleError,
     certify_double_sums,
     check_alpha_constant,
     check_bell_convolution,
@@ -38,7 +42,7 @@ from .identities import (
 )
 from .partitions import enumerate_pi, strip_trailing_zeros
 from .rationals import rat, rat_str
-from .sequences import NAMED_SEQUENCES, SequenceSpec, SequenceTooShort, named_sequence
+from .sequences import NAMED_SEQUENCES, SequenceSpec, named_sequence
 from .sparsepoly import SparsePoly
 from .transforms import (
     TransformParams,
@@ -90,6 +94,11 @@ def _parse_rat(text: str, flag: str) -> Fraction:
         raise UsageError(f"{flag} expects a rational like 5 or -7/3, got {text!r}") from exc
 
 
+def _opt_rat(text: str | None, flag: str, default=None):
+    """The rational ``text``, or ``default`` when the flag is absent."""
+    return default if text is None else _parse_rat(text, flag)
+
+
 def _parse_int(value, flag: str) -> int:
     f = _parse_rat(str(value), flag)
     if f.denominator != 1:
@@ -108,7 +117,10 @@ def _parse_vec(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _parse_rats(text: str, flag: str) -> list[Fraction]:
-    return [_parse_rat(p, flag) for p in text.split(",") if p.strip()]
+    entries = [_parse_rat(p, flag) for p in text.split(",") if p.strip()]
+    if not entries:
+        raise UsageError(f"{flag} must not be empty")
+    return entries
 
 
 def _parse_alpha(text: str) -> AffineForm:
@@ -129,6 +141,18 @@ def _sequence_for(args, length: int) -> SequenceSpec:
     source = args.x if args.x is not None else "ones"
     n_max = args.n_max if args.n_max is not None else length
     return load_sequence(source, n_max, args.seed)
+
+
+def _verdict(name: str, result) -> tuple[dict, bool]:
+    """The payload of ``result`` (a GridResult or a list of reports) and whether a check failed."""
+    if not isinstance(result, GridResult):
+        result = GridResult(result)
+    return {
+        "command": "verify",
+        "identity": name,
+        "reports": [r.to_json_obj() for r in result.reports],
+        "summary": result.summary(),
+    }, not result.all_passed()
 
 
 # --- command handlers --------------------------------------------------------
@@ -152,127 +176,88 @@ def cmd_bell(args):
 
 def cmd_stirling(args):
     n, k = _need(args, "n"), _need(args, "k")
-    fn = stirling1_unsigned if args.kind == "first" else stirling2
-    return {
-        "command": "stirling",
-        "kind": args.kind,
-        "n": n,
-        "k": k,
-        "value": str(fn(n, k)),
-    }, False
+    kind = "second" if args.kind is None else args.kind
+    fn = stirling1_unsigned if kind == "first" else stirling2
+    return {"command": "stirling", "kind": kind, "n": n, "k": k, "value": str(fn(n, k))}, False
 
 
 def cmd_q(args):
     n = _need(args, "n")
     lam = _parse_rat(_need(args, "lam", "lambda"), "--lambda")
     x = _sequence_for(args, n)
-    value = q_function(n, args.b or 0, lam, x)
+    value = q_function(n, args.b, lam, x)
     return {
         "command": "q",
         "n": n,
-        "b": args.b or 0,
+        "b": args.b,
         "lambda": rat_str(lam),
         "value": rat_str(value),
     }, False
 
 
 def cmd_transform(args):
-    params = TransformParams(args.a or 0, args.b or 0)
+    params = TransformParams(args.a, args.b)
     n_max = args.n_max if args.n_max is not None else args.n
     if n_max is None:
         if args.x is not None and args.x not in NAMED_SEQUENCES:
             n_max = len(load_sequence(args.x))
         else:
             raise UsageError("--n-max (or --n) is required for this command")
-    if args.mode == "forward":
-        x = _sequence_for(args, n_max)
-        y = forward_transform(x, params, n_max)
+    if args.mode == "lambda":
+        n = _need(args, "n")
+        lam = _parse_rat(_need(args, "lam", "lambda"), "--lambda")
+        x = _sequence_for(args, n)
+        return _verdict("transform-lambda", [lambda_identity_check(x, params, n, lam, args.k0)])
+    x = _sequence_for(args, n_max)
+    if args.mode != "roundtrip":
+        transform = forward_transform if args.mode == "forward" else inverse_transform
+        output = transform(x, params, n_max)
         return {
-            "command": "transform-forward",
+            "command": f"transform-{args.mode}",
             "a": params.a,
             "b": params.b,
             "input": x.prefix(n_max).to_json_obj(),
-            "output": y.to_json_obj(),
+            "output": output.to_json_obj(),
         }, False
-    if args.mode == "inverse":
-        y = _sequence_for(args, n_max)
-        x = inverse_transform(y, params, n_max)
-        return {
-            "command": "transform-inverse",
-            "a": params.a,
-            "b": params.b,
-            "input": y.prefix(n_max).to_json_obj(),
-            "output": x.to_json_obj(),
-        }, False
-    if args.mode == "roundtrip":
-        x = _sequence_for(args, n_max)
-        y = forward_transform(x, params, n_max)
-        back = inverse_transform(y, params, n_max)
-        recovered = back.values == x.prefix(n_max).values
-        return {
-            "command": "transform-roundtrip",
-            "a": params.a,
-            "b": params.b,
-            "x": x.prefix(n_max).to_json_obj(),
-            "forward": y.to_json_obj(),
-            "recovered": back.to_json_obj(),
-            "exact_match": recovered,
-        }, not recovered
-    # mode == "lambda"
-    n = _need(args, "n")
-    lam = _parse_rat(_need(args, "lam", "lambda"), "--lambda")
-    x = _sequence_for(args, n)
-    report = lambda_identity_check(x, params, n, lam, args.k0 or 1)
-    return _reports_payload("transform-lambda", [report]), not report.passed
+    y = forward_transform(x, params, n_max)
+    back = inverse_transform(y, params, n_max)
+    recovered = back.values == x.prefix(n_max).values
+    return {
+        "command": "transform-roundtrip",
+        "a": params.a,
+        "b": params.b,
+        "x": x.prefix(n_max).to_json_obj(),
+        "forward": y.to_json_obj(),
+        "recovered": back.to_json_obj(),
+        "exact_match": recovered,
+    }, not recovered
 
 
 def cmd_series(args):
     n_max = _need(args, "n-max")
-    if args.mode == "log":
+    if args.mode == "apply-poly":
+        coeffs = _parse_rats(_need(args, "coeffs"), "--coeffs")
+        params = TransformParams(args.a, args.b)
         x = _sequence_for(args, n_max)
-        z = TruncatedEGF.from_sequence(x.prefix(n_max))
+        y = forward_transform(x.prefix(n_max), params, n_max)
+        z = TruncatedEGF.from_sequence(y)
+        result = egf_apply_poly(z, coeffs, params, x.prefix(n_max))
         return {
-            "command": "series-log",
-            "input": z.to_json_obj(),
-            "output": egf_log(z).to_json_obj(),
+            "command": "series-apply-poly",
+            "a": params.a,
+            "b": params.b,
+            "f_coeffs": [rat_str(c) for c in coeffs],
+            "series": z.to_json_obj(),
+            "output": result.to_json_obj(),
         }, False
-    if args.mode == "pow":
-        r = _parse_rat(_need(args, "r"), "--r")
-        x = _sequence_for(args, n_max)
-        z = TruncatedEGF.from_sequence(x.prefix(n_max))
-        return {
-            "command": "series-pow",
-            "r": rat_str(r),
-            "input": z.to_json_obj(),
-            "output": egf_pow(z, r).to_json_obj(),
-        }, False
-    # mode == "apply-poly"
-    coeffs = _parse_rats(_need(args, "coeffs"), "--coeffs")
-    params = TransformParams(args.a or 0, args.b or 0)
-    x = _sequence_for(args, n_max)
-    y = forward_transform(x.prefix(n_max), params, n_max)
-    z = TruncatedEGF.from_sequence(y)
-    result = egf_apply_poly(z, coeffs, params, x.prefix(n_max))
-    return {
-        "command": "series-apply-poly",
-        "a": params.a,
-        "b": params.b,
-        "f_coeffs": [rat_str(c) for c in coeffs],
-        "series": z.to_json_obj(),
-        "output": result.to_json_obj(),
-    }, False
+    r = _parse_rat(_need(args, "r"), "--r") if args.mode == "pow" else None
+    z = TruncatedEGF.from_sequence(_sequence_for(args, n_max).prefix(n_max))
+    head = {"command": "series-log"} if r is None else {"command": "series-pow", "r": rat_str(r)}
+    output = egf_log(z) if r is None else egf_pow(z, r)
+    return {**head, "input": z.to_json_obj(), "output": output.to_json_obj()}, False
 
 
 # --- verify ------------------------------------------------------------------
-
-
-def _reports_payload(name: str, reports: list[IdentityReport], skipped_pairs=()) -> dict:
-    return {
-        "command": "verify",
-        "identity": name,
-        "reports": [r.to_json_obj() for r in reports],
-        "summary": GridResult(list(reports), list(skipped_pairs)).summary(),
-    }
 
 
 def _grid_vs(args) -> list[tuple[int, ...]]:
@@ -288,25 +273,26 @@ def _grid_vs(args) -> list[tuple[int, ...]]:
     return out
 
 
-def _verify_double_sum(name: str, result: GridResult):
-    payload = _reports_payload(name, result.reports, result.skipped_pairs)
-    return payload, not result.all_passed()
+def _double_sums(variant: str, alphas=DEFAULT_ALPHAS):
+    """A double-sum identity over --v or the --n grid; th1 variants at --tau or sampled."""
+
+    def verify(args) -> GridResult:
+        chosen = [_parse_alpha(args.alpha)] if args.alpha is not None else list(alphas)
+        vs = _grid_vs(args)
+        tau = None if variant == "negative-one" else _opt_rat(args.tau, "--tau")
+        return certify_double_sums(vs, chosen, (variant,), tau=tau)
+
+    return verify
 
 
-def _verify_th1(args, variant: str):
-    alphas = [_parse_alpha(args.alpha)] if args.alpha else list(DEFAULT_ALPHAS)
-    vs = _grid_vs(args)
-    tau = _parse_rat(args.tau, "--tau") if args.tau is not None else None
-    result = certify_double_sums(vs, alphas, (variant,), tau=tau)
-    return _verify_double_sum(f"th1{variant.lower()}", result)
-
-
-def _verify_hagen_rothe(args, variants):
+def _verify_hagen_rothe(args, variants=None):
+    if variants is None:
+        variants = [args.variant] if args.variant is not None else ["symmetric", "asymmetric"]
     ks = [args.k] if args.k is not None else [1, 2, 3, 4]
     if args.xp is not None or args.yp is not None:
         xs = [_parse_rat(_need(args, "xp"), "--xp")]
         ys = [_parse_rat(_need(args, "yp"), "--yp")]
-        zs = [_parse_rat(args.zp, "--zp")] if args.zp is not None else [Fraction(0)]
+        zs = [_opt_rat(args.zp, "--zp", Fraction(0))]
     else:
         xs = [Fraction(1), Fraction(2), Fraction(5, 2)]
         ys = [Fraction(1), Fraction(3), Fraction(1, 2)]
@@ -321,50 +307,61 @@ def _verify_hagen_rothe(args, variants):
     return reports
 
 
-def _verify_negative_one(args):
-    vs = _grid_vs(args)
-    if args.alpha:
-        alphas = [_parse_alpha(args.alpha)]
-    else:
-        # include the shifted-by-l form that triggers the reciprocal check
-        alphas = list(DEFAULT_ALPHAS) + [AffineForm(2, 1)]
-    result = certify_double_sums(vs, alphas, ("negative-one",))
-    return _verify_double_sum("negative-one", result)
-
-
 def _verify_vanishing_sum(args):
     v = _parse_vec(_need(args, "v"), "--v")
     if sum(v) < 1:
         raise UsageError("--v must have positive sum")
-    reports = [
+    return [
         check_vanishing_sum(v, SparsePoly.monomial(exps))
         for exps in vanishing_sum_monomials(v)
     ]
-    return _reports_payload("vanishing-sum", reports), any(not r.passed for r in reports)
 
 
 def _verify_bell_conv(args):
     n, k = _need(args, "n"), _need(args, "k")
-    alpha = _parse_alpha(args.alpha) if args.alpha else AffineForm(1, 1)
-    tau = (
-        _parse_rat(args.tau, "--tau")
-        if args.tau is not None
-        else Fraction(2 * k + 3, 2)
-    )
+    alpha = AffineForm(1, 1) if args.alpha is None else _parse_alpha(args.alpha)
+    tau = _opt_rat(args.tau, "--tau", Fraction(2 * k + 3, 2))
     x = _sequence_for(args, n)
-    variants = [args.variant] if args.variant else list(
-        ("cor33_first", "cor33_second", "cor34")
-    )
-    reports = [check_bell_convolution(vr, n, k, alpha, tau, x) for vr in variants]
-    return _reports_payload("bell-conv", reports), any(not r.passed for r in reports)
+    variants = CONVOLUTION_VARIANTS if args.variant is None else [args.variant]
+    return [check_bell_convolution(vr, n, k, alpha, tau, x) for vr in variants]
+
+
+def _verify_alpha_constant(args):
+    n, k, r = _need(args, "n"), _need(args, "k"), _parse_int(_need(args, "r"), "--r")
+    return [check_alpha_constant(n, k, r, _sequence_for(args, n))]
+
+
+def _verify_zerosum(args):
+    n, k = _need(args, "n"), _need(args, "k")
+    return [check_zerosum(n, k, _sequence_for(args, n))]
+
+
+def _verify_stirling_rec(args):
+    n, k, r = _need(args, "n"), _need(args, "k"), _parse_int(_need(args, "r"), "--r")
+    kinds = ["second", "first"] if args.kind is None else [args.kind]
+    return [check_stirling_recurrence(n, k, r, kind) for kind in kinds]
+
+
+def _verify_q_recurrence(args):
+    n = _need(args, "n")
+    lam = _parse_int(_need(args, "lam", "lambda"), "--lambda")
+    return [q_recurrence_check(n, lam, _sequence_for(args, n))]
+
+
+def _verify_q_product(args):
+    n1 = _need(args, "n")
+    n2 = n1 if args.n2 is None else args.n2
+    lam1 = _parse_rat(_need(args, "lam", "lambda"), "--lambda")
+    lam2 = _opt_rat(args.lambda2, "--lambda2", lam1)
+    x = _sequence_for(args, max(n1, n2))
+    return [q_product_check(n1, n2, args.b, args.b2, lam1, lam2, x)]
 
 
 def _verify_general_binomial(args):
-    v = strip_trailing_zeros(_parse_vec(args.v, "--v")) if args.v else (2, 1)
-    alpha = _parse_alpha(args.alpha) if args.alpha else AffineForm(1, 1)
-    tau = _parse_rat(args.tau, "--tau") if args.tau is not None else Fraction(5)
+    v = (2, 1) if args.v is None else strip_trailing_zeros(_parse_vec(args.v, "--v"))
+    alpha = AffineForm(1, 1) if args.alpha is None else _parse_alpha(args.alpha)
+    tau = _opt_rat(args.tau, "--tau", Fraction(5))
     k = sum(v)
-    reports = []
     if args.counterexample:
         # weight of tau-degree k at every (m, l): violates the hypotheses,
         # so the abstract identity is expected to fail here
@@ -372,65 +369,36 @@ def _verify_general_binomial(args):
             return rat(t) ** k
 
         bad_weight.__name__ = "tau^k (degree hypothesis violated)"
-        reports.append(check_general_binomial(v, bad_weight, (-1) ** k, tau))
-    else:
-        rep = check_general_binomial(v, th1a_weight(v, alpha), 1, tau)
-        twin = check_th1("A", v, alpha, tau)
-        rep.params["matches_th1a"] = rep.lhs == twin.lhs and rep.rhs == twin.rhs
-        reports.extend([rep, twin])
-    return _reports_payload("general-binomial", reports), any(
-        not r.passed for r in reports
-    )
+        return [check_general_binomial(v, bad_weight, (-1) ** k, tau)]
+    rep = check_general_binomial(v, th1a_weight(v, alpha), 1, tau)
+    twin = check_th1("A", v, alpha, tau)
+    rep.params["matches_th1a"] = rep.lhs == twin.lhs and rep.rhs == twin.rhs
+    return [rep, twin]
+
+
+#: identity name -> function(args) returning its reports (a list or a GridResult)
+VERIFY = {
+    "th1a": _double_sums("A"),
+    "th1b": _double_sums("B"),
+    "th1c": _double_sums("C"),
+    "hagen-rothe": _verify_hagen_rothe,
+    "chu-vandermonde": lambda args: _verify_hagen_rothe(args, ["chu_vandermonde"]),
+    # the shifted-by-l form 2 + l triggers the reciprocal check
+    "negative-one": _double_sums("negative-one", (*DEFAULT_ALPHAS, AffineForm(2, 1))),
+    "vanishing-sum": _verify_vanishing_sum,
+    "bell-conv": _verify_bell_conv,
+    "alpha-constant": _verify_alpha_constant,
+    "zerosum": _verify_zerosum,
+    "stirling-rec": _verify_stirling_rec,
+    "q-recurrence": _verify_q_recurrence,
+    "q-product": _verify_q_product,
+    "general-binomial-demo": _verify_general_binomial,
+}
 
 
 def cmd_verify(args):
-    name = args.identity
-    if name in ("th1a", "th1b", "th1c"):
-        return _verify_th1(args, name[-1].upper())
-    if name == "hagen-rothe":
-        variants = [args.variant] if args.variant else ["symmetric", "asymmetric"]
-        reports = _verify_hagen_rothe(args, variants)
-        return _reports_payload(name, reports), any(not r.passed for r in reports)
-    if name == "chu-vandermonde":
-        reports = _verify_hagen_rothe(args, ["chu_vandermonde"])
-        return _reports_payload(name, reports), any(not r.passed for r in reports)
-    if name == "negative-one":
-        return _verify_negative_one(args)
-    if name == "vanishing-sum":
-        return _verify_vanishing_sum(args)
-    if name == "bell-conv":
-        return _verify_bell_conv(args)
-    if name == "alpha-constant":
-        n, k, r = _need(args, "n"), _need(args, "k"), _parse_int(_need(args, "r"), "--r")
-        x = _sequence_for(args, n)
-        rep = check_alpha_constant(n, k, r, x)
-        return _reports_payload(name, [rep]), not rep.passed
-    if name == "zerosum":
-        n, k = _need(args, "n"), _need(args, "k")
-        x = _sequence_for(args, n)
-        rep = check_zerosum(n, k, x)
-        return _reports_payload(name, [rep]), not rep.passed
-    if name == "stirling-rec":
-        n, k, r = _need(args, "n"), _need(args, "k"), _parse_int(_need(args, "r"), "--r")
-        kinds = [args.kind] if args.kind else ["second", "first"]
-        reports = [check_stirling_recurrence(n, k, r, kd) for kd in kinds]
-        return _reports_payload(name, reports), any(not r.passed for r in reports)
-    if name == "q-recurrence":
-        n = _need(args, "n")
-        lam = _parse_int(_need(args, "lam", "lambda"), "--lambda")
-        x = _sequence_for(args, n)
-        rep = q_recurrence_check(n, lam, x)
-        return _reports_payload(name, [rep]), not rep.passed
-    if name == "q-product":
-        n1, n2 = _need(args, "n"), args.n2 or _need(args, "n")
-        lam1 = _parse_rat(_need(args, "lam", "lambda"), "--lambda")
-        lam2 = _parse_rat(args.lambda2, "--lambda2") if args.lambda2 else lam1
-        x = _sequence_for(args, max(n1, n2))
-        rep = q_product_check(n1, n2, args.b or 0, args.b2 or 0, lam1, lam2, x)
-        return _reports_payload(name, [rep]), not rep.passed
-    if name == "general-binomial-demo":
-        return _verify_general_binomial(args)
-    raise UsageError(f"unknown identity {name!r}")
+    # the demo reports under the name of the identity it demonstrates
+    return _verdict(args.identity.removesuffix("-demo"), VERIFY[args.identity](args))
 
 
 # --- plumbing ------------------------------------------------------------------
@@ -454,14 +422,78 @@ def _emit_csv(payload: dict, stream) -> None:
         writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
 
 
-def _add_sequence_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x", help="sequence: ones|factorials|identity-j|random or a JSON file path")
-    p.add_argument("--seed", type=int, help="seed for --x random")
-    p.add_argument("--n-max", dest="n_max", type=int, help="number of sequence entries")
+#: every option -> its add_argument keywords
+FLAGS = {
+    "--n": {"type": int},
+    "--k": {"type": int},
+    "--r": {},
+    "--a": {"type": int, "default": 0},
+    "--b": {"type": int, "default": 0},
+    "--tau": {},
+    "--lambda": {"dest": "lam"},
+    "--lambda2": {},
+    "--n2": {"type": int},
+    "--b2": {"type": int, "default": 0},
+    "--k0": {"type": int, "default": 1},
+    "--alpha": {"help": "affine form c0,c1,c2 meaning c0 + c1*l + c2*m"},
+    "--v": {"help": "index vector, e.g. 2,1"},
+    "--kind": {"choices": ("first", "second")},
+    "--variant": {
+        "help": "identity variant (symmetric|asymmetric for hagen-rothe; cor33_first|cor33_second|cor34 for bell-conv)",
+    },
+    "--xp": {"help": "rational x parameter (hagen-rothe)"},
+    "--yp": {"help": "rational y parameter (hagen-rothe)"},
+    "--zp": {"help": "rational z parameter (hagen-rothe)"},
+    "--counterexample": {
+        "action": "store_true",
+        "help": "run the hypothesis-violating demo (expected to fail)",
+    },
+    "--symbolic": {"action": "store_true"},
+    "--coeffs": {"help": "polynomial coefficients c0,c1,..."},
+    "--x": {"help": "sequence: ones|factorials|identity-j|random or a JSON file path"},
+    "--seed": {"type": int, "help": "seed for --x random"},
+    "--n-max": {"type": int, "help": "number of sequence entries"},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+}
 
+SEQUENCE_FLAGS = ("--x", "--seed", "--n-max")
 
-def _add_format_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+#: subcommand -> (help, handler, positional (name, choices) or None, options in --help order)
+COMMANDS = {
+    "bell": (
+        "partial Bell polynomial, symbolic or evaluated",
+        cmd_bell,
+        None,
+        ("--n", "--k", "--symbolic", *SEQUENCE_FLAGS),
+    ),
+    "stirling": ("Stirling numbers of either kind", cmd_stirling, None, ("--kind", "--n", "--k")),
+    "q": (
+        "weighted Bell sum q_function(n, b, lambda, x)",
+        cmd_q,
+        None,
+        ("--n", "--b", "--lambda", *SEQUENCE_FLAGS),
+    ),
+    "transform": (
+        "forward/inverse sequence transforms",
+        cmd_transform,
+        ("mode", ("forward", "inverse", "roundtrip", "lambda")),
+        ("--a", "--b", "--n", "--lambda", "--k0", *SEQUENCE_FLAGS),
+    ),
+    "series": (
+        "truncated EGF log/pow/apply-poly",
+        cmd_series,
+        ("mode", ("log", "pow", "apply-poly")),
+        ("--r", "--coeffs", "--a", "--b", *SEQUENCE_FLAGS),
+    ),
+    "verify": (
+        "certify identity instances exactly",
+        cmd_verify,
+        ("identity", tuple(VERIFY)),
+        ("--n", "--k", "--r", "--b", "--tau", "--lambda", "--lambda2", "--n2", "--b2",
+         "--alpha", "--v", "--kind", "--variant", "--xp", "--yp", "--zp",
+         "--counterexample", *SEQUENCE_FLAGS),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,98 +502,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact partial Bell polynomials, transforms, and identity certification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bell", help="partial Bell polynomial, symbolic or evaluated")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--symbolic", action="store_true")
-    _add_sequence_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_bell)
-
-    p = sub.add_parser("stirling", help="Stirling numbers of either kind")
-    p.add_argument("--kind", choices=("first", "second"), default="second")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_stirling)
-
-    p = sub.add_parser("q", help="weighted Bell sum q_function(n, b, lambda, x)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--lambda", dest="lam")
-    _add_sequence_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_q)
-
-    p = sub.add_parser("transform", help="forward/inverse sequence transforms")
-    p.add_argument("mode", choices=("forward", "inverse", "roundtrip", "lambda"))
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--k0", type=int, default=1)
-    _add_sequence_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_transform)
-
-    p = sub.add_parser("series", help="truncated EGF log/pow/apply-poly")
-    p.add_argument("mode", choices=("log", "pow", "apply-poly"))
-    p.add_argument("--r")
-    p.add_argument("--coeffs", help="polynomial coefficients c0,c1,...")
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    _add_sequence_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_series)
-
-    p = sub.add_parser("verify", help="certify identity instances exactly")
-    p.add_argument(
-        "identity",
-        choices=(
-            "th1a",
-            "th1b",
-            "th1c",
-            "hagen-rothe",
-            "chu-vandermonde",
-            "negative-one",
-            "vanishing-sum",
-            "bell-conv",
-            "alpha-constant",
-            "zerosum",
-            "stirling-rec",
-            "q-recurrence",
-            "q-product",
-            "general-binomial-demo",
-        ),
-    )
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r")
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--tau")
-    p.add_argument("--lambda", dest="lam")
-    p.add_argument("--lambda2")
-    p.add_argument("--n2", type=int)
-    p.add_argument("--b2", type=int, default=0)
-    p.add_argument("--alpha", help="affine form c0,c1,c2 meaning c0 + c1*l + c2*m")
-    p.add_argument("--v", help="index vector, e.g. 2,1")
-    p.add_argument("--k0", type=int, default=1)
-    p.add_argument("--kind", choices=("first", "second"))
-    p.add_argument(
-        "--variant",
-        help="identity variant (symmetric|asymmetric for hagen-rothe; cor33_first|cor33_second|cor34 for bell-conv)",
-    )
-    p.add_argument("--xp", help="rational x parameter (hagen-rothe)")
-    p.add_argument("--yp", help="rational y parameter (hagen-rothe)")
-    p.add_argument("--zp", help="rational z parameter (hagen-rothe)")
-    p.add_argument("--counterexample", action="store_true",
-                   help="run the hypothesis-violating demo (expected to fail)")
-    _add_sequence_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(handler=cmd_verify)
-
+    for name, (help_text, handler, positional, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if positional is not None:
+            p.add_argument(positional[0], choices=positional[1])
+        for flag in (*flags, "--format"):
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -570,10 +517,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, failed = args.handler(args)
-    except UsageError as exc:
-        print(f"bellkit: {exc}", file=sys.stderr)
-        return 2
-    except (PoleError, SequenceTooShort, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
+        # ValueError covers PoleError and SequenceTooShort
         print(f"bellkit: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":

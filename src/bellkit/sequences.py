@@ -42,6 +42,8 @@ class SequenceSpec:
         return self.values[j - 1]
 
     def require(self, n: int) -> None:
+        if n < 0:
+            raise ValueError(f"sequence length must be nonnegative, got {n}")
         if len(self.values) < n:
             raise SequenceTooShort(
                 f"sequence has {len(self.values)} entries, {n} required"

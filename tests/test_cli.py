@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellkit.cli import load_sequence, main, UsageError
+from bellkit.cli import COMMANDS, FLAGS, load_sequence, main, UsageError
 
 
 def run(capsys, *argv):
@@ -223,6 +227,99 @@ class TestErrorHandling:
             capsys, "verify", "th1a", "--v", "2,1", "--alpha", "0,1", "--tau", "5"
         )
         assert code == 2 and "alpha" in err
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            # an empty or zero value used to mean "use the default"
+            (["verify", "th1a", "--n", "3", "--alpha="], "--alpha"),
+            (["verify", "negative-one", "--n", "3", "--alpha="], "--alpha"),
+            (["verify", "bell-conv", "--n", "4", "--k", "2", "--alpha="], "--alpha"),
+            (["verify", "bell-conv", "--n", "4", "--k", "2", "--variant="], "variant"),
+            (["verify", "hagen-rothe", "--k", "2", "--variant="], "variant"),
+            (["verify", "q-product", "--n", "2", "--lambda", "1", "--lambda2="], "--lambda2"),
+            (["verify", "q-product", "--n", "2", "--n2", "0", "--lambda", "1"], "n2=0"),
+            (["verify", "general-binomial-demo", "--v="], "--v"),
+            (["transform", "lambda", "--n", "3", "--lambda", "2", "--k0", "0"], "k0"),
+            (["series", "apply-poly", "--n-max", "3", "--coeffs="], "--coeffs"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+    )
+    def test_empty_or_zero_value_is_refused(self, capsys, argv, fragment):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("bellkit: ") and fragment in err
+
+    @pytest.mark.parametrize("command", [["series", "log"], ["transform", "forward"]])
+    def test_negative_length_is_refused(self, capsys, tmp_path, command):
+        f = tmp_path / "s.json"
+        f.write_text('["1/2", "3", "-2/5"]')
+        code, out, err = run(capsys, *command, "--n-max", "-1", "--x", str(f))
+        assert code == 2 and out == "" and "nonnegative" in err
+
+    @pytest.mark.parametrize("flag", ["--a", "--k0"])
+    def test_verify_refuses_unread_flags(self, capsys, flag):
+        # no identity reads them; prefixes of other flags are not matched either
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "zerosum", "--n", "4", "--k", "2", flag, "3"])
+        assert exc.value.code == 2
+
+
+class TestFuzzMain:
+    """Any argv built from the CLI's own flags ends in exit 0, 1 or 2."""
+
+    #: short values, so that vanishing-sum --v and the grids stay cheap
+    TEXTS = st.sampled_from(
+        ["", "0", "1", "-1", "2", "1/2", "-7/3", "3/0", "x", "1..2", ",",
+         "1,1", "2,1", "0,1", "-1,1", "1,2,1/3", "1,x", "cor34", "symmetric"]
+    )
+
+    @pytest.fixture(scope="class")
+    def seq_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "seq.json"
+        path.write_text('["1/2", "3", "-2/5", "1"]')
+        return str(path)
+
+    @staticmethod
+    def _one_of(draw, valid, invalid):
+        """Mostly a value argparse accepts; one time in eight, one it refuses."""
+        return draw(invalid if draw(st.integers(0, 7)) == 0 else valid)
+
+    def _value(self, draw, flag, seq_file):
+        spec = FLAGS[flag]
+        if spec.get("action") == "store_true":
+            return None
+        if "choices" in spec:
+            return self._one_of(draw, st.sampled_from(spec["choices"]), st.sampled_from(["bogus", ""]))
+        if flag == "--x":
+            return draw(st.sampled_from(
+                ["ones", "factorials", "identity-j", "random", seq_file, "/nonexistent.json", ""]
+            ))
+        if spec.get("type") is int:
+            return self._one_of(draw, st.integers(-2, 7).map(str), self.TEXTS)
+        return draw(self.TEXTS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_status(self, data, seq_file):
+        command = data.draw(st.sampled_from(list(COMMANDS)))
+        _, _, positional, own = COMMANDS[command]
+        argv = [command]
+        if positional is not None:
+            argv.append(self._one_of(data.draw, st.sampled_from(positional[1]), st.just("bogus")))
+        flags = [flag for flag in (*own, "--format") if data.draw(st.booleans())]
+        # now and then any flag, which may belong to another subcommand
+        flags += self._one_of(data.draw, st.just([]), st.sampled_from(list(FLAGS)).map(lambda f: [f]))
+        for flag in dict.fromkeys(flags):
+            value = self._value(data.draw, flag, seq_file)
+            argv.append(flag if value is None else f"{flag}={value}")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 2), argv
+            else:
+                assert code in (0, 1, 2), argv
 
 
 class TestDeterminismAndFormats:

@@ -239,3 +239,18 @@ class TestLogPotential:
     def test_potential_r_zero(self):
         P = potential_polynomials(0, Z, 5)
         assert all(v == 0 for v in P.values)
+
+
+class TestNegativeLengths:
+    def test_prefix_and_require_refuse_negative(self):
+        # a negative length used to slice off the tail: values[:-1]
+        with pytest.raises(ValueError, match="nonnegative"):
+            Z.prefix(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Z.require(-1)
+        assert Z.prefix(0).values == ()
+
+    @pytest.mark.parametrize("transform", [forward_transform, inverse_transform])
+    def test_transforms_refuse_negative_n_max(self, transform):
+        with pytest.raises(ValueError, match="nonnegative"):
+            transform(Z, TransformParams(1, 1), -1)
