@@ -197,17 +197,17 @@ def cmd_q(args):
 
 def cmd_transform(args):
     params = TransformParams(args.a, args.b)
+    if args.mode == "lambda":
+        n = _need(args, "n")
+        lam = _parse_rat(_need(args, "lam", "lambda"), "--lambda")
+        x = _sequence_for(args, n)
+        return _verdict("transform-lambda", [lambda_identity_check(x, params, n, lam, args.k0)])
     n_max = args.n_max if args.n_max is not None else args.n
     if n_max is None:
         if args.x is not None and args.x not in NAMED_SEQUENCES:
             n_max = len(load_sequence(args.x))
         else:
             raise UsageError("--n-max (or --n) is required for this command")
-    if args.mode == "lambda":
-        n = _need(args, "n")
-        lam = _parse_rat(_need(args, "lam", "lambda"), "--lambda")
-        x = _sequence_for(args, n)
-        return _verdict("transform-lambda", [lambda_identity_check(x, params, n, lam, args.k0)])
     x = _sequence_for(args, n_max)
     if args.mode != "roundtrip":
         transform = forward_transform if args.mode == "forward" else inverse_transform

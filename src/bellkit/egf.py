@@ -47,14 +47,6 @@ class TruncatedEGF:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TruncatedEGF":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedEGF(self.coeffs[: order + 1])
-
     def tail_sequence(self) -> SequenceSpec:
         """The coefficients c_1..c_N as a sequence (drops the constant)."""
         return SequenceSpec(self.coeffs[1:])
@@ -69,12 +61,6 @@ class TruncatedEGF:
         return TruncatedEGF((self.coeffs[0] + c,) + self.coeffs[1:])
 
     __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedEGF":
-        return TruncatedEGF(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "TruncatedEGF":
-        return self + (-other if isinstance(other, TruncatedEGF) else -rat(other))
 
     def __mul__(self, other) -> "TruncatedEGF":
         if isinstance(other, TruncatedEGF):

@@ -13,9 +13,10 @@ The identity families:
   classical Hagen-Rothe / Chu-Vandermonde and reciprocal-binomial
   specializations,
 * the abstract version with caller-supplied weight polynomials p(m, l, tau),
-* the convolution formulas for partial Bell polynomials obtained from the
-  above, including the constant-alpha splitting identity and the Stirling
-  recurrences it implies.
+* the convolution formulas for partial Bell polynomials: the double sums
+  above with the weight W(m, l; v) replaced by C(n, m) B(m, l) B(n-m, k-l),
+  evaluated by the same code; and the constant-alpha splitting identity,
+  whose values at x_j = (j-1)! and x_j = 1 are the Stirling recurrences.
 
 Pole policy: a summation term is *absent* when its weight (the
 binomial-product coefficient, or the Bell-polynomial product) vanishes;
@@ -32,10 +33,10 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable
 
-from .bell import bell_table, stirling1_unsigned, stirling2
+from .bell import bell_table
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros, w_coefficient
 from .rationals import binomial_general, rat, rat_str
-from .sequences import SequenceSpec
+from .sequences import SequenceSpec, factorials, ones
 from .sparsepoly import SparsePoly
 
 
@@ -215,8 +216,11 @@ def _support(v) -> tuple[IndexVector, int, int, tuple[tuple[int, int, int], ...]
 class Th1Plan:
     """The tau-independent part of the double sums at one (v, alpha).
 
-    Summation terms with equal (l, alpha(l, m)) differ only in their weight
-    W(m, l; v), so they are merged, in first-appearance order, into one term
+    ``support`` is (v, n, k, its (l, m, weight) triples of nonzero weight):
+    the weight is W(m, l; v) in :func:`th1_plan`, and C(n, m) B(m, l)
+    B(n-m, k-l) with v None in :func:`check_bell_convolution`.  Summation
+    terms with equal (l, alpha(l, m)) differ only in their weight, so they
+    are merged, in first-appearance order, into one term
     carrying the summed weight; the sums are exact, so merging cannot change
     a value.  ``pole`` is the first (l, m), in l-major, m-minor order, where
     alpha vanishes at nonzero weight (None if there is none), and ``avoid``
@@ -229,7 +233,7 @@ class Th1Plan:
         self.a00, self.akn = alpha(0, 0), alpha(self.k, self.n)
         self.pole: tuple[int, int] | None = None
         self.avoid: dict[Fraction, tuple[int, int]] = {}
-        merged: dict[tuple[int, Fraction], int] = {}
+        merged: dict[tuple[int, Fraction], int | Fraction] = {}
         for l, m, w in terms:
             a = alpha(l, m)
             if a == 0 and self.pole is None:
@@ -278,6 +282,40 @@ def _raise_at_pole(plan: Th1Plan) -> None:
         raise PoleError(f"alpha({l},{m}) = 0", where=plan.pole)
 
 
+def _double_sum(plan: Th1Plan, variant: str, tau: Fraction) -> Fraction:
+    """The left side of variant A, B or C at tau.
+
+    Raises :class:`PoleError` at the first pole, in this order: for variant
+    C, alpha(k, n) = 0 and then tau = alpha(0, 0); then the first (l, m)
+    where alpha is 0 or (for variant C) equal to tau.
+    """
+    if variant == "C":
+        if plan.akn == 0:
+            raise PoleError(f"alpha({plan.k},{plan.n}) = 0", where=(plan.k, plan.n))
+        if tau == plan.a00:
+            raise PoleError(f"tau = alpha(0,0) = {rat_str(tau)}", where=(0, 0))
+        # the first contributing (l, m) where alpha is 0 or tau decides the error
+        hit = plan.avoid.get(tau)
+        if hit is not None and (plan.pole is None or hit < plan.pole):
+            l, m = hit
+            raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=hit)
+    _raise_at_pole(plan)
+    total = Fraction(0)
+    if variant == "C":
+        for a, j, c in plan.coefficients(variant):
+            d = tau - a
+            total += c * binomial_general(d, j) / d
+        return tau * total
+    for a, j, c in plan.coefficients(variant):
+        total += c * binomial_general(tau - a, j)
+    return total
+
+
+def _c_factor(plan: Th1Plan, tau: Fraction) -> Fraction:
+    """Variant C's right side over C(tau, k): the partial-fraction prefactor."""
+    return (tau - plan.a00 + plan.akn) / (plan.akn * (tau - plan.a00))
+
+
 def check_th1(
     variant: str, v, alpha: AffineForm, tau, *, plan: Th1Plan | None = None
 ) -> IdentityReport:
@@ -291,10 +329,7 @@ def check_th1(
         raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
     plan = plan or th1_plan(v, alpha)
     tau = rat(tau)
-    _raise_at_pole(plan)
-    lhs = Fraction(0)
-    for a, j, c in plan.coefficients(variant):
-        lhs += c * binomial_general(tau - a, j)
+    lhs = _double_sum(plan, variant, tau)
     return _report(
         f"th1{variant.lower()}", plan.params(tau), lhs, binomial_general(tau, plan.k)
     )
@@ -309,23 +344,9 @@ def check_th1c(
     """
     plan = plan or th1_plan(v, alpha)
     tau = rat(tau)
-    a00, akn = plan.a00, plan.akn
-    if akn == 0:
-        raise PoleError(f"alpha({plan.k},{plan.n}) = 0", where=(plan.k, plan.n))
-    if tau == a00:
-        raise PoleError(f"tau = alpha(0,0) = {rat_str(tau)}", where=(0, 0))
-    # the first contributing (l, m) where alpha is 0 or tau decides the error
-    hit = plan.avoid.get(tau)
-    if hit is not None and (plan.pole is None or hit < plan.pole):
-        l, m = hit
-        raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=hit)
-    _raise_at_pole(plan)
-    total = Fraction(0)
-    for a, j, c in plan.coefficients("C"):
-        d = tau - a
-        total += c * binomial_general(d, j) / d
-    rhs = (tau - a00 + akn) / (akn * (tau - a00)) * binomial_general(tau, plan.k)
-    return _report("th1c", plan.params(tau), tau * total, rhs)
+    lhs = _double_sum(plan, "C", tau)
+    rhs = _c_factor(plan, tau) * binomial_general(tau, plan.k)
+    return _report("th1c", plan.params(tau), lhs, rhs)
 
 
 def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
@@ -465,7 +486,8 @@ def th1a_weight(v, alpha: AffineForm) -> Callable:
     return p
 
 
-CONVOLUTION_VARIANTS = ("cor33_first", "cor33_second", "cor34")
+#: each Bell convolution and the double-sum variant it specialises
+CONVOLUTION_VARIANTS = {"cor33_first": "A", "cor33_second": "B", "cor34": "C"}
 
 
 def check_bell_convolution(
@@ -473,64 +495,33 @@ def check_bell_convolution(
 ) -> IdentityReport:
     """Convolution of two partial Bell polynomials against a single one.
 
-    ``cor33_first`` and ``cor33_second`` equate the weighted double sum with
-    C(tau, k) * B(n, k); ``cor34`` is the partial-fraction version with its
-    own right-hand prefactor.
+    Each variant is the double sum that :data:`CONVOLUTION_VARIANTS` names
+    for it, with the weight W(m, l; v) replaced by C(n, m) B(m, l)
+    B(n-m, k-l), so it shares that sum's terms, pole order and right side:
+    ``cor33_first`` and ``cor33_second`` equal C(tau, k) * B(n, k), and
+    ``cor34`` is the partial-fraction version with variant C's prefactor.
     """
     if variant not in CONVOLUTION_VARIANTS:
-        raise ValueError(f"variant must be one of {CONVOLUTION_VARIANTS}, got {variant!r}")
+        raise ValueError(
+            f"variant must be one of {tuple(CONVOLUTION_VARIANTS)}, got {variant!r}"
+        )
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     x.require(n)
     tau = rat(tau)
     bell = bell_table(x, n)
-    a00, akn = alpha(0, 0), alpha(k, n)
-    if variant == "cor34":
-        if akn == 0:
-            raise PoleError(f"alpha({k},{n}) = 0", where=(k, n))
-        if tau == a00:
-            raise PoleError(f"tau = alpha(0,0) = {rat_str(tau)}", where=(0, 0))
-    lhs = Fraction(0)
-    for l in range(k + 1):
-        for m in range(l, n + 1):
-            bp = bell(m, l) * bell(n - m, k - l)
-            if bp == 0:
-                continue
-            a = alpha(l, m)
-            if a == 0:
-                raise PoleError(f"alpha({l},{m}) = 0", where=(l, m))
-            if variant == "cor33_first":
-                term = (
-                    (akn / a)
-                    * binomial_general(a, k - l)
-                    * binomial_general(tau - a, l)
-                    * comb(n, m)
-                    / comb(k, l)
-                )
-            elif variant == "cor33_second":
-                term = (
-                    (a00 / a)
-                    * binomial_general(tau - a, k - l)
-                    * binomial_general(a, l)
-                    * comb(n, m)
-                    / comb(k, l)
-                )
-            else:
-                if a == tau:
-                    raise PoleError(
-                        f"alpha({l},{m}) = tau = {rat_str(tau)}", where=(l, m)
-                    )
-                term = (
-                    tau
-                    * binomial_general(a, k - l)
-                    * binomial_general(tau - a, l)
-                    * comb(n, m)
-                    / (a * (tau - a) * comb(k, l))
-                )
-            lhs += term * bp
+    terms = tuple(
+        (l, m, w)
+        for l in range(k + 1)
+        for m in range(l, n + 1)
+        if (w := comb(n, m) * bell(m, l) * bell(n - m, k - l))
+    )
+    plan = Th1Plan((None, n, k, terms), alpha)
+    sum_variant = CONVOLUTION_VARIANTS[variant]
+    lhs = _double_sum(plan, sum_variant, tau)
     rhs = binomial_general(tau, k) * bell(n, k)
-    if variant == "cor34":
-        rhs *= (tau - a00 + akn) / (akn * (tau - a00))
+    if sum_variant == "C":
+        rhs *= _c_factor(plan, tau)
     return _report(
         f"bell-convolution-{variant}",
         {"variant": variant, "n": n, "k": k, "alpha": alpha, "tau": tau, "x": x},
@@ -539,10 +530,8 @@ def check_bell_convolution(
     )
 
 
-def check_alpha_constant(n: int, k: int, r: int, x: SequenceSpec) -> IdentityReport:
-    """Splitting identity C(k, r) B(n, k) = sum_m C(n, m) B(m, k-r) B(n-m, r)."""
-    if not 0 < r <= k <= n:
-        raise ValueError(f"need 0 < r <= k <= n, got r={r}, k={k}, n={n}")
+def _splitting(n: int, k: int, r: int, x: SequenceSpec) -> tuple[Fraction, Fraction]:
+    """Both sides of C(k, r) B(n, k) = sum_m C(n, m) B(m, k-r) B(n-m, r) at x."""
     x.require(n)
     bell = bell_table(x, n)
     lhs = comb(k, r) * bell(n, k)
@@ -550,8 +539,15 @@ def check_alpha_constant(n: int, k: int, r: int, x: SequenceSpec) -> IdentityRep
         (comb(n, m) * bell(m, k - r) * bell(n - m, r) for m in range(k - r, n - r + 1)),
         Fraction(0),
     )
+    return lhs, rhs
+
+
+def check_alpha_constant(n: int, k: int, r: int, x: SequenceSpec) -> IdentityReport:
+    """Splitting identity C(k, r) B(n, k) = sum_m C(n, m) B(m, k-r) B(n-m, r)."""
+    if not 0 < r <= k <= n:
+        raise ValueError(f"need 0 < r <= k <= n, got r={r}, k={k}, n={n}")
     return _report(
-        "alpha-constant", {"n": n, "k": k, "r": r, "x": x}, lhs, rhs
+        "alpha-constant", {"n": n, "k": k, "r": r, "x": x}, *_splitting(n, k, r, x)
     )
 
 
@@ -572,16 +568,16 @@ def check_zerosum(n: int, k: int, x: SequenceSpec) -> IdentityReport:
 
 
 def check_stirling_recurrence(n: int, k: int, r: int, kind: str) -> IdentityReport:
-    """The splitting identity specialized to Stirling numbers of either kind."""
+    """The splitting identity at x_j = (j-1)! (first kind) or x_j = 1 (second)."""
     if not 0 < r <= k <= n:
         raise ValueError(f"need 0 < r <= k <= n, got r={r}, k={k}, n={n}")
     if kind not in ("first", "second"):
         raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
-    s = stirling1_unsigned if kind == "first" else stirling2
-    lhs = comb(k, r) * s(n, k)
-    rhs = sum(comb(n, m) * s(m, k - r) * s(n - m, r) for m in range(k - r, n - r + 1))
+    x = factorials(n) if kind == "first" else ones(n)
     return _report(
-        "stirling-recurrence", {"n": n, "k": k, "r": r, "kind": kind}, lhs, rhs
+        "stirling-recurrence",
+        {"n": n, "k": k, "r": r, "kind": kind},
+        *_splitting(n, k, r, x),
     )
 
 

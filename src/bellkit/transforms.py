@@ -50,11 +50,12 @@ def q_function(n: int, b: int, lam, z: SequenceSpec) -> Fraction:
     return _q_sum(n, b, rat(lam), bell_table(z, n))
 
 
-def _q_sum(n: int, b: int, lam, bell: BellTable) -> Fraction:
-    """q_function(n, b, lam, z) from a Bell table of z."""
+def _q_sum(n: int, b: int, lam, bell: BellTable, k0: int = 1) -> Fraction:
+    """sum_{k=k0}^{n} C(lam + b*k, k-k0) (k-1)! B(n, k)(z) from a Bell table of z;
+    at k0 = 1 it is q_function(n, b, lam, z)."""
     total = Fraction(0)
-    for k in range(1, n + 1):
-        total += binomial_general(lam + b * k, k - 1) * factorial(k - 1) * bell(n, k)
+    for k in range(k0, n + 1):
+        total += binomial_general(lam + b * k, k - k0) * factorial(k - 1) * bell(n, k)
     return total
 
 
@@ -198,20 +199,11 @@ def lambda_identity_check(
     lam = rat(lam)
     bell_x = bell_table(x, n)
     bell_y = bell_table(_forward(params, n, bell_x), n)
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for k in range(k0, n + 1):
-        lhs += binomial_general(lam, k - k0) * factorial(k - 1) * bell_y(n, k)
-        rhs += (
-            binomial_general(lam + params.a * n + params.b * k, k - k0)
-            * factorial(k - 1)
-            * bell_x(n, k)
-        )
     return _report(
         "lambda-composition",
         {"a": params.a, "b": params.b, "n": n, "lambda": lam, "k0": k0, "x": x},
-        lhs,
-        rhs,
+        _q_sum(n, 0, lam, bell_y, k0),
+        _q_sum(n, params.b, lam + params.a * n, bell_x, k0),
     )
 
 

@@ -105,6 +105,13 @@ class TestTransformCommand:
         assert code == 0
         assert json.loads(out)["summary"]["failed"] == 0
 
+    def test_lambda_asks_for_n_before_reading_x(self, capsys, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        for argv in ([], ["--n-max", "3"], ["--x", absent]):
+            code, out, err = run(capsys, "transform", "lambda", "--lambda", "2", *argv)
+            assert code == 2 and out == ""
+            assert err == "bellkit: --n is required for this command\n"
+
 
 class TestSeriesCommand:
     def test_log(self, capsys):

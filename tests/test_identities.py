@@ -3,7 +3,9 @@ from math import comb
 
 import pytest
 
+from bellkit.bell import bell_table, stirling1_unsigned, stirling2
 from bellkit.identities import (
+    CONVOLUTION_VARIANTS,
     DEFAULT_ALPHAS,
     AffineForm,
     PoleError,
@@ -26,8 +28,8 @@ from bellkit.identities import (
     vanishing_sum_monomials,
 )
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros, w_coefficient
-from bellkit.rationals import binomial_general, rat
-from bellkit.sequences import ones, naturals, random_rationals
+from bellkit.rationals import binomial_general, rat, rat_str
+from bellkit.sequences import SequenceSpec, ones, naturals, random_rationals
 from bellkit.sparsepoly import SparsePoly
 
 
@@ -328,6 +330,19 @@ class TestStirlingRecurrence:
         with pytest.raises(ValueError):
             check_stirling_recurrence(4, 2, 1, "third")
 
+    def test_sides_are_the_stirling_sums(self):
+        for kind, s in (("first", stirling1_unsigned), ("second", stirling2)):
+            for n in range(1, 9):
+                for k in range(1, n + 1):
+                    for r in range(1, k + 1):
+                        rep = check_stirling_recurrence(n, k, r, kind)
+                        assert rep.lhs == comb(k, r) * s(n, k)
+                        assert rep.rhs == sum(
+                            comb(n, m) * s(m, k - r) * s(n - m, r)
+                            for m in range(k - r, n - r + 1)
+                        )
+                        assert rep.passed
+
 
 class TestGrid:
     def test_small_grid_clean(self):
@@ -426,6 +441,15 @@ def _pole_at(check, *args):
     return None
 
 
+def _outcome(check, *args):
+    """(lhs, rhs) of ``check(*args)``, or the message and ``where`` of its PoleError."""
+    try:
+        result = check(*args)
+    except PoleError as err:
+        return str(err), err.where
+    return result if isinstance(result, tuple) else (result.lhs, result.rhs)
+
+
 #: alphas vanishing at some contributing (l, m) for some v with n <= 5
 POLE_ALPHAS = (AffineForm(-1, 1), AffineForm(-2, 1, Fraction(-1, 3)), AffineForm(3, -1))
 
@@ -475,6 +499,73 @@ class TestPlanAgainstOracle:
         assert result.reports == [] and result.skipped_pairs == [
             ((2, 1), AffineForm(-1, 1), (1, 1))
         ]
+
+
+def oracle_bell_convolution(variant, n, k, alpha, tau, x):
+    """The Bell convolution term by term over (l, m), as its own loop.
+
+    The reference ``check_bell_convolution``, which runs the double-sum
+    plans, is checked against; returns (lhs, rhs) and raises the PoleError
+    the checker should raise, with the same message.
+    """
+    bell = bell_table(x, n)
+    a00, akn = alpha(0, 0), alpha(k, n)
+    if variant == "cor34":
+        if akn == 0:
+            raise PoleError(f"alpha({k},{n}) = 0", where=(k, n))
+        if tau == a00:
+            raise PoleError(f"tau = alpha(0,0) = {rat_str(tau)}", where=(0, 0))
+    lhs = Fraction(0)
+    for l in range(k + 1):
+        for m in range(l, n + 1):
+            bp = bell(m, l) * bell(n - m, k - l)
+            if bp == 0:
+                continue
+            a = alpha(l, m)
+            if a == 0:
+                raise PoleError(f"alpha({l},{m}) = 0", where=(l, m))
+            if variant == "cor33_first":
+                term = (akn / a) * binomial_general(a, k - l) * binomial_general(tau - a, l)
+            elif variant == "cor33_second":
+                term = (a00 / a) * binomial_general(tau - a, k - l) * binomial_general(a, l)
+            else:
+                if a == tau:
+                    raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=(l, m))
+                term = (
+                    tau
+                    * binomial_general(a, k - l)
+                    * binomial_general(tau - a, l)
+                    / (a * (tau - a))
+                )
+            lhs += term * comb(n, m) / comb(k, l) * bp
+    rhs = binomial_general(tau, k) * bell(n, k)
+    if variant == "cor34":
+        rhs *= (tau - a00 + akn) / (akn * (tau - a00))
+    return lhs, rhs
+
+
+class TestBellConvolutionAgainstOracle:
+    SEQUENCES = (
+        random_rationals(6, seed=31),
+        SequenceSpec.from_values([0, 2, "-1/3", 0, 1, 5]),
+        SequenceSpec.from_values([3, 0, "1/2", -2, 0, 1]),
+    )
+
+    def test_every_variant_n_up_to_six(self):
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                for alpha in DEFAULT_ALPHAS + POLE_ALPHAS:
+                    taus = {alpha(0, 0), alpha(1, 1), alpha(1, n), alpha(k, n)}
+                    for tau in taus | {Fraction(0), Fraction(5, 2)}:
+                        for x in self.SEQUENCES:
+                            for variant in CONVOLUTION_VARIANTS:
+                                self._agree(variant, n, k, alpha, tau, x)
+
+    @staticmethod
+    def _agree(*args):
+        assert _outcome(check_bell_convolution, *args) == _outcome(
+            oracle_bell_convolution, *args
+        )
 
 
 class TestVanishingSumMonomials:
