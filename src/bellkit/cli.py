@@ -6,15 +6,16 @@ input errors.  Rational flag values accept "p/q" strings; negative values
 are easiest passed as ``--tau=-7/3``.  An empty flag value is an error, not
 a request for the default.
 
-``VERIFY`` maps each ``bellkit verify`` identity to the function that
-checks it; ``FLAGS`` defines every option once, and ``COMMANDS`` names the
-options each subcommand takes.
+Each leaf (a subcommand, mode or ``verify`` identity) takes only the options
+its handler reads, after the mode or identity.  ``FLAGS`` defines each option
+once; ``VERIFY`` and ``COMMANDS`` give each leaf its handler and options.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -28,6 +29,7 @@ from .identities import (
     DEFAULT_ALPHAS,
     AffineForm,
     GridResult,
+    bell_convolution_plan,
     certify_double_sums,
     check_alpha_constant,
     check_bell_convolution,
@@ -131,7 +133,7 @@ def _parse_alpha(text: str) -> AffineForm:
 
 
 def _need(args, name: str, flag: str | None = None):
-    value = getattr(args, name.replace("-", "_"), None)
+    value = getattr(args, name.replace("-", "_"))
     if value is None:
         raise UsageError(f"--{flag or name} is required for this command")
     return value
@@ -203,12 +205,10 @@ def cmd_transform(args):
         x = _sequence_for(args, n)
         return _verdict("transform-lambda", [lambda_identity_check(x, params, n, lam, args.k0)])
     n_max = args.n_max if args.n_max is not None else args.n
-    if n_max is None:
-        if args.x is not None and args.x not in NAMED_SEQUENCES:
-            n_max = len(load_sequence(args.x))
-        else:
-            raise UsageError("--n-max (or --n) is required for this command")
+    if n_max is None and (args.x is None or args.x in NAMED_SEQUENCES):
+        raise UsageError("--n-max (or --n) is required for this command")
     x = _sequence_for(args, n_max)
+    n_max = len(x) if n_max is None else n_max
     if args.mode != "roundtrip":
         transform = forward_transform if args.mode == "forward" else inverse_transform
         output = transform(x, params, n_max)
@@ -286,13 +286,14 @@ def _double_sums(variant: str, alphas=DEFAULT_ALPHAS):
 
 
 def _verify_hagen_rothe(args, variants=None):
+    zp = args.zp if variants is None else None  # chu-vandermonde's z is 0
     if variants is None:
         variants = [args.variant] if args.variant is not None else ["symmetric", "asymmetric"]
     ks = [args.k] if args.k is not None else [1, 2, 3, 4]
-    if args.xp is not None or args.yp is not None:
+    if args.xp is not None or args.yp is not None or zp is not None:
         xs = [_parse_rat(_need(args, "xp"), "--xp")]
         ys = [_parse_rat(_need(args, "yp"), "--yp")]
-        zs = [_opt_rat(args.zp, "--zp", Fraction(0))]
+        zs = [_opt_rat(zp, "--zp", Fraction(0))]
     else:
         xs = [Fraction(1), Fraction(2), Fraction(5, 2)]
         ys = [Fraction(1), Fraction(3), Fraction(1, 2)]
@@ -323,7 +324,9 @@ def _verify_bell_conv(args):
     tau = _opt_rat(args.tau, "--tau", Fraction(2 * k + 3, 2))
     x = _sequence_for(args, n)
     variants = CONVOLUTION_VARIANTS if args.variant is None else [args.variant]
-    return [check_bell_convolution(vr, n, k, alpha, tau, x) for vr in variants]
+    # one Bell table for all variants; a lone --variant is validated first
+    plan = bell_convolution_plan(n, k, alpha, x) if args.variant is None else None
+    return [check_bell_convolution(vr, n, k, alpha, tau, x, plan=plan) for vr in variants]
 
 
 def _verify_alpha_constant(args):
@@ -376,29 +379,37 @@ def _verify_general_binomial(args):
     return [rep, twin]
 
 
-#: identity name -> function(args) returning its reports (a list or a GridResult)
+GRID_FLAGS = ("--n", "--k", "--alpha", "--v")
+
+SEQUENCE_FLAGS = ("--x", "--seed", "--n-max")
+
+#: identity -> (function(args) returning a list of reports or a GridResult, its options)
 VERIFY = {
-    "th1a": _double_sums("A"),
-    "th1b": _double_sums("B"),
-    "th1c": _double_sums("C"),
-    "hagen-rothe": _verify_hagen_rothe,
-    "chu-vandermonde": lambda args: _verify_hagen_rothe(args, ["chu_vandermonde"]),
+    "th1a": (_double_sums("A"), (*GRID_FLAGS, "--tau")),
+    "th1b": (_double_sums("B"), (*GRID_FLAGS, "--tau")),
+    "th1c": (_double_sums("C"), (*GRID_FLAGS, "--tau")),
+    "hagen-rothe": (_verify_hagen_rothe, ("--k", "--variant", "--xp", "--yp", "--zp")),
+    "chu-vandermonde": (lambda args: _verify_hagen_rothe(args, ["chu_vandermonde"]),
+                        ("--k", "--xp", "--yp")),
     # the shifted-by-l form 2 + l triggers the reciprocal check
-    "negative-one": _double_sums("negative-one", (*DEFAULT_ALPHAS, AffineForm(2, 1))),
-    "vanishing-sum": _verify_vanishing_sum,
-    "bell-conv": _verify_bell_conv,
-    "alpha-constant": _verify_alpha_constant,
-    "zerosum": _verify_zerosum,
-    "stirling-rec": _verify_stirling_rec,
-    "q-recurrence": _verify_q_recurrence,
-    "q-product": _verify_q_product,
-    "general-binomial-demo": _verify_general_binomial,
+    "negative-one": (_double_sums("negative-one", (*DEFAULT_ALPHAS, AffineForm(2, 1))), GRID_FLAGS),
+    "vanishing-sum": (_verify_vanishing_sum, ("--v",)),
+    "bell-conv": (_verify_bell_conv,
+                  ("--n", "--k", "--tau", "--alpha", "--variant", *SEQUENCE_FLAGS)),
+    "alpha-constant": (_verify_alpha_constant, ("--n", "--k", "--r", *SEQUENCE_FLAGS)),
+    "zerosum": (_verify_zerosum, ("--n", "--k", *SEQUENCE_FLAGS)),
+    "stirling-rec": (_verify_stirling_rec, ("--n", "--k", "--r", "--kind")),
+    "q-recurrence": (_verify_q_recurrence, ("--n", "--lambda", *SEQUENCE_FLAGS)),
+    "q-product": (_verify_q_product,
+                  ("--n", "--b", "--lambda", "--lambda2", "--n2", "--b2", *SEQUENCE_FLAGS)),
+    "general-binomial-demo": (_verify_general_binomial,
+                              ("--tau", "--alpha", "--v", "--counterexample")),
 }
 
 
 def cmd_verify(args):
     # the demo reports under the name of the identity it demonstrates
-    return _verdict(args.identity.removesuffix("-demo"), VERIFY[args.identity](args))
+    return _verdict(args.identity.removesuffix("-demo"), VERIFY[args.identity][0](args))
 
 
 # --- plumbing ------------------------------------------------------------------
@@ -456,9 +467,9 @@ FLAGS = {
     "--format": {"choices": ("json", "csv"), "default": "json"},
 }
 
-SEQUENCE_FLAGS = ("--x", "--seed", "--n-max")
+TRANSFORM_FLAGS = ("--a", "--b", "--n", *SEQUENCE_FLAGS)
 
-#: subcommand -> (help, handler, positional (name, choices) or None, options in --help order)
+#: subcommand -> (help, handler, mode argument or None, {mode: options} or options)
 COMMANDS = {
     "bell": (
         "partial Bell polynomial, symbolic or evaluated",
@@ -476,45 +487,56 @@ COMMANDS = {
     "transform": (
         "forward/inverse sequence transforms",
         cmd_transform,
-        ("mode", ("forward", "inverse", "roundtrip", "lambda")),
-        ("--a", "--b", "--n", "--lambda", "--k0", *SEQUENCE_FLAGS),
+        "mode",
+        {
+            "forward": TRANSFORM_FLAGS,
+            "inverse": TRANSFORM_FLAGS,
+            "roundtrip": TRANSFORM_FLAGS,
+            "lambda": ("--a", "--b", "--n", "--lambda", "--k0", *SEQUENCE_FLAGS),
+        },
     ),
     "series": (
         "truncated EGF log/pow/apply-poly",
         cmd_series,
-        ("mode", ("log", "pow", "apply-poly")),
-        ("--r", "--coeffs", "--a", "--b", *SEQUENCE_FLAGS),
+        "mode",
+        {
+            "log": SEQUENCE_FLAGS,
+            "pow": ("--r", *SEQUENCE_FLAGS),
+            "apply-poly": ("--coeffs", "--a", "--b", *SEQUENCE_FLAGS),
+        },
     ),
     "verify": (
         "certify identity instances exactly",
         cmd_verify,
-        ("identity", tuple(VERIFY)),
-        ("--n", "--k", "--r", "--b", "--tau", "--lambda", "--lambda2", "--n2", "--b2",
-         "--alpha", "--v", "--kind", "--variant", "--xp", "--yp", "--zp",
-         "--counterexample", *SEQUENCE_FLAGS),
+        "identity",
+        {name: flags for name, (_, flags) in VERIFY.items()},
     ),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: it costs more than most calls."""
     parser = argparse.ArgumentParser(
         prog="bellkit",
         description="Exact partial Bell polynomials, transforms, and identity certification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, positional, flags) in COMMANDS.items():
+    for name, (help_text, handler, dest, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if positional is not None:
-            p.add_argument(positional[0], choices=positional[1])
-        for flag in (*flags, "--format"):
-            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(handler=handler)
+        leaves = [(p, options)]
+        if dest is not None:
+            modes = p.add_subparsers(dest=dest, required=True)
+            leaves = [(modes.add_parser(m, allow_abbrev=False), f) for m, f in options.items()]
+        for leaf, flags in leaves:
+            for flag in (*flags, "--format"):
+                leaf.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, failed = args.handler(args)
     except (UsageError, ValueError) as exc:

@@ -168,12 +168,12 @@ def check_vanishing_sum(v, P: SparsePoly) -> IdentityReport:
         raise ValueError(
             f"polynomial uses x_{P.max_index()} but v has only {len(v)} entries"
         )
+    # over the box, each term of P is a product of one sum per coordinate
     total = Fraction(0)
-    for point in itertools.product(*(range(e + 1) for e in v)):
-        coeff = 1
-        for vj, ij in zip(v, point):
-            coeff *= comb(vj, ij)
-        total += (-1) ** sum(point) * coeff * P.evaluate(point)
+    for exps, coeff in P.terms.items():
+        for vj, e in itertools.zip_longest(v, exps, fillvalue=0):
+            coeff *= sum((-1) ** i * comb(vj, i) * i**e for i in range(vj + 1))
+        total += coeff
     return _report(
         "vanishing-sum",
         {"v": v, "P": P, "degree": P.total_degree()},
@@ -218,7 +218,7 @@ class Th1Plan:
 
     ``support`` is (v, n, k, its (l, m, weight) triples of nonzero weight):
     the weight is W(m, l; v) in :func:`th1_plan`, and C(n, m) B(m, l)
-    B(n-m, k-l) with v None in :func:`check_bell_convolution`.  Summation
+    B(n-m, k-l) with v None in :func:`bell_convolution_plan`.  Summation
     terms with equal (l, alpha(l, m)) differ only in their weight, so they
     are merged, in first-appearance order, into one term
     carrying the summed weight; the sums are exact, so merging cannot change
@@ -490,8 +490,24 @@ def th1a_weight(v, alpha: AffineForm) -> Callable:
 CONVOLUTION_VARIANTS = {"cor33_first": "A", "cor33_second": "B", "cor34": "C"}
 
 
+def bell_convolution_plan(n: int, k: int, alpha: AffineForm, x: SequenceSpec) -> Th1Plan:
+    """The plan of the Bell convolutions at (n, k, alpha, x); reuse it for every variant."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    x.require(n)
+    bell = bell_table(x, n)
+    terms = tuple(
+        (l, m, w)
+        for l in range(k + 1)
+        for m in range(l, n + 1)
+        if (w := comb(n, m) * bell(m, l) * bell(n - m, k - l))
+    )
+    return Th1Plan((None, n, k, terms), alpha)
+
+
 def check_bell_convolution(
-    variant: str, n: int, k: int, alpha: AffineForm, tau, x: SequenceSpec
+    variant: str, n: int, k: int, alpha: AffineForm, tau, x: SequenceSpec,
+    *, plan: Th1Plan | None = None,
 ) -> IdentityReport:
     """Convolution of two partial Bell polynomials against a single one.
 
@@ -500,26 +516,18 @@ def check_bell_convolution(
     B(n-m, k-l), so it shares that sum's terms, pole order and right side:
     ``cor33_first`` and ``cor33_second`` equal C(tau, k) * B(n, k), and
     ``cor34`` is the partial-fraction version with variant C's prefactor.
+    ``plan``, if given, is ``bell_convolution_plan(n, k, alpha, x)``.
     """
     if variant not in CONVOLUTION_VARIANTS:
         raise ValueError(
             f"variant must be one of {tuple(CONVOLUTION_VARIANTS)}, got {variant!r}"
         )
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    x.require(n)
+    plan = plan or bell_convolution_plan(n, k, alpha, x)
     tau = rat(tau)
-    bell = bell_table(x, n)
-    terms = tuple(
-        (l, m, w)
-        for l in range(k + 1)
-        for m in range(l, n + 1)
-        if (w := comb(n, m) * bell(m, l) * bell(n - m, k - l))
-    )
-    plan = Th1Plan((None, n, k, terms), alpha)
     sum_variant = CONVOLUTION_VARIANTS[variant]
     lhs = _double_sum(plan, sum_variant, tau)
-    rhs = binomial_general(tau, k) * bell(n, k)
+    # at l = k only m = n has weight: C(n, n) B(n, k) B(0, 0) = B(n, k)
+    rhs = binomial_general(tau, k) * sum(w for l, _, w in plan.merged if l == k)
     if sum_variant == "C":
         rhs *= _c_factor(plan, tau)
     return _report(

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellkit.cli import COMMANDS, FLAGS, load_sequence, main, UsageError
+from bellkit import identities
+from bellkit.bell import bell_table
+from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main, UsageError
 
 
 def run(capsys, *argv):
@@ -189,6 +191,22 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["summary"]["checked"] == 3
 
+    @pytest.mark.parametrize("variant", [[], ["--variant", "cor34"]])
+    def test_bell_conv_builds_one_bell_table(self, capsys, monkeypatch, variant):
+        calls = []
+
+        def counted(x, n_max):
+            calls.append(n_max)
+            return bell_table(x, n_max)
+
+        monkeypatch.setattr(identities, "bell_table", counted)
+        code, out, _ = run(
+            capsys, "verify", "bell-conv", "--n", "6", "--k", "3",
+            "--x", "random", "--seed", "12", *variant,
+        )
+        assert code == 0 and calls == [6]
+        assert json.loads(out)["summary"]["checked"] == (1 if variant else 3)
+
     def test_q_product(self, capsys):
         code, out, _ = run(
             capsys, "verify", "q-product", "--n", "2", "--n2", "2",
@@ -271,6 +289,32 @@ class TestErrorHandling:
             main(["verify", "zerosum", "--n", "4", "--k", "2", flag, "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            ("verify negative-one --n 4 --tau 5", "unrecognized arguments: --tau 5"),
+            (
+                "verify chu-vandermonde --variant symmetric --zp 1",
+                "unrecognized arguments: --variant symmetric --zp 1",
+            ),
+            ("verify chu-vandermonde --zp 1", "unrecognized arguments: --zp 1"),
+            ("verify hagen-rothe --x factorials", "unrecognized arguments: --x factorials"),
+            ("series log --r 2", "unrecognized arguments: --r 2"),
+            ("transform forward --lambda 2", "unrecognized arguments: --lambda 2"),
+            # options follow the identity or mode
+            ("verify --n 3 th1a", "invalid choice: '3'"),
+        ],
+    )
+    def test_leaf_refuses_flags_it_does_not_read(self, capsys, argv, fragment):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2 and fragment in capsys.readouterr().err
+
+    def test_hagen_rothe_zp_alone_asks_for_xp(self, capsys):
+        code, out, err = run(capsys, "verify", "hagen-rothe", "--zp", "1")
+        assert code == 2 and out == ""
+        assert err == "bellkit: --xp is required for this command\n"
+
 
 class TestFuzzMain:
     """Any argv built from the CLI's own flags ends in exit 0, 1 or 2."""
@@ -310,23 +354,106 @@ class TestFuzzMain:
     @given(data=st.data())
     def test_exit_status(self, data, seq_file):
         command = data.draw(st.sampled_from(list(COMMANDS)))
-        _, _, positional, own = COMMANDS[command]
+        _, _, dest, options = COMMANDS[command]
         argv = [command]
-        if positional is not None:
-            argv.append(self._one_of(data.draw, st.sampled_from(positional[1]), st.just("bogus")))
+        own = options
+        if dest is not None:
+            mode = self._one_of(data.draw, st.sampled_from(list(options)), st.just("bogus"))
+            argv.append(mode)
+            own = options.get(mode, ())
         flags = [flag for flag in (*own, "--format") if data.draw(st.booleans())]
-        # now and then any flag, which may belong to another subcommand
-        flags += self._one_of(data.draw, st.just([]), st.sampled_from(list(FLAGS)).map(lambda f: [f]))
-        for flag in dict.fromkeys(flags):
+        # now and then a flag of another leaf, which argparse must refuse
+        foreign = [flag for flag in FLAGS if flag not in (*own, "--format")]
+        extra = self._one_of(data.draw, st.just([]), st.sampled_from(foreign).map(lambda f: [f]))
+        for flag in flags + extra:
             value = self._value(data.draw, flag, seq_file)
             argv.append(flag if value is None else f"{flag}={value}")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = main(argv)
             except SystemExit as exc:
-                assert exc.code in (0, 2), argv
+                assert exc.code == 2 if extra else exc.code in (0, 2), argv
             else:
-                assert code in (0, 1, 2), argv
+                assert not extra and code in (0, 1, 2), argv
+
+
+class ReadRecorder:
+    """A parsed Namespace that records the name of every attribute read."""
+
+    def __init__(self, args):
+        self._args = args
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._args, name)
+
+
+def _leaves():
+    """(argv prefix, handler, options) of every leaf of the command tree."""
+    for command, (_, handler, dest, options) in COMMANDS.items():
+        if dest is None:
+            yield [command], handler, options
+        else:
+            for mode, flags in options.items():
+                yield [command, mode], handler, flags
+
+
+#: a minimal valid argv of each leaf
+MINIMAL = {
+    "bell": "--n 3 --k 2",
+    "stirling": "--n 3 --k 2",
+    "q": "--n 2 --lambda 2",
+    "transform lambda": "--n 3 --lambda 2",
+    "series": "--n-max 3",
+    "series pow": "--n-max 3 --r 2",
+    "series apply-poly": "--n-max 3 --coeffs 1,2",
+    "verify hagen-rothe": "--xp 1 --yp 2",
+    "verify chu-vandermonde": "--xp 1 --yp 2",
+    "verify vanishing-sum": "--v 1,1",
+    "verify alpha-constant": "--n 3 --k 2 --r 1",
+    "verify stirling-rec": "--n 3 --k 2 --r 1",
+    "verify q-recurrence": "--n 2 --lambda 2",
+    "verify q-product": "--n 2 --lambda 1",
+    "verify general-binomial-demo": "",
+    # (a, b) = (0, 0) has no inverse
+    "transform": "--n 3 --b 1",
+    "verify": "--n 3 --k 2",
+}
+
+#: a valid value of each option, by "leaf option" or by option
+VALUES = {
+    "--n": "3", "--k": "2", "--r": "1", "--a": "1", "--b": "1", "--tau": "7/2",
+    "--lambda": "2", "--lambda2": "3", "--n2": "2", "--b2": "1", "--k0": "2",
+    "--alpha": "1,1", "--v": "2,1", "--kind": "first", "--xp": "1/2", "--yp": "3",
+    "--zp": "2", "--coeffs": "1,2", "--x": "ones", "--seed": "5", "--n-max": "4",
+    "verify hagen-rothe --variant": "symmetric", "verify bell-conv --variant": "cor34",
+}
+
+
+def _dest(flag):
+    return FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
+
+@pytest.mark.parametrize(
+    "prefix, handler, flags, flag",
+    [
+        pytest.param(prefix, handler, flags, flag, id=" ".join([*prefix, flag]))
+        for prefix, handler, flags in _leaves()
+        for flag in flags
+    ],
+)
+def test_every_accepted_flag_is_read(prefix, handler, flags, flag):
+    leaf = " ".join(prefix)
+    minimal = MINIMAL.get(leaf, MINIMAL.get(prefix[0]))
+    value = VALUES.get(f"{leaf} {flag}", VALUES.get(flag))
+    argv = [*prefix, *minimal.split(), *([flag] if FLAGS[flag].get("action") else [flag, value])]
+    args = ReadRecorder(build_parser().parse_args(argv))
+    assert args.handler is handler
+    args.handler(args)
+    assert _dest(flag) in args.read
+    # and nothing but its own options and the tree's positionals
+    assert args.read <= {_dest(f) for f in flags} | {"handler", "mode", "identity"}
 
 
 class TestDeterminismAndFormats:

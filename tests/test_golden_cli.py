@@ -14,13 +14,10 @@ the directory is.
 
 The cases cover every subcommand and mode, every ``verify`` identity with
 its defaults and with explicit flags, JSON and CSV output, usage and input
-errors, and ``--help`` of the program and of each subcommand but
-``verify``.  Left out on purpose: calls whose output is meant to differ from
-the recorded commit's, namely empty or zero flag values that used to fall
-back to a default, negative lengths, the ``verify`` flags ``--a`` and
-``--k0`` (the ``verify`` usage line, and so its ``--help`` and its argparse
-errors, changed with them).  The double-sum grids are guarded in more depth
-by ``test_golden_verify.py``.
+errors, and ``--help`` of the program, of each subcommand and of one
+``verify`` identity.  Left out on purpose: empty or zero flag values and
+negative lengths, which used to fall back to a default or slice a sequence.
+The double-sum grids are guarded in more depth by ``test_golden_verify.py``.
 """
 
 from __future__ import annotations
@@ -212,6 +209,8 @@ HELP = [
     "q --help",
     "transform --help",
     "series --help",
+    "verify --help",
+    "verify th1a --help",
 ]
 
 CASES = [line.split() for line in BELL + STIRLING + Q + TRANSFORM + SERIES + VERIFY + HELP]

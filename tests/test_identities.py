@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +10,7 @@ from bellkit.identities import (
     DEFAULT_ALPHAS,
     AffineForm,
     PoleError,
+    bell_convolution_plan,
     certify_double_sums,
     certify_th1_grid,
     check_alpha_constant,
@@ -567,6 +569,20 @@ class TestBellConvolutionAgainstOracle:
             oracle_bell_convolution, *args
         )
 
+    def test_a_shared_plan_changes_nothing(self):
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                for alpha in DEFAULT_ALPHAS + POLE_ALPHAS:
+                    for x in self.SEQUENCES:
+                        plan = bell_convolution_plan(n, k, alpha, x)
+                        for tau in (alpha(0, 0), alpha(1, 1), Fraction(5, 2)):
+                            for variant in CONVOLUTION_VARIANTS:
+                                args = (variant, n, k, alpha, tau, x)
+                                shared = _outcome(
+                                    lambda *a: check_bell_convolution(*a, plan=plan), *args
+                                )
+                                assert shared == _outcome(check_bell_convolution, *args)
+
 
 class TestVanishingSumMonomials:
     def test_every_monomial_below_the_bound_once_by_degree(self):
@@ -577,3 +593,36 @@ class TestVanishingSumMonomials:
             assert all(len(e) == len(v) for e in exps) and len(set(exps)) == len(exps)
             # monomials of degree < s in d variables: C(s - 1 + d, d)
             assert len(exps) == comb(sum(v) - 1 + len(v), len(v))
+
+
+def oracle_vanishing_sum(v, P):
+    """The alternating sum of P over the box [0, v_1] x ... x [0, v_d], point by point."""
+    total = Fraction(0)
+    for point in itertools.product(*(range(e + 1) for e in v)):
+        coeff = 1
+        for vj, ij in zip(v, point):
+            coeff *= comb(vj, ij)
+        total += (-1) ** sum(point) * coeff * P.evaluate(point)
+    return total
+
+
+class TestVanishingSumAgainstOracle:
+    """The checker sums each term of P as a product of one sum per coordinate;
+    the box loop is the oracle."""
+
+    @staticmethod
+    def _vectors():
+        """Every v of length <= 3 with entries in 0..5, and every v of length
+        4 and 5 with positive entries, of sum 1..5."""
+        for d in range(1, 6):
+            low = 0 if d <= 3 else 1
+            for v in itertools.product(range(low, 6), repeat=d):
+                if 1 <= sum(v) <= 5:
+                    yield v
+
+    def test_every_monomial_sum_up_to_five(self):
+        for v in self._vectors():
+            for exps in vanishing_sum_monomials(v):
+                P = SparsePoly.monomial(exps)
+                rep = check_vanishing_sum(v, P)
+                assert rep.lhs == oracle_vanishing_sum(v, P) == 0 and rep.passed
