@@ -7,16 +7,18 @@ are easiest passed as ``--tau=-7/3``.  An empty flag value is an error, not
 a request for the default.
 
 Each leaf (a subcommand, mode or ``verify`` identity) takes only the options
-its handler reads, after the mode or identity.  ``FLAGS`` defines each option
-once; ``VERIFY`` and ``COMMANDS`` give each leaf its handler and options.
+its handler reads, after the mode or identity, and reports any other option
+with its own usage line.  ``FLAGS`` defines each option once; ``VERIFY`` and
+``COMMANDS`` give each leaf its handler and options.  Every payload is
+written by one JSON writer, ``output.dumps``, or as CSV by
+``output.csv_text``; a ``verify`` payload carries its reports as
+:class:`IdentityReport` objects, which the writer renders.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -29,6 +31,7 @@ from .identities import (
     DEFAULT_ALPHAS,
     AffineForm,
     GridResult,
+    IdentityReport,
     bell_convolution_plan,
     certify_double_sums,
     check_alpha_constant,
@@ -42,6 +45,7 @@ from .identities import (
     th1a_weight,
     vanishing_sum_monomials,
 )
+from .output import csv_text, dumps
 from .partitions import enumerate_pi, strip_trailing_zeros
 from .rationals import rat, rat_str
 from .sequences import NAMED_SEQUENCES, SequenceSpec, named_sequence
@@ -152,7 +156,7 @@ def _verdict(name: str, result) -> tuple[dict, bool]:
     return {
         "command": "verify",
         "identity": name,
-        "reports": [r.to_json_obj() for r in result.reports],
+        "reports": result.reports,
         "summary": result.summary(),
     }, not result.all_passed()
 
@@ -204,7 +208,9 @@ def cmd_transform(args):
         lam = _parse_rat(_need(args, "lam", "lambda"), "--lambda")
         x = _sequence_for(args, n)
         return _verdict("transform-lambda", [lambda_identity_check(x, params, n, lam, args.k0)])
-    n_max = args.n_max if args.n_max is not None else args.n
+    if args.n is not None and args.n_max is not None:
+        raise UsageError("give --n or --n-max, not both")
+    n_max = args.n if args.n_max is None else args.n_max
     if n_max is None and (args.x is None or args.x in NAMED_SEQUENCES):
         raise UsageError("--n-max (or --n) is required for this command")
     x = _sequence_for(args, n_max)
@@ -262,6 +268,8 @@ def cmd_series(args):
 
 def _grid_vs(args) -> list[tuple[int, ...]]:
     if args.v is not None:
+        if args.n is not None or args.k is not None:
+            raise UsageError("give --v or --n/--k, not both")
         return [strip_trailing_zeros(_parse_vec(args.v, "--v"))]
     n = _need(args, "n")
     ks = [args.k] if args.k is not None else list(range(1, n + 1))
@@ -415,24 +423,6 @@ def cmd_verify(args):
 # --- plumbing ------------------------------------------------------------------
 
 
-def _emit_csv(payload: dict, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    if "reports" in payload:
-        writer.writerow(["identity", "params", "lhs", "rhs", "pass", "skipped_poles"])
-        for rep in payload["reports"]:
-            params = ";".join(f"{k}={v}" for k, v in rep["params"].items())
-            skipped = ";".join(
-                ",".join(str(x) for x in triple) for triple in rep["skipped_poles"]
-            )
-            writer.writerow(
-                [rep["identity"], params, rep["lhs"], rep["rhs"], rep["pass"], skipped]
-            )
-        return
-    writer.writerow(["key", "value"])
-    for key, value in payload.items():
-        writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
-
-
 #: every option -> its add_argument keywords
 FLAGS = {
     "--n": {"type": int},
@@ -530,13 +520,16 @@ def build_parser() -> argparse.ArgumentParser:
             modes = p.add_subparsers(dest=dest, required=True)
             leaves = [(modes.add_parser(m, allow_abbrev=False), f) for m, f in options.items()]
         for leaf, flags in leaves:
+            leaf.set_defaults(parser=leaf)  # main reports unknown flags with the leaf's usage
             for flag in (*flags, "--format"):
                 leaf.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         payload, failed = args.handler(args)
     except (UsageError, ValueError) as exc:
@@ -544,11 +537,9 @@ def main(argv=None) -> int:
         print(f"bellkit: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        buf = io.StringIO()
-        _emit_csv(payload, buf)
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(csv_text(payload))
     else:
-        print(json.dumps(payload, indent=2))
+        print(dumps(payload, IdentityReport.json_value))
     return 1 if failed else 0
 
 

@@ -23,14 +23,25 @@ binomial-product coefficient, or the Bell-polynomial product) vanishes;
 a vanishing denominator at a term that is actually present raises
 :class:`PoleError` rather than producing a bogus report.  Grid certifiers
 avoid and record pole parameter values instead of erroring.
+
+The double sums and the negative-one sum are added up in integers.  Every
+term is an integer over a denominator known before the sum starts: the
+denominator of its tau-independent factor times a power of q*d, where q is
+tau's denominator and d the common denominator of alpha's coefficients.
+One common denominator, the ``math.lcm`` of the factors' denominators
+times the highest power of q*d, is a multiple of each term's, so each term
+scaled to it has an exact integer numerator.  Adding integers rounds
+nothing: their total over that denominator is the exact sum, and one
+``Fraction`` per report reduces it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 from typing import Callable
 
 from .bell import bell_table
@@ -74,6 +85,11 @@ class AffineForm:
         return cls(*coeffs)
 
     def describe(self) -> str:
+        """alpha as text, such as "5 + 2*l - m"; computed once per object."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         pieces = []
         if self.c0 or not (self.c1 or self.c2):
             pieces.append(rat_str(self.c0))
@@ -110,29 +126,41 @@ class IdentityReport:
     passed: bool
     skipped_poles: tuple = ()
 
+    #: the keys of a report's JSON object and CSV row, in output order
+    KEYS = ("identity", "params", "lhs", "rhs", "pass", "skipped_poles")
+
     def to_json_obj(self) -> dict:
-        return {
-            "identity": self.name,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
-            "lhs": rat_str(self.lhs),
-            "rhs": rat_str(self.rhs),
-            "pass": self.passed,
-            "skipped_poles": [list(map(_jsonable, t)) for t in self.skipped_poles],
-        }
+        return _jsonable(self)
+
+    @staticmethod
+    def json_value(value):
+        """The JSON form of a report or of a Fraction, AffineForm, SequenceSpec
+        or SparsePoly it holds, one level deep: the ``default`` of the CLI's
+        JSON writer.  A report becomes a dict of :attr:`KEYS`."""
+        if isinstance(value, Fraction):
+            return rat_str(value)
+        if isinstance(value, IdentityReport):
+            fields = (value.name, value.params, value.lhs, value.rhs, value.passed,
+                      value.skipped_poles)
+            return dict(zip(IdentityReport.KEYS, fields))
+        if isinstance(value, AffineForm):
+            return value.describe()
+        if isinstance(value, SequenceSpec):
+            return value.to_json_obj()
+        if isinstance(value, SparsePoly):
+            return repr(value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
-        return rat_str(value)
+    """``value`` with tuples as lists and everything else JSON-ready."""
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, AffineForm):
-        return value.describe()
-    if isinstance(value, SequenceSpec):
-        return value.to_json_obj()
-    if isinstance(value, SparsePoly):
-        return repr(value)
-    return value
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if value is None or isinstance(value, (str, int)):
+        return value
+    return _jsonable(IdentityReport.json_value(value))
 
 
 def _report(name, params, lhs, rhs, skipped=()) -> IdentityReport:
@@ -218,53 +246,79 @@ class Th1Plan:
 
     ``support`` is (v, n, k, its (l, m, weight) triples of nonzero weight):
     the weight is W(m, l; v) in :func:`th1_plan`, and C(n, m) B(m, l)
-    B(n-m, k-l) with v None in :func:`bell_convolution_plan`.  Summation
-    terms with equal (l, alpha(l, m)) differ only in their weight, so they
-    are merged, in first-appearance order, into one term
-    carrying the summed weight; the sums are exact, so merging cannot change
-    a value.  ``pole`` is the first (l, m), in l-major, m-minor order, where
-    alpha vanishes at nonzero weight (None if there is none), and ``avoid``
-    maps each value alpha takes on the support to the first (l, m) taking it.
+    B(n-m, k-l) with v None in :func:`bell_convolution_plan`.  alpha is
+    evaluated in integers: alpha(l, m) = A / d, where d is the common
+    denominator of alpha's coefficients and A an integer numerator.
+    Summation terms with equal (l, alpha(l, m)) differ only in their weight,
+    so they are merged, in first-appearance order, into one term (l, A, w)
+    of ``merged`` carrying the summed weight w; the sums are exact, so
+    merging cannot change a value.  ``pole`` is the first (l, m), in
+    l-major, m-minor order, where alpha vanishes at nonzero weight (None if
+    there is none), and ``avoid`` maps each value alpha takes on the
+    support to the first (l, m) taking it.
     """
 
     def __init__(self, support, alpha: AffineForm):
         self.v, self.n, self.k, terms = support
         self.alpha = alpha
-        self.a00, self.akn = alpha(0, 0), alpha(self.k, self.n)
+        coeffs = (alpha.c0, alpha.c1, alpha.c2)
+        self.d = d = lcm(*(c.denominator for c in coeffs))
+        c0, c1, c2 = (c.numerator * (d // c.denominator) for c in coeffs)
+        self.a00 = Fraction(c0, d)
+        self.akn = Fraction(c0 + c1 * self.k + c2 * self.n, d)
         self.pole: tuple[int, int] | None = None
-        self.avoid: dict[Fraction, tuple[int, int]] = {}
-        merged: dict[tuple[int, Fraction], int | Fraction] = {}
+        first: dict[int, tuple[int, int]] = {}
+        merged: dict[tuple[int, int], int | Fraction] = {}
         for l, m, w in terms:
-            a = alpha(l, m)
+            a = c0 + c1 * l + c2 * m
             if a == 0 and self.pole is None:
                 self.pole = (l, m)
-            self.avoid.setdefault(a, (l, m))
+            first.setdefault(a, (l, m))
             merged[l, a] = merged.get((l, a), 0) + w
+        self.avoid = {Fraction(a, d): where for a, where in first.items()}
         self.merged = tuple((l, a, w) for (l, a), w in merged.items())
-        self._coefficients: dict[str, list] = {}
+        self._coefficients: dict[str, tuple] = {}
 
-    def coefficients(self, variant: str) -> list[tuple[Fraction, int, Fraction]]:
-        """(a, j, c) per merged term whose tau-independent factor c is nonzero.
+    def coefficients(self, variant: str) -> tuple[int, int, list, list]:
+        """Variant A, B or C as integers: (L, J, terms, tails).
 
-        Variants A and B sum c * C(tau - a, j); variant C is tau times the
-        sum of c * C(tau - a, j) / (tau - a).  Needs ``pole`` to be None.
+        Each term (A, j, w) adds (w / L) * (tau - A/d)_j, where (t)_j is the
+        falling factorial t(t-1)...(t-j+1) and J is the largest j; each tail
+        (A, w), variant C's l = 0 term, adds (w / L) / (tau - A/d).  Variants
+        A and B sum c * C(tau - a, j) over the merged terms whose
+        tau-independent factor c is nonzero, with j! folded into w.  Variant
+        C is tau times the sum of c * C(tau - a, l) / (tau - a); for l > 0
+        that term is (c / l) * C(tau - a - 1, l - 1), so it needs no division
+        by tau - a.  Needs ``pole`` to be None.
+
+        With C(a, r) = P / (d^r r!), where P = A (A - d) ... (A - (r-1)d),
+        and r! C(k, l) j! = k! for r + j = k, each c / j! (c / l! for C) is
+        one quotient lead * P w / (A d^r k!), where lead is d * alpha(k, n)
+        for A, d * alpha(0, 0) for B (with r = l) and d for C (r = k - l).
         """
         if variant not in self._coefficients:
-            k = self.k
-            out = []
-            for l, a, w in self.merged:
-                if variant == "A":
-                    c = self.akn / a * binomial_general(a, k - l) * w / comb(k, l)
-                    j = l
-                elif variant == "B":
-                    c = self.a00 / a * binomial_general(a, l) * w / comb(k, l)
-                    j = k - l
+            k, d = self.k, self.d
+            lead = {"A": int(self.akn * d), "B": int(self.a00 * d), "C": d}[variant]
+            terms, tails = [], []
+            for l, num, w in self.merged:
+                r = l if variant == "B" else k - l
+                c = Fraction(lead * prod(num - i * d for i in range(r)) * w,
+                             num * d**r * factorial(k))
+                if not c:
+                    continue
+                if variant != "C":
+                    terms.append((num, k - r, c))
+                elif l == 0:
+                    tails.append((num, c))
                 else:
-                    c = binomial_general(a, k - l) * w / (a * comb(k, l))
-                    j = l
-                if c:
-                    out.append((a, j, c))
-            self._coefficients[variant] = out
+                    terms.append((num + d, l - 1, c))
+            scale = lcm(*(c.denominator for *_, c in terms + tails))
+            self._coefficients[variant] = (
+                scale,
+                max((j for _, j, _ in terms), default=0),
+                [(num, j, c.numerator * (scale // c.denominator)) for num, j, c in terms],
+                [(num, c.numerator * (scale // c.denominator)) for num, c in tails],
+            )
         return self._coefficients[variant]
 
     def params(self, tau: Fraction) -> dict:
@@ -300,15 +354,27 @@ def _double_sum(plan: Th1Plan, variant: str, tau: Fraction) -> Fraction:
             l, m = hit
             raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=hit)
     _raise_at_pole(plan)
-    total = Fraction(0)
+    scale, j_max, terms, tails = plan.coefficients(variant)
+    # times q*d, tau - A/d - i is the integer p*d - A*q - i*q*d
+    p, q = tau.numerator, tau.denominator
+    pd, step = p * plan.d, q * plan.d
+    powers = [1]
+    for _ in range(j_max):
+        powers.append(powers[-1] * step)
+    total = 0
+    for num, j, w in terms:
+        x = pd - num * q
+        for _ in range(j):
+            w *= x
+            x -= step
+        total += w * powers[j_max - j]
+    den = scale * powers[j_max]
+    for num, w in tails:
+        x = pd - num * q
+        total, den = total * scale * x + w * step * den, den * scale * x
     if variant == "C":
-        for a, j, c in plan.coefficients(variant):
-            d = tau - a
-            total += c * binomial_general(d, j) / d
-        return tau * total
-    for a, j, c in plan.coefficients(variant):
-        total += c * binomial_general(tau - a, j)
-    return total
+        return Fraction(p * total, q * den)
+    return Fraction(total, den)
 
 
 def _c_factor(plan: Th1Plan, tau: Fraction) -> Fraction:
@@ -409,10 +475,14 @@ def check_negative_one(
     """
     plan = plan or th1_plan(v, alpha)
     _raise_at_pole(plan)
-    k = plan.k
-    lhs = Fraction(0)
+    k, d = plan.k, plan.d
+    # each term is (-1)^l d alpha(0,0) P w / (A d^k k!), with C(a + k - l, k) =
+    # P / (d^k k!) and P = (A + (k-l)d)(A + (k-l-1)d)...(A + (1-l)d)
+    scale = lcm(*(a for _, a, _ in plan.merged))
+    total = 0
     for l, a, w in plan.merged:
-        lhs += (-1) ** l * (plan.a00 / a) * binomial_general(a + k - l, k) * w
+        total += (-1) ** l * prod(a + (k - l - i) * d for i in range(k)) * w * (scale // a)
+    lhs = Fraction(int(plan.a00 * d) * total, scale * d**k * factorial(k))
     params = {"v": plan.v, "alpha": alpha, "n": plan.n, "k": k}
     passed_extra = True
     if alpha.c1 == 1 and alpha.c2 == 0:
@@ -674,7 +744,7 @@ def certify_double_sums(
     """
     result = GridResult()
     sampled = tau is None and any(variant in TH1_VARIANTS for variant in variants)
-    taus, skipped = [tau], []
+    taus, skipped = [tau], ()
     for support in map(_support, vs):
         for alpha in alphas:
             plan = Th1Plan(support, alpha)
@@ -687,13 +757,14 @@ def certify_double_sums(
             if sampled:
                 count = samples if samples is not None else 2 * plan.k + 2
                 taus, skipped = tau_samples(count, plan.avoid if "C" in variants else {})
+                skipped = tuple(skipped)
             for variant in variants:
                 if variant == "negative-one":
                     result.reports.append(check_negative_one(v, alpha, plan=plan))
                 elif variant == "C":
                     for t in taus:
                         rep = check_th1c(v, alpha, t, plan=plan)
-                        rep.skipped_poles = tuple(skipped)
+                        rep.skipped_poles = skipped
                         result.reports.append(rep)
                 else:
                     result.reports.extend(

@@ -1,0 +1,97 @@
+"""The CLI's output formats: one JSON writer, and CSV.
+
+:func:`dumps` returns the text of ``json.dumps(value, indent=2)``.
+
+CPython encodes in C only when ``indent`` is None; with ``indent=2`` the
+pure-Python encoder was the largest single cost of a certify run's output.
+:func:`dumps` builds the same text in fewer steps.  Strings go through the
+C ``encode_basestring_ascii`` that ``json`` itself uses.  A tuple is
+rendered once per depth and its text reused wherever the same object
+appears again, as a plan's ``v`` and its skipped tau poles do in every
+report of the plan.  Tuples are remembered by identity, never by equal
+value: ``(1,)``, ``(Fraction(1),)`` and ``(True,)`` are equal but render
+differently.  The memo lives for one call.
+
+Dict keys must be strings.  Floats are refused with ``TypeError``, like any
+other type ``default`` does not convert: no value in this package is a
+float.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+from json.encoder import encode_basestring_ascii
+
+from .identities import IdentityReport
+
+
+def dumps(value, default=None) -> str:
+    """``json.dumps(value, indent=2, default=default)``, floats refused."""
+    memo: dict[tuple[int, int], tuple[tuple, str]] = {}
+
+    def render(value, depth: int) -> str:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = "\n" + "  " * (depth + 1)
+            items = []
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                items.append(f"{encode_basestring_ascii(key)}: {render(item, depth + 1)}")
+            return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
+        if isinstance(value, list):
+            return sequence(value, depth)
+        if isinstance(value, tuple):
+            hit = memo.get((id(value), depth))
+            if hit is None:
+                hit = memo[id(value), depth] = (value, sequence(value, depth))
+            return hit[1]
+        if default is None or isinstance(value, float):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return render(default(value), depth)
+
+    def sequence(value, depth: int) -> str:
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        items = [render(item, depth + 1) for item in value]
+        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+    return render(value, 0)
+
+
+def csv_text(payload: dict) -> str:
+    """A payload as CSV: one row per report, or one row per key of any other payload."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if "reports" in payload:
+        writer.writerow(IdentityReport.KEYS)
+        for rep in payload["reports"]:
+            writer.writerow(map(_csv_cell, rep.to_json_obj().values()))
+    else:
+        writer.writerow(["key", "value"])
+        for key, value in payload.items():
+            writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
+    return out.getvalue()
+
+
+def _csv_cell(value):
+    """A report field as one CSV cell: params as k=v;..., skipped poles as l,m,tau;..."""
+    if isinstance(value, dict):
+        return ";".join(f"{k}={v}" for k, v in value.items())
+    if isinstance(value, list):
+        return ";".join(",".join(map(str, triple)) for triple in value)
+    return value

@@ -30,7 +30,7 @@ def rat(value) -> Fraction:
 
 def rat_str(value) -> str:
     """Serialize as "p/q", or just "p" when the denominator is 1."""
-    f = Fraction(value)
+    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -301,6 +301,11 @@ class TestErrorHandling:
             ("verify hagen-rothe --x factorials", "unrecognized arguments: --x factorials"),
             ("series log --r 2", "unrecognized arguments: --r 2"),
             ("transform forward --lambda 2", "unrecognized arguments: --lambda 2"),
+            # the error shows the usage of the leaf, not of the program
+            (
+                "verify hagen-rothe --xp 1 --yp 2 --bogus",
+                "usage: bellkit verify hagen-rothe [-h] [--k K]",
+            ),
             # options follow the identity or mode
             ("verify --n 3 th1a", "invalid choice: '3'"),
         ],
@@ -309,6 +314,20 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
         assert exc.value.code == 2 and fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("verify th1a --v 2,1 --n 5 --k 9", "give --v or --n/--k, not both"),
+            ("verify negative-one --v 3 --k 3", "give --v or --n/--k, not both"),
+            ("transform forward --n 3 --n-max 4", "give --n or --n-max, not both"),
+            ("transform roundtrip --n-max 4 --n 3 --b 1", "give --n or --n-max, not both"),
+        ],
+    )
+    def test_flags_that_exclude_each_other(self, capsys, argv, message):
+        # each flag is valid alone, so argparse cannot refuse the pair
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == "" and err == f"bellkit: {message}\n"
 
     def test_hagen_rothe_zp_alone_asks_for_xp(self, capsys):
         code, out, err = run(capsys, "verify", "hagen-rothe", "--zp", "1")
@@ -399,7 +418,8 @@ def _leaves():
                 yield [command, mode], handler, flags
 
 
-#: a minimal valid argv of each leaf
+#: a minimal valid argv of each leaf, by leaf, by "command option" (for an
+#: option the command's default argv excludes), or by command
 MINIMAL = {
     "bell": "--n 3 --k 2",
     "stirling": "--n 3 --k 2",
@@ -419,6 +439,9 @@ MINIMAL = {
     # (a, b) = (0, 0) has no inverse
     "transform": "--n 3 --b 1",
     "verify": "--n 3 --k 2",
+    # --v excludes --n/--k in the double sums, --n-max excludes --n in transforms
+    "verify --v": "",
+    "transform --n-max": "--b 1",
 }
 
 #: a valid value of each option, by "leaf option" or by option
@@ -445,7 +468,7 @@ def _dest(flag):
 )
 def test_every_accepted_flag_is_read(prefix, handler, flags, flag):
     leaf = " ".join(prefix)
-    minimal = MINIMAL.get(leaf, MINIMAL.get(prefix[0]))
+    minimal = MINIMAL.get(leaf, MINIMAL.get(f"{prefix[0]} {flag}", MINIMAL.get(prefix[0])))
     value = VALUES.get(f"{leaf} {flag}", VALUES.get(flag))
     argv = [*prefix, *minimal.split(), *([flag] if FLAGS[flag].get("action") else [flag, value])]
     args = ReadRecorder(build_parser().parse_args(argv))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
@@ -376,9 +377,10 @@ def oracle_double_sum(variant, v, alpha, tau=None):
     """The double sum term by term over (l, m), W(m, l; v) recomputed at each.
 
     The reference the merged-term plans are checked against; variant is
-    "A", "B", "C" or "negative-one" (which ignores tau).  Raises PoleError at
-    the first contributing (l, m), l-major, where alpha is 0 (or tau, for C,
-    after checking alpha(k, n) and tau = alpha(0, 0)).
+    "A", "B", "C" or "negative-one" (which ignores tau).  Returns (lhs, rhs)
+    and raises the PoleError the checker should raise, with the same
+    message: at the first contributing (l, m), l-major, where alpha is 0 (or
+    tau, for C, after checking alpha(k, n) and tau = alpha(0, 0)).
     """
     v = strip_trailing_zeros(v)
     k = sum(v)
@@ -388,7 +390,7 @@ def oracle_double_sum(variant, v, alpha, tau=None):
         if akn == 0:
             raise PoleError(f"alpha({k},{n}) = 0", where=(k, n))
         if tau == a00:
-            raise PoleError("tau = alpha(0,0)", where=(0, 0))
+            raise PoleError(f"tau = alpha(0,0) = {rat_str(tau)}", where=(0, 0))
     lhs = Fraction(0)
     for l in range(k + 1):
         for m in range(l, n + 1):
@@ -414,7 +416,7 @@ def oracle_double_sum(variant, v, alpha, tau=None):
                 )
             elif variant == "C":
                 if a == tau:
-                    raise PoleError(f"alpha({l},{m}) = tau", where=(l, m))
+                    raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=(l, m))
                 term = (
                     tau
                     * binomial_general(a, k - l)
@@ -424,7 +426,12 @@ def oracle_double_sum(variant, v, alpha, tau=None):
             else:
                 term = (-1) ** l * (a00 / a) * binomial_general(a + k - l, k)
             lhs += term * w
-    return lhs
+    if variant == "negative-one":
+        return lhs, Fraction(1)
+    rhs = binomial_general(tau, k)
+    if variant == "C":
+        rhs *= (tau - a00 + akn) / (akn * (tau - a00))
+    return lhs, rhs
 
 
 def _vectors_up_to(n_max):
@@ -455,25 +462,40 @@ def _outcome(check, *args):
 #: alphas vanishing at some contributing (l, m) for some v with n <= 5
 POLE_ALPHAS = (AffineForm(-1, 1), AffineForm(-2, 1, Fraction(-1, 3)), AffineForm(3, -1))
 
+#: negative and fractional alphas, one with denominators near 10^6
+WIDE_ALPHAS = (
+    AffineForm(Fraction(-3, 7), Fraction(1, 2), Fraction(-2, 5)),
+    AffineForm(-5, Fraction(-1, 3)),
+    AffineForm(Fraction(7, 999983), 1, Fraction(-1, 1000000)),
+)
+
+#: taus with denominators up to 10^6
+WIDE_TAUS = (
+    Fraction(-7, 3), Fraction(999999, 1000000), Fraction(-123457, 999983), Fraction(31, 65536)
+)
+
 
 class TestPlanAgainstOracle:
     def test_every_variant_every_v_up_to_five(self):
         for v in _vectors_up_to(5):
             k = sum(v)
-            for alpha in DEFAULT_ALPHAS:
+            for alpha in DEFAULT_ALPHAS + POLE_ALPHAS + WIDE_ALPHAS:
                 plan = th1_plan(v, alpha)
-                assert plan.pole is None
+                assert plan.pole is None or alpha not in DEFAULT_ALPHAS
+                checks = {
+                    "A": functools.partial(check_th1, "A", plan=plan),
+                    "B": functools.partial(check_th1, "B", plan=plan),
+                    "C": functools.partial(check_th1c, plan=plan),
+                }
                 taus, _ = tau_samples(2 * k + 2, plan.avoid)
-                for tau in taus + [Fraction(-7, 3)]:
-                    reports = {
-                        "A": check_th1("A", v, alpha, tau, plan=plan),
-                        "B": check_th1("B", v, alpha, tau, plan=plan),
-                        "C": check_th1c(v, alpha, tau, plan=plan),
-                    }
-                    for variant, rep in reports.items():
-                        assert rep.lhs == oracle_double_sum(variant, v, alpha, tau)
-                rep = check_negative_one(v, alpha, plan=plan)
-                assert rep.lhs == oracle_double_sum("negative-one", v, alpha)
+                for tau in taus + [*WIDE_TAUS, alpha(0, 0), alpha(1, 1)]:
+                    for variant, check in checks.items():
+                        assert _outcome(check, v, alpha, tau) == _outcome(
+                            oracle_double_sum, variant, v, alpha, tau
+                        )
+                assert _outcome(
+                    functools.partial(check_negative_one, plan=plan), v, alpha
+                ) == _outcome(oracle_double_sum, "negative-one", v, alpha)
 
     def test_merging_is_a_real_regrouping(self):
         # alpha = 1 + l takes one value per l, so each l-column merges to one term
@@ -551,14 +573,18 @@ class TestBellConvolutionAgainstOracle:
         random_rationals(6, seed=31),
         SequenceSpec.from_values([0, 2, "-1/3", 0, 1, 5]),
         SequenceSpec.from_values([3, 0, "1/2", -2, 0, 1]),
+        # heights up to 10^6
+        SequenceSpec.from_values(
+            ["-999983/1000000", "123457/999999", 0, "1000000/7", "-1/999983", "65537/2"]
+        ),
     )
 
     def test_every_variant_n_up_to_six(self):
         for n in range(1, 7):
             for k in range(1, n + 1):
-                for alpha in DEFAULT_ALPHAS + POLE_ALPHAS:
+                for alpha in DEFAULT_ALPHAS + POLE_ALPHAS + WIDE_ALPHAS[::2]:
                     taus = {alpha(0, 0), alpha(1, 1), alpha(1, n), alpha(k, n)}
-                    for tau in taus | {Fraction(0), Fraction(5, 2)}:
+                    for tau in taus | {Fraction(0), Fraction(5, 2), WIDE_TAUS[2]}:
                         for x in self.SEQUENCES:
                             for variant in CONVOLUTION_VARIANTS:
                                 self._agree(variant, n, k, alpha, tau, x)
