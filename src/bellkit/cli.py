@@ -12,7 +12,8 @@ with its own usage line.  ``FLAGS`` defines each option once; ``VERIFY`` and
 ``COMMANDS`` give each leaf its handler and options.  Every payload is
 written by one JSON writer, ``output.dumps``, or as CSV by
 ``output.csv_text``; a ``verify`` payload carries its reports as
-:class:`IdentityReport` objects, which the writer renders.
+:class:`IdentityReport` objects, and ``output.json_value`` is the one
+converter that turns them and the values they hold into JSON form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .identities import (
     DEFAULT_ALPHAS,
     AffineForm,
     GridResult,
-    IdentityReport,
     bell_convolution_plan,
     certify_double_sums,
     check_alpha_constant,
@@ -42,11 +42,12 @@ from .identities import (
     check_th1,
     check_vanishing_sum,
     check_zerosum,
+    grid_vs,
     th1a_weight,
     vanishing_sum_monomials,
 )
 from .output import csv_text, dumps
-from .partitions import enumerate_pi, strip_trailing_zeros
+from .partitions import strip_trailing_zeros
 from .rationals import rat, rat_str
 from .sequences import NAMED_SEQUENCES, SequenceSpec, named_sequence
 from .sparsepoly import SparsePoly
@@ -67,6 +68,8 @@ class UsageError(Exception):
 
 def load_sequence(path_or_keyword: str, n_max: int | None = None, seed: int | None = None) -> SequenceSpec:
     """Resolve a --x argument: a named sequence or a JSON file of rationals."""
+    if seed is not None and path_or_keyword != "random":
+        raise UsageError("--seed is read only with --x random")
     if path_or_keyword in NAMED_SEQUENCES:
         if n_max is None:
             raise UsageError(f"sequence {path_or_keyword!r} requires --n-max (or --n)")
@@ -167,6 +170,8 @@ def _verdict(name: str, result) -> tuple[dict, bool]:
 def cmd_bell(args):
     n, k = _need(args, "n"), _need(args, "k")
     if args.symbolic:
+        if args.x is not None or args.seed is not None or args.n_max is not None:
+            raise UsageError("give --symbolic or --x/--seed/--n-max, not both")
         poly = bell_symbolic(n, k)
         return {
             "command": "bell",
@@ -272,13 +277,10 @@ def _grid_vs(args) -> list[tuple[int, ...]]:
             raise UsageError("give --v or --n/--k, not both")
         return [strip_trailing_zeros(_parse_vec(args.v, "--v"))]
     n = _need(args, "n")
-    ks = [args.k] if args.k is not None else list(range(1, n + 1))
-    out = []
-    for k in ks:
-        out.extend(strip_trailing_zeros(v) for v in enumerate_pi(n, k, n))
-    if not out:
+    vs = grid_vs(n, args.k)
+    if not vs:
         raise UsageError(f"no index vectors for n={n}, k={args.k}")
-    return out
+    return vs
 
 
 def _double_sums(variant: str, alphas=DEFAULT_ALPHAS):
@@ -369,6 +371,8 @@ def _verify_q_product(args):
 
 
 def _verify_general_binomial(args):
+    if args.counterexample and args.alpha is not None:
+        raise UsageError("give --alpha or --counterexample, not both")
     v = (2, 1) if args.v is None else strip_trailing_zeros(_parse_vec(args.v, "--v"))
     alpha = AffineForm(1, 1) if args.alpha is None else _parse_alpha(args.alpha)
     tau = _opt_rat(args.tau, "--tau", Fraction(5))
@@ -539,7 +543,7 @@ def main(argv=None) -> int:
     if args.format == "csv":
         sys.stdout.write(csv_text(payload))
     else:
-        print(dumps(payload, IdentityReport.json_value))
+        print(dumps(payload))
     return 1 if failed else 0
 
 

@@ -129,43 +129,10 @@ class IdentityReport:
     #: the keys of a report's JSON object and CSV row, in output order
     KEYS = ("identity", "params", "lhs", "rhs", "pass", "skipped_poles")
 
-    def to_json_obj(self) -> dict:
-        return _jsonable(self)
 
-    @staticmethod
-    def json_value(value):
-        """The JSON form of a report or of a Fraction, AffineForm, SequenceSpec
-        or SparsePoly it holds, one level deep: the ``default`` of the CLI's
-        JSON writer.  A report becomes a dict of :attr:`KEYS`."""
-        if isinstance(value, Fraction):
-            return rat_str(value)
-        if isinstance(value, IdentityReport):
-            fields = (value.name, value.params, value.lhs, value.rhs, value.passed,
-                      value.skipped_poles)
-            return dict(zip(IdentityReport.KEYS, fields))
-        if isinstance(value, AffineForm):
-            return value.describe()
-        if isinstance(value, SequenceSpec):
-            return value.to_json_obj()
-        if isinstance(value, SparsePoly):
-            return repr(value)
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _jsonable(value):
-    """``value`` with tuples as lists and everything else JSON-ready."""
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if value is None or isinstance(value, (str, int)):
-        return value
-    return _jsonable(IdentityReport.json_value(value))
-
-
-def _report(name, params, lhs, rhs, skipped=()) -> IdentityReport:
+def _report(name, params, lhs, rhs) -> IdentityReport:
     lhs, rhs = Fraction(lhs), Fraction(rhs)
-    return IdentityReport(name, params, lhs, rhs, lhs == rhs, tuple(skipped))
+    return IdentityReport(name, params, lhs, rhs, lhs == rhs)
 
 
 def _vnk(v) -> tuple[IndexVector, int, int]:
@@ -712,35 +679,25 @@ class GridResult:
             "passed": len(self.reports) - self.n_failed,
             "failed": self.n_failed,
             "skipped_pairs": [
-                {
-                    "v": list(v),
-                    "alpha": alpha.describe(),
-                    "pole_at": list(where),
-                }
+                {"v": v, "alpha": alpha, "pole_at": where}
                 for v, alpha, where in self.skipped_pairs
             ],
         }
 
 
-def certify_double_sums(
-    vs,
-    alphas,
-    variants=TH1_VARIANTS,
-    samples: int | None = None,
-    tau=None,
-) -> GridResult:
+def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResult:
     """Check each variant at every (v, alpha): v-major, then alpha, variant, tau.
 
     ``variants`` holds "A", "B", "C" (the th1 double sums) and
     "negative-one".  The support of each v is built once, and each
     (v, alpha) builds one :class:`Th1Plan` shared by its variants and taus.
 
-    With ``tau`` None, each th1 variant is checked at ``samples`` (default
-    2k+2) pole-free tau values from :func:`tau_samples`; variant C's tau
-    poles are skipped and recorded on its reports, and a pair where alpha
-    vanishes at a nonzero-weight (l, m) is recorded in ``skipped_pairs``
-    and not checked.  With an explicit ``tau`` every pair is checked there,
-    and a pole raises :class:`PoleError`.
+    With ``tau`` None, each th1 variant is checked at 2k+2 pole-free tau
+    values from :func:`tau_samples`; variant C's tau poles are skipped and
+    recorded on its reports, and a pair where alpha vanishes at a
+    nonzero-weight (l, m) is recorded in ``skipped_pairs`` and not checked.
+    With an explicit ``tau`` every pair is checked there, and a pole raises
+    :class:`PoleError`.
     """
     result = GridResult()
     sampled = tau is None and any(variant in TH1_VARIANTS for variant in variants)
@@ -755,8 +712,7 @@ def certify_double_sums(
                     result.skipped_pairs.append((v, alpha, pole))
                     continue
             if sampled:
-                count = samples if samples is not None else 2 * plan.k + 2
-                taus, skipped = tau_samples(count, plan.avoid if "C" in variants else {})
+                taus, skipped = tau_samples(2 * plan.k + 2, plan.avoid if "C" in variants else {})
                 skipped = tuple(skipped)
             for variant in variants:
                 if variant == "negative-one":
@@ -773,25 +729,21 @@ def certify_double_sums(
     return result
 
 
-def certify_th1_grid(
-    n_max: int,
-    alphas: tuple[AffineForm, ...] = DEFAULT_ALPHAS,
-    variants: tuple[str, ...] = TH1_VARIANTS,
-    samples: int | None = None,
-) -> GridResult:
+def grid_vs(n: int, k: int | None = None) -> list[IndexVector]:
+    """Every v with weighted sum n and entry sum k (every k in 1..n if None)."""
+    ks = range(1, n + 1) if k is None else (k,)
+    return [strip_trailing_zeros(v) for j in ks for v in enumerate_pi(n, j, n)]
+
+
+def certify_th1_grid(n_max: int) -> GridResult:
     """Certify the double-sum identities for every v with weighted sum <= n_max.
 
-    Each (v, alpha, variant) combination is checked at 2k+2 pole-free tau
-    values (or ``samples`` of them); since both sides are polynomials in tau
+    Each (v, alpha, variant), alpha in :data:`DEFAULT_ALPHAS`, is checked
+    at 2k+2 pole-free tau values; since both sides are polynomials in tau
     of degree at most 2k+1 after clearing the finitely many linear
     denominators, passing on such a grid certifies the identity for all tau.
     Combinations where alpha vanishes at a nonzero-weight (l, m) are
     tau-independent poles: they are recorded and skipped, never checked.
     """
-    vs = [
-        strip_trailing_zeros(raw_v)
-        for n in range(1, n_max + 1)
-        for k in range(1, n + 1)
-        for raw_v in enumerate_pi(n, k, n)
-    ]
-    return certify_double_sums(vs, alphas, variants, samples)
+    vs = [v for n in range(1, n_max + 1) for v in grid_vs(n)]
+    return certify_double_sums(vs, DEFAULT_ALPHAS)

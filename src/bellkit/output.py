@@ -1,6 +1,9 @@
 """The CLI's output formats: one JSON writer, and CSV.
 
-:func:`dumps` returns the text of ``json.dumps(value, indent=2)``.
+:func:`json_value` is the one converter from a report's values to JSON
+form; :func:`dumps` returns the text of
+``json.dumps(value, indent=2, default=json_value)``, and :func:`csv_text`
+reads its cells back from that text.
 
 CPython encodes in C only when ``indent`` is None; with ``indent=2`` the
 pure-Python encoder was the largest single cost of a certify run's output.
@@ -13,8 +16,8 @@ value: ``(1,)``, ``(Fraction(1),)`` and ``(True,)`` are equal but render
 differently.  The memo lives for one call.
 
 Dict keys must be strings.  Floats are refused with ``TypeError``, like any
-other type ``default`` does not convert: no value in this package is a
-float.
+other type :func:`json_value` does not convert: no value in this package is
+a float.
 """
 
 from __future__ import annotations
@@ -22,13 +25,36 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .identities import IdentityReport
+from .identities import AffineForm, IdentityReport
+from .rationals import rat_str
+from .sequences import SequenceSpec
+from .sparsepoly import SparsePoly
 
 
-def dumps(value, default=None) -> str:
-    """``json.dumps(value, indent=2, default=default)``, floats refused."""
+def json_value(value):
+    """The JSON form of a report or of a Fraction, AffineForm, SequenceSpec or
+    SparsePoly, one level deep.  A report becomes a dict of
+    :attr:`IdentityReport.KEYS`."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, IdentityReport):
+        fields = (value.name, value.params, value.lhs, value.rhs, value.passed,
+                  value.skipped_poles)
+        return dict(zip(IdentityReport.KEYS, fields))
+    if isinstance(value, AffineForm):
+        return value.describe()
+    if isinstance(value, SequenceSpec):
+        return value.to_json_obj()
+    if isinstance(value, SparsePoly):
+        return repr(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def dumps(value) -> str:
+    """``json.dumps(value, indent=2, default=json_value)``, floats refused."""
     memo: dict[tuple[int, int], tuple[tuple, str]] = {}
 
     def render(value, depth: int) -> str:
@@ -59,9 +85,7 @@ def dumps(value, default=None) -> str:
             if hit is None:
                 hit = memo[id(value), depth] = (value, sequence(value, depth))
             return hit[1]
-        if default is None or isinstance(value, float):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        return render(default(value), depth)
+        return render(json_value(value), depth)
 
     def sequence(value, depth: int) -> str:
         if not value:
@@ -79,8 +103,8 @@ def csv_text(payload: dict) -> str:
     writer = csv.writer(out, lineterminator="\n")
     if "reports" in payload:
         writer.writerow(IdentityReport.KEYS)
-        for rep in payload["reports"]:
-            writer.writerow(map(_csv_cell, rep.to_json_obj().values()))
+        for rep in json.loads(dumps(payload["reports"])):
+            writer.writerow(map(_csv_cell, rep.values()))
     else:
         writer.writerow(["key", "value"])
         for key, value in payload.items():

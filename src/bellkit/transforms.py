@@ -65,6 +65,8 @@ def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
         Q(n, lam) = z_n + sum_{i=1}^{lam} i/(lam+1)
                           sum_{m=1}^{n-1} C(n, m) z_{n-m} Q(m, i-1).
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if lam < 0 or not isinstance(lam, int):
         raise ValueError(f"lam must be a nonnegative integer, got {lam!r}")
     z.require(n)
@@ -193,6 +195,8 @@ def lambda_identity_check(
     Passing at n+1 distinct lam certifies it for all lam, both sides being
     polynomials in lam of degree below n.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if k0 < 1:
         raise ValueError(f"k0 must be >= 1, got {k0}")
     x.require(n)

@@ -125,7 +125,7 @@ def test_criterion_5_convolution_family():
                     rep = check_bell_convolution(
                         variant, n, k, AffineForm(1, 1), taus[seed % 2], x
                     )
-                    assert rep.passed, rep.to_json_obj()
+                    assert rep.passed, rep
                 if n >= 2:
                     assert check_zerosum(n, k, x).passed
                 for r in range(1, k + 1):
@@ -160,7 +160,7 @@ def test_criterion_6_lambda_composition():
                 for k0 in (1, 2, 3):
                     for lam in lambdas:
                         rep = lambda_identity_check(x, params, n, lam, k0)
-                        assert rep.passed, rep.to_json_obj()
+                        assert rep.passed, rep
                         checked += 1
     _announce(6, f"lambda composition at n+1 points, {checked} checks", started)
 

@@ -11,6 +11,9 @@ from bellkit.bell import bell_table
 from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main, UsageError
 
 
+SYMBOLIC_ALONE = "give --symbolic or --x/--seed/--n-max, not both"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -322,6 +325,16 @@ class TestErrorHandling:
             ("verify negative-one --v 3 --k 3", "give --v or --n/--k, not both"),
             ("transform forward --n 3 --n-max 4", "give --n or --n-max, not both"),
             ("transform roundtrip --n-max 4 --n 3 --b 1", "give --n or --n-max, not both"),
+            ("bell --n 4 --k 2 --symbolic --x factorials", SYMBOLIC_ALONE),
+            ("bell --n 4 --k 2 --symbolic --seed 3", SYMBOLIC_ALONE),
+            ("bell --n 4 --k 2 --symbolic --n-max 5", SYMBOLIC_ALONE),
+            ("bell --n 4 --k 2 --x ones --seed 3", "--seed is read only with --x random"),
+            ("bell --n 4 --k 2 --seed 3", "--seed is read only with --x random"),
+            ("series log --n-max 3 --x identity-j --seed 2", "--seed is read only with --x random"),
+            (
+                "verify general-binomial-demo --counterexample --alpha 1,1",
+                "give --alpha or --counterexample, not both",
+            ),
         ],
     )
     def test_flags_that_exclude_each_other(self, capsys, argv, message):
@@ -333,6 +346,20 @@ class TestErrorHandling:
         code, out, err = run(capsys, "verify", "hagen-rothe", "--zp", "1")
         assert code == 2 and out == ""
         assert err == "bellkit: --xp is required for this command\n"
+
+    @pytest.mark.parametrize(
+        "command, n",
+        [
+            ("verify q-recurrence", "0"),
+            ("verify q-recurrence", "-1"),
+            ("transform lambda", "-1"),
+            ("transform lambda", "0"),
+        ],
+    )
+    def test_n_below_one_is_refused(self, capsys, command, n):
+        code, out, err = run(capsys, *command.split(), "--n", n, "--lambda", "2")
+        assert code == 2 and out == ""
+        assert err == f"bellkit: n must be positive, got {n}\n"
 
 
 class TestFuzzMain:
@@ -449,7 +476,9 @@ VALUES = {
     "--n": "3", "--k": "2", "--r": "1", "--a": "1", "--b": "1", "--tau": "7/2",
     "--lambda": "2", "--lambda2": "3", "--n2": "2", "--b2": "1", "--k0": "2",
     "--alpha": "1,1", "--v": "2,1", "--kind": "first", "--xp": "1/2", "--yp": "3",
-    "--zp": "2", "--coeffs": "1,2", "--x": "ones", "--seed": "5", "--n-max": "4",
+    "--zp": "2", "--coeffs": "1,2", "--x": "ones", "--n-max": "4",
+    # --seed is read only with --x random
+    "--seed": "5 --x random",
     "verify hagen-rothe --variant": "symmetric", "verify bell-conv --variant": "cor34",
 }
 
@@ -470,7 +499,7 @@ def test_every_accepted_flag_is_read(prefix, handler, flags, flag):
     leaf = " ".join(prefix)
     minimal = MINIMAL.get(leaf, MINIMAL.get(f"{prefix[0]} {flag}", MINIMAL.get(prefix[0])))
     value = VALUES.get(f"{leaf} {flag}", VALUES.get(flag))
-    argv = [*prefix, *minimal.split(), *([flag] if FLAGS[flag].get("action") else [flag, value])]
+    argv = [*prefix, *minimal.split(), flag, *([] if FLAGS[flag].get("action") else value.split())]
     args = ReadRecorder(build_parser().parse_args(argv))
     assert args.handler is handler
     args.handler(args)

@@ -198,6 +198,7 @@ VERIFY = [
     "verify general-binomial-demo",
     "verify general-binomial-demo --counterexample",
     "verify general-binomial-demo --v 3,1 --alpha 1,2 --tau 7/2",
+    "verify general-binomial-demo --format csv",
     "verify general-binomial-demo --v 2,1,0 --counterexample --format csv",
     "verify general-binomial-demo --v 2,1 --alpha 0,1",
 ]

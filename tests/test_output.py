@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from bellkit.cli import build_parser
 from bellkit.identities import IdentityReport, _report, certify_th1_grid
-from bellkit.output import dumps
-
-json_value = IdentityReport.json_value
+from bellkit.output import dumps, json_value
 
 #: strings heavy in what JSON escapes: quotes, backslashes, control and non-ASCII characters
 TEXT = st.text(st.sampled_from('a"\\/\n\t\r\x00\x08\x1f\x7f é€ 😀')) | st.text()
@@ -39,23 +37,18 @@ def test_a_shared_tuple_renders_at_each_depth():
 
 @pytest.mark.parametrize("value", [1.5, [0.0], {"a": float("nan")}, (1, -0.0)])
 def test_floats_are_refused(value):
-    for default in (None, json_value):
-        with pytest.raises(TypeError):
-            dumps(value, default)
+    with pytest.raises(TypeError):
+        dumps(value)
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 2), [Fraction(1)], {"a": (Fraction(3),)}])
 def test_fractions_need_the_default(value):
-    with pytest.raises(TypeError):
-        dumps(value)
-    assert dumps(value, json_value) == json.dumps(value, indent=2, default=json_value)
+    assert dumps(value) == json.dumps(value, indent=2, default=json_value)
 
 
 def _as_reference(value):
-    """``json.dumps(payload, indent=2)`` of a payload whose reports are already dicts."""
-    if isinstance(value, dict) and "reports" in value:
-        value = {**value, "reports": [r.to_json_obj() for r in value["reports"]]}
-    return json.dumps(value, indent=2)
+    """The standard library's text of ``value``, with the writer's converter."""
+    return json.dumps(value, indent=2, default=json_value)
 
 
 def _payload(argv: str) -> dict:
@@ -81,18 +74,18 @@ def _payload(argv: str) -> dict:
 )
 def test_cli_payloads_render_as_json_dumps(argv):
     payload = _payload(argv)
-    assert dumps(payload, json_value) == _as_reference(payload)
+    assert dumps(payload) == _as_reference(payload)
     for rep in payload.get("reports", ()):
-        assert dumps(rep, json_value) == json.dumps(rep.to_json_obj(), indent=2)
+        assert dumps(rep) == _as_reference(rep)
 
 
 def test_every_report_of_the_grid_renders_as_json_dumps():
     result = certify_th1_grid(5)
     assert result.skipped_pairs == [] and len(result.reports) > 1000
     payload = {"reports": result.reports, "summary": result.summary()}
-    assert dumps(payload, json_value) == _as_reference(payload)
+    assert dumps(payload) == _as_reference(payload)
     for rep in result.reports:
-        assert dumps(rep, json_value) == json.dumps(rep.to_json_obj(), indent=2)
+        assert dumps(rep) == _as_reference(rep)
 
 
 def test_equal_params_render_by_their_own_type():
@@ -100,12 +93,12 @@ def test_equal_params_render_by_their_own_type():
     reports = [
         _report("t", {"v": v, "x": v[0]}, 0, 0) for v in [(1,), (Fraction(1),), (True,)]
     ]
-    text = dumps({"reports": reports}, json_value)
+    text = dumps({"reports": reports})
     assert text == _as_reference({"reports": reports})
     assert [r["params"]["v"] for r in json.loads(text)["reports"]] == [[1], ["1"], [True]]
 
 
 def test_csv_and_json_share_the_key_order():
     rep = _report("t", {"v": (2, 1)}, Fraction(1, 2), Fraction(1, 2))
-    assert tuple(rep.to_json_obj()) == IdentityReport.KEYS
-    assert tuple(json.loads(dumps(rep, json_value))) == IdentityReport.KEYS
+    assert tuple(json_value(rep)) == IdentityReport.KEYS
+    assert tuple(json.loads(dumps(rep))) == IdentityReport.KEYS

@@ -56,6 +56,11 @@ class TestQRecurrence:
         with pytest.raises(ValueError):
             q_recurrence_check(3, -1, Z)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
+            q_recurrence_check(n, 2, Z)
+
 
 class TestQProduct:
     def test_order_one_squares(self):
@@ -219,6 +224,12 @@ class TestLambdaIdentity:
     def test_rejects_bad_k0(self):
         with pytest.raises(ValueError):
             lambda_identity_check(Z, TransformParams(1, 1), 3, 1, 0)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_n_below_one(self, n):
+        # n = 0 used to certify an empty sum
+        with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
+            lambda_identity_check(Z, TransformParams(1, 1), n, 2)
 
 
 class TestLogPotential:
