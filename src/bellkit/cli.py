@@ -49,7 +49,7 @@ from .identities import (
 from .output import csv_text, dumps
 from .partitions import strip_trailing_zeros
 from .rationals import rat, rat_str
-from .sequences import NAMED_SEQUENCES, SequenceSpec, named_sequence
+from .sequences import NAMED_SEQUENCES, SequenceSpec, named_sequence, require_length
 from .sparsepoly import SparsePoly
 from .transforms import (
     TransformParams,
@@ -70,6 +70,8 @@ def load_sequence(path_or_keyword: str, n_max: int | None = None, seed: int | No
     """Resolve a --x argument: a named sequence or a JSON file of rationals."""
     if seed is not None and path_or_keyword != "random":
         raise UsageError("--seed is read only with --x random")
+    if n_max is not None:
+        require_length(n_max)
     if path_or_keyword in NAMED_SEQUENCES:
         if n_max is None:
             raise UsageError(f"sequence {path_or_keyword!r} requires --n-max (or --n)")
@@ -146,9 +148,17 @@ def _need(args, name: str, flag: str | None = None):
     return value
 
 
-def _sequence_for(args, length: int) -> SequenceSpec:
+def _sequence_for(args, length: int | None) -> SequenceSpec:
+    """The --x sequence, with --n-max entries or else ``length``.
+
+    A negative ``length`` (from a negative --n) asks for no entries, so that
+    the handler's own check reports n; a negative --n-max is refused.
+    """
     source = args.x if args.x is not None else "ones"
-    n_max = args.n_max if args.n_max is not None else length
+    if args.n_max is not None:
+        n_max = args.n_max
+    else:
+        n_max = None if length is None else max(length, 0)
     return load_sequence(source, n_max, args.seed)
 
 

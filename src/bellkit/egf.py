@@ -5,6 +5,14 @@ product rule is the binomial convolution.  ``egf_log`` and ``egf_pow`` run
 derivative-quotient recurrences and deliberately share no code with the
 Bell-polynomial route in :mod:`bellkit.transforms`; the agreement of the two
 routes is itself one of the certified identities.
+
+Both recurrences run on plain integers.  With z_j = a_j/d_j in lowest
+terms, the k-th coefficient is kept as an integer numerator over the scale
+S_k = prod_{j<=k} d_j^floor(k/j) (times q^k for a power r = p/q): every term
+of the recurrence at order k has a denominator dividing that scale, so each
+step is integer multiply-adds, and one ``Fraction`` is built per output
+coefficient.  The plain ``Fraction`` recurrences they replace are kept in
+``tests/test_egf.py`` as their oracle.
 """
 
 from __future__ import annotations
@@ -94,40 +102,78 @@ def _require_unit_constant(z: TruncatedEGF) -> None:
         raise ValueError(f"constant coefficient must be 1, got {rat_str(z.coeffs[0])}")
 
 
+def _scaled_terms(z: TruncatedEGF, q: int = 1):
+    """Integer scales for the log and power recurrences of ``z``.
+
+    Write z_j = a_j/d_j in lowest terms, S_0 = 1 and, for k >= 1,
+    S_k = prod_{j<=k} d_j^floor(k/j), so that S_k = S_{k-1} D_k with
+    D_k = prod_{j | k} d_j.  For k = 1..N this yields (T_k, terms), where
+    T_k = q^k S_k and ``terms`` maps each j <= k with a_j != 0 to the integer
+    a_j T_k / (q d_j T_{k-j}) = a_j q^(j-1) S_k / (d_j S_{k-j}).  It is an
+    integer because S_k / S_{k-j} is the product of D_{k-j+1}..D_k, in
+    which d_j occurs once, for the one multiple of j in that window.
+
+    The yielded dict is updated in place for the next k.
+    """
+    n_max = z.order
+    den = [c.denominator for c in z.coeffs]
+    step = [1] * (n_max + 1)  # D_k
+    for j in range(1, n_max + 1):
+        if den[j] != 1:
+            for k in range(j, n_max + 1, j):
+                step[k] *= den[j]
+    scale, q_power = 1, 1  # S_k, q^k
+    terms: dict[int, int] = {}
+    for k in range(1, n_max + 1):
+        for j, w in terms.items():
+            # S_k / S_{k-j} = (S_{k-1} / S_{k-1-j}) * D_k / D_{k-j}
+            w, rest = divmod(w * step[k], step[k - j])
+            if rest:
+                raise ArithmeticError(f"S_{k} / (d_{j} S_{k - j}) is not an integer")
+            terms[j] = w
+        scale *= step[k]
+        a = z.coeffs[k].numerator
+        if a:
+            terms[k] = a * q_power * (scale // den[k])
+        q_power *= q
+        yield q_power * scale, terms
+
+
 def egf_log(z: TruncatedEGF) -> TruncatedEGF:
     """Coefficients of log(Z(t)) for Z with constant coefficient 1.
 
-    Uses the recurrence from Z * (log Z)' = Z', term by term.
+    Uses the recurrence from Z * (log Z)' = Z', term by term:
+    l_k = z_k - sum_{j<k} C(k-1, j) z_j l_{k-j}, run on the integers
+    L_k = l_k S_k (see ``_scaled_terms``).
     """
     _require_unit_constant(z)
-    n_max = z.order
-    out = [Fraction(0)] * (n_max + 1)
-    for n in range(n_max):
-        acc = z.coeffs[n + 1]
-        for m in range(1, n + 1):
-            acc -= comb(n, m) * z.coeffs[m] * out[n + 1 - m]
-        out[n + 1] = acc
+    out, scaled = [Fraction(0)], [0]
+    for k, (scale, terms) in enumerate(_scaled_terms(z), start=1):
+        acc = 0
+        for j, w in terms.items():
+            acc += w if j == k else -comb(k - 1, j) * w * scaled[k - j]
+        scaled.append(acc)
+        out.append(Fraction(acc, scale))
     return TruncatedEGF(tuple(out))
 
 
 def egf_pow(z: TruncatedEGF, r) -> TruncatedEGF:
     """Coefficients of Z(t)**r for any rational r and Z with constant 1.
 
-    Uses the recurrence from (Z^r)' * Z = r * Z' * Z^r.
+    Uses the recurrence from (Z^r)' * Z = r * Z' * Z^r, term by term:
+    w_k = sum_{j<=k} (r C(k-1, j-1) - C(k-1, j)) z_j w_{k-j}, run on the
+    integers W_k = w_k q^k S_k for r = p/q (see ``_scaled_terms``).
     """
     _require_unit_constant(z)
     r = rat(r)
-    n_max = z.order
-    out = [Fraction(0)] * (n_max + 1)
-    out[0] = Fraction(1)
-    for n in range(n_max):
-        acc = r * sum(
-            (comb(n, m) * z.coeffs[m + 1] * out[n - m] for m in range(n + 1)),
-            Fraction(0),
-        )
-        for m in range(n):
-            acc -= comb(n, m) * out[m + 1] * z.coeffs[n - m]
-        out[n + 1] = acc
+    p, q = r.numerator, r.denominator
+    out, scaled = [Fraction(1)], [1]
+    for k, (scale, terms) in enumerate(_scaled_terms(z, q), start=1):
+        acc = 0
+        for j, w in terms.items():
+            acc += (p * comb(k - 1, j - 1) - q * comb(k - 1, j)) * w * scaled[k - j]
+        scaled.append(acc)
+        out.append(Fraction(acc, scale))
     return TruncatedEGF(tuple(out))
 
 

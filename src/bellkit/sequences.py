@@ -14,6 +14,13 @@ class SequenceTooShort(ValueError):
     """Raised when an operation needs more sequence entries than provided."""
 
 
+def require_length(n: int) -> int:
+    """``n`` itself when it is a valid sequence length; ValueError when negative."""
+    if n < 0:
+        raise ValueError(f"sequence length must be nonnegative, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """An immutable finite sequence x_1, x_2, ..., x_N of rationals."""
@@ -42,9 +49,7 @@ class SequenceSpec:
         return self.values[j - 1]
 
     def require(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"sequence length must be nonnegative, got {n}")
-        if len(self.values) < n:
+        if len(self.values) < require_length(n):
             raise SequenceTooShort(
                 f"sequence has {len(self.values)} entries, {n} required"
             )
@@ -62,17 +67,17 @@ class SequenceSpec:
 
 def ones(n: int) -> SequenceSpec:
     """x_j = 1; evaluating Bell polynomials here gives Stirling set numbers."""
-    return SequenceSpec((Fraction(1),) * n)
+    return SequenceSpec((Fraction(1),) * require_length(n))
 
 
 def factorials(n: int) -> SequenceSpec:
     """x_j = (j-1)!; the cycle-number (first-kind Stirling) specialization."""
-    return SequenceSpec(tuple(Fraction(factorial(j - 1)) for j in range(1, n + 1)))
+    return SequenceSpec(tuple(Fraction(factorial(j)) for j in range(require_length(n))))
 
 
 def naturals(n: int) -> SequenceSpec:
     """x_j = j."""
-    return SequenceSpec(tuple(Fraction(j) for j in range(1, n + 1)))
+    return SequenceSpec(tuple(Fraction(j) for j in range(1, require_length(n) + 1)))
 
 
 def random_rationals(n: int, seed: int) -> SequenceSpec:
@@ -82,7 +87,9 @@ def random_rationals(n: int, seed: int) -> SequenceSpec:
     """
     rng = random.Random(seed)
     return SequenceSpec(
-        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
+        tuple(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(require_length(n))
+        )
     )
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bellkit import identities
 from bellkit.bell import bell_table
 from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main, UsageError
+from bellkit.sequences import named_sequence
 
 
 SYMBOLIC_ALONE = "give --symbolic or --x/--seed/--n-max, not both"
@@ -285,6 +286,17 @@ class TestErrorHandling:
         code, out, err = run(capsys, *command, "--n-max", "-1", "--x", str(f))
         assert code == 2 and out == "" and "nonnegative" in err
 
+    @pytest.mark.parametrize("command", ["bell --n 3 --k 1", "q --n 3 --lambda 2"])
+    @pytest.mark.parametrize("source", ["ones", "file"])
+    def test_negative_n_max_is_named(self, capsys, tmp_path, command, source):
+        # a named sequence used to come out empty ("0 entries, 3 required"),
+        # and a file's length was only compared with --n-max
+        f = tmp_path / "s.json"
+        f.write_text('["1/2", "3", "-2/5"]')
+        argv = command.split() + ["--n-max", "-1"] + (["--x", str(f)] if source == "file" else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "bellkit: sequence length must be nonnegative, got -1\n")
+
     @pytest.mark.parametrize("flag", ["--a", "--k0"])
     def test_verify_refuses_unread_flags(self, capsys, flag):
         # no identity reads them; prefixes of other flags are not matched either
@@ -554,6 +566,16 @@ class TestLoadSequence:
         nested.write_text('[["1/2", "3", "−2/5"]]')
         assert load_sequence(str(flat)).values == load_sequence(str(nested)).values
         assert len(load_sequence(str(flat))) == 3
+
+    @pytest.mark.parametrize("keyword", ["ones", "factorials", "identity-j", "random"])
+    def test_negative_length_refused(self, keyword):
+        seed = 1 if keyword == "random" else None
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            named_sequence(keyword, -1, seed)
+
+    def test_negative_length_refused_before_reading_a_file(self, tmp_path):
+        with pytest.raises(ValueError, match="nonnegative, got -2"):
+            load_sequence(str(tmp_path / "absent.json"), n_max=-2)
 
     def test_file_too_short(self, tmp_path):
         f = tmp_path / "s.json"

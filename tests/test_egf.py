@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -11,7 +12,7 @@ from bellkit.egf import (
     egf_polyval,
     egf_pow,
 )
-from bellkit.sequences import random_rationals
+from bellkit.sequences import SequenceSpec, random_rationals
 from bellkit.transforms import (
     TransformParams,
     forward_transform,
@@ -22,6 +23,81 @@ from bellkit.transforms import (
 
 X = random_rationals(10, seed=8)
 Z = TruncatedEGF.from_sequence(X)
+
+
+def seeded(n, seed, height, zeros=0.0, first_zero=False):
+    """n rationals with numerators and denominators up to ``height``, either sign."""
+    rng = random.Random(seed)
+    values = [
+        Fraction(0)
+        if rng.random() < zeros
+        else Fraction(rng.choice((-1, 1)) * rng.randint(1, height), rng.randint(1, height))
+        for _ in range(n)
+    ]
+    if first_zero:
+        values[0] = Fraction(0)
+    return SequenceSpec(tuple(values))
+
+
+#: heights <= 9 and <= 10^6, zero entries (x_1 among them), negative entries
+ORACLE_ORDER = 30
+ORACLE_SEQUENCES = {
+    "small": seeded(ORACLE_ORDER, 1, 9),
+    "small-zeros": seeded(ORACLE_ORDER, 2, 9, zeros=0.3, first_zero=True),
+    "tall": seeded(ORACLE_ORDER, 3, 10**6),
+    "tall-zeros": seeded(ORACLE_ORDER, 4, 10**6, zeros=0.3, first_zero=True),
+    "integers": SequenceSpec(tuple(Fraction((-1) ** j * j) for j in range(1, ORACLE_ORDER + 1))),
+}
+ORACLE_POWERS = [
+    0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 2), Fraction(5, 3), Fraction(999983, 1000003)
+]
+#: the Bell-route comparisons run at this order, on heights <= 9 and <= 10^6
+BELL_ROUTE_ORDER = 20
+BELL_ROUTE_SEQUENCES = [
+    random_rationals(BELL_ROUTE_ORDER, seed=8),
+    seeded(BELL_ROUTE_ORDER, 5, 10**6, zeros=0.2),
+]
+
+
+def oracle_egf_log(z):
+    """log Z from Z (log Z)' = Z', one Fraction operation per term."""
+    n_max = z.order
+    out = [Fraction(0)] * (n_max + 1)
+    for n in range(n_max):
+        acc = z.coeffs[n + 1]
+        for m in range(1, n + 1):
+            acc -= comb(n, m) * z.coeffs[m] * out[n + 1 - m]
+        out[n + 1] = acc
+    return TruncatedEGF(tuple(out))
+
+
+def oracle_egf_pow(z, r):
+    """Z^r from (Z^r)' Z = r Z' Z^r, one Fraction operation per term."""
+    r = Fraction(r)
+    n_max = z.order
+    out = [Fraction(0)] * (n_max + 1)
+    out[0] = Fraction(1)
+    for n in range(n_max):
+        acc = r * sum(
+            (comb(n, m) * z.coeffs[m + 1] * out[n - m] for m in range(n + 1)),
+            Fraction(0),
+        )
+        for m in range(n):
+            acc -= comb(n, m) * out[m + 1] * z.coeffs[n - m]
+        out[n + 1] = acc
+    return TruncatedEGF(tuple(out))
+
+
+def check_every_order(kernel, oracle, x):
+    """kernel equals oracle on 1 + sum x_n t^n/n! truncated at every order 0..len(x).
+
+    The oracle runs once, at the full order: each of its coefficients reads
+    only lower ones, so its prefixes are its values at the lower orders.
+    """
+    expected = oracle(TruncatedEGF.from_sequence(x)).coeffs
+    for n in range(len(x) + 1):
+        got = kernel(TruncatedEGF.from_sequence(x.prefix(n)))
+        assert got == TruncatedEGF(expected[: n + 1]), f"order {n}"
 
 
 class TestSeriesArithmetic:
@@ -67,7 +143,13 @@ class TestLog:
         )
 
     def test_matches_bell_route(self):
-        assert egf_log(Z).coeffs[1:] == log_polynomials(X, 10).values
+        for x in BELL_ROUTE_SEQUENCES:
+            z = TruncatedEGF.from_sequence(x)
+            assert egf_log(z).coeffs[1:] == log_polynomials(x, BELL_ROUTE_ORDER).values
+
+    @pytest.mark.parametrize("name", ORACLE_SEQUENCES)
+    def test_matches_fraction_recurrence_at_every_order(self, name):
+        check_every_order(egf_log, oracle_egf_log, ORACLE_SEQUENCES[name])
 
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
@@ -88,7 +170,16 @@ class TestPow:
 
     @pytest.mark.parametrize("r", [2, -1, Fraction(1, 2), Fraction(5, 3)])
     def test_matches_bell_route(self, r):
-        assert egf_pow(Z, r).coeffs[1:] == potential_polynomials(r, X, 10).values
+        for x in BELL_ROUTE_SEQUENCES:
+            z = TruncatedEGF.from_sequence(x)
+            assert egf_pow(z, r).coeffs[1:] == potential_polynomials(r, x, BELL_ROUTE_ORDER).values
+
+    @pytest.mark.parametrize("name", ORACLE_SEQUENCES)
+    @pytest.mark.parametrize("r", ORACLE_POWERS, ids=str)
+    def test_matches_fraction_recurrence_at_every_order(self, r, name):
+        check_every_order(
+            lambda z: egf_pow(z, r), lambda z: oracle_egf_pow(z, r), ORACLE_SEQUENCES[name]
+        )
 
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,13 @@ from bellkit.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
+def _tall_entry(j: int) -> str:
+    """x_j of tall.json: numerator and denominator up to 10^6; zero when j % 7 == 1, as x_1."""
+    if j % 7 == 1:
+        return "0"
+    return f"{(j * 7_919_993) % 2_000_001 - 1_000_000}/{(j * 104_729) % 1_000_000 + 1}"
+
+
 #: file name -> content, written under {DIR}
 FILES = {
     "seq3.json": '["1/2", "3", "-2/5"]',
@@ -46,6 +53,7 @@ FILES = {
     "notjson.json": "[1, 2",
     "obj.json": '{"a": 1}',
     "bool.json": '[true, "1/2", 3]',
+    "tall.json": json.dumps([_tall_entry(j) for j in range(1, 41)]),
 }
 
 BELL = [
@@ -128,6 +136,13 @@ SERIES = [
     "series apply-poly --n-max 3",
     "series log",
     "series log --n-max 5 --x {DIR}/seq3.json",
+    # numerators and denominators up to 10^6, zero entries, larger orders
+    "series log --n-max 40 --x {DIR}/tall.json",
+    "series pow --r=-5/2 --n-max 40 --x {DIR}/tall.json",
+    "series pow --r 999983/1000003 --n-max 30 --x random --seed 3",
+    "series log --n-max 40 --x {DIR}/tall.json --format csv",
+    "series pow --r 5/3 --n-max 40 --x {DIR}/tall.json --format csv",
+    "series apply-poly --coeffs 1,-2,1/3 --a 1 --b 1 --n-max 12 --x {DIR}/tall.json --format csv",
 ]
 
 VERIFY = [
