@@ -35,7 +35,7 @@ from .identities import (
     th1a_weight,
 )
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros, w_coefficient
-from .rationals import Rational, binomial_general, factorial, multinomial, rat, rat_str
+from .rationals import binomial_general, factorial, multinomial, rat, rat_str
 from .sequences import (
     SequenceSpec,
     SequenceTooShort,

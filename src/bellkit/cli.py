@@ -259,10 +259,7 @@ def cmd_series(args):
     if args.mode == "apply-poly":
         coeffs = _parse_rats(_need(args, "coeffs"), "--coeffs")
         params = TransformParams(args.a, args.b)
-        x = _sequence_for(args, n_max)
-        y = forward_transform(x.prefix(n_max), params, n_max)
-        z = TruncatedEGF.from_sequence(y)
-        result = egf_apply_poly(z, coeffs, params, x.prefix(n_max))
+        z, result = egf_apply_poly(coeffs, params, _sequence_for(args, n_max).prefix(n_max))
         return {
             "command": "series-apply-poly",
             "a": params.a,

@@ -43,9 +43,9 @@ class TruncatedEGF:
         return cls(tuple(items))
 
     @classmethod
-    def from_sequence(cls, x: SequenceSpec, constant=1) -> "TruncatedEGF":
-        """The series constant + sum_{n>=1} x_n t^n / n! of order len(x)."""
-        return cls((rat(constant),) + x.values)
+    def from_sequence(cls, x: SequenceSpec) -> "TruncatedEGF":
+        """The series 1 + sum_{n>=1} x_n t^n / n! of order len(x)."""
+        return cls((Fraction(1),) + x.values)
 
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedEGF":
@@ -189,21 +189,17 @@ def egf_polyval(f_coeffs, z: TruncatedEGF) -> TruncatedEGF:
 
 
 def egf_apply_poly(
-    z: TruncatedEGF, f_coeffs, params: TransformParams, x: SequenceSpec
-) -> TruncatedEGF:
-    """Coefficients of F(Z(t)) when Z is the forward transform of x.
+    f_coeffs, params: TransformParams, x: SequenceSpec
+) -> tuple[TruncatedEGF, TruncatedEGF]:
+    """The series Z = 1 + sum y_n t^n / n! of y = forward_transform(x) and F(Z).
 
-    The n-th coefficient (n >= 1) is sum_l c_l * l * q_function(n, b, l-1+a*n, x)
-    and the constant one is F(1).  The series z must actually match
-    forward_transform(x, params); anything else is an input error, because
-    the coefficient formula is only valid for that pairing.
+    Both are of order len(x) and read one Bell table of x.  The n-th
+    coefficient of F(Z) (n >= 1) is sum_l c_l * l * q_function(n, b,
+    l-1+a*n, x) and the constant one is F(1).
     """
-    _require_unit_constant(z)
-    n_max = z.order
-    x.require(n_max)
+    n_max = len(x)
     bell = bell_table(x, n_max)
-    if z.coeffs[1:] != _forward(params, n_max, bell).values:
-        raise ValueError("series does not match the forward transform of x")
+    z = TruncatedEGF.from_sequence(_forward(params, n_max, bell))
     coeffs = [rat(c) for c in f_coeffs]
     out = [sum(coeffs, Fraction(0))]
     for n in range(1, n_max + 1):
@@ -212,4 +208,4 @@ def egf_apply_poly(
             if l >= 1 and c:
                 acc += c * l * _q_sum(n, params.b, l - 1 + params.a * n, bell)
         out.append(acc)
-    return TruncatedEGF(tuple(out))
+    return z, TruncatedEGF(tuple(out))

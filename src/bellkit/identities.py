@@ -45,7 +45,7 @@ from math import comb, factorial, lcm, prod
 from typing import Callable
 
 from .bell import bell_table
-from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros, w_coefficient
+from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros
 from .rationals import binomial_general, rat, rat_str
 from .sequences import SequenceSpec, factorials, ones
 from .sparsepoly import SparsePoly
@@ -193,19 +193,29 @@ def vanishing_sum_monomials(v):
         yield from of_degree(len(v), degree)
 
 
-def _w_support(v, n: int, k: int):
-    """(l, m, W) triples over the summation rectangle, nonzero W only."""
-    for l in range(k + 1):
-        for m in range(l, n + 1):
-            w = w_coefficient(m, l, v)
-            if w:
-                yield l, m, w
+def _w_support(v: IndexVector) -> tuple[tuple[int, int, int], ...]:
+    """(l, m, W(m, l; v)) for every nonzero W, l-major and m-minor.
+
+    W(m, l; v) is the coefficient of s^l t^m in prod_j (1 + s t^j)^{v_j}:
+    expanding the j-th factor picks i_j of its v_j terms s t^j in
+    C(v_j, i_j) ways.  The coefficients are positive, so none is dropped.
+    """
+    poly = {(0, 0): 1}
+    for j, vj in enumerate(v, start=1):
+        row = [comb(vj, i) for i in range(vj + 1)]
+        out: dict[tuple[int, int], int] = {}
+        for (l, m), c in poly.items():
+            for i, b in enumerate(row):
+                key = (l + i, m + i * j)
+                out[key] = out.get(key, 0) + c * b
+        poly = out
+    return tuple((l, m, w) for (l, m), w in sorted(poly.items()))
 
 
 def _support(v) -> tuple[IndexVector, int, int, tuple[tuple[int, int, int], ...]]:
     """(v, n, k, its (l, m, W) triples); it does not depend on alpha or tau."""
     v, n, k = _vnk(v)
-    return v, n, k, tuple(_w_support(v, n, k))
+    return v, n, k, _w_support(v)
 
 
 class Th1Plan:
@@ -484,7 +494,7 @@ def check_general_binomial(v, p: Callable, gamma_k, tau) -> IdentityReport:
     tau = rat(tau)
     gamma_k = rat(gamma_k)
     lhs = Fraction(0)
-    for l, m, w in _w_support(v, n, k):
+    for l, m, w in _w_support(v):
         lhs += Fraction((-1) ** l, factorial(k)) * rat(p(m, l, tau)) * w
     rhs = gamma_k * binomial_general(tau, k)
     return _report(

@@ -11,7 +11,6 @@ sums computed by ``w_coefficient``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 IndexVector = tuple[int, ...]
@@ -63,6 +62,8 @@ def w_coefficient(m: int, l: int, v) -> int:
 
     Zero when the index set is empty (in particular for l = 0 < m), and 1 at
     (m, l) = (0, 0).  Vectors equal up to trailing zeros give equal results.
+    This definition sum is the oracle of ``identities._w_support``, which
+    reads W(m, l; v) as the coefficient of s^l t^m in prod_j (1 + s t^j)^{v_j}.
     """
     v = tuple(int(e) for e in v)
     if any(e < 0 for e in v):
@@ -72,12 +73,6 @@ def w_coefficient(m: int, l: int, v) -> int:
         raise ValueError("v must have at least one positive entry")
     if m < 0 or l < 0:
         return 0
-    return _w(m, l, v)
-
-
-# bounded, so a long-lived process keeps bounded memory
-@lru_cache(maxsize=2**14)
-def _w(m: int, l: int, v: IndexVector) -> int:
     total = 0
     for i in enumerate_pi(m, l, len(v)):
         p = 1

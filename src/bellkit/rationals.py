@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-
-Rational = Fraction
 
 
 def rat(value) -> Fraction:
@@ -46,27 +43,21 @@ def binomial_general(t, j: int):
 
     Defined for any rational (or integer) upper argument t and any
     nonnegative integer lower argument j; total on that domain.  Returns an
-    int when t is an integer, a Fraction otherwise.
+    int when t is an integer, a Fraction otherwise.  For t = p/q the value
+    is prod_{i<j} (p - i*q) / (q^j j!), computed in ints.
     """
     if j < 0:
         raise ValueError(f"lower index must be nonnegative, got {j}")
-    if isinstance(t, Fraction) and t.denominator == 1:
-        t = t.numerator
-    return _binom(t, j)
-
-
-# bounded, so a long-lived process keeps bounded memory
-@lru_cache(maxsize=2**14)
-def _binom(t, j: int):
-    if isinstance(t, int):
-        if t >= 0:
-            return math.comb(t, j)
+    p, q = t.numerator, t.denominator
+    if q == 1:
+        if p >= 0:
+            return math.comb(p, j)
         # falling factorial of a negative integer, flipped upward
-        return (-1) ** j * math.comb(-t + j - 1, j)
-    num = Fraction(1)
+        return (-1) ** j * math.comb(-p + j - 1, j)
+    num = 1
     for i in range(j):
-        num *= t - i
-    return num / math.factorial(j)
+        num *= p - i * q
+    return Fraction(num, q**j * math.factorial(j))
 
 
 def multinomial(n: int, parts) -> int | Fraction:

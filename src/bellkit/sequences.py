@@ -31,10 +31,6 @@ class SequenceSpec:
     def from_values(cls, items) -> "SequenceSpec":
         return cls(tuple(rat(v) for v in items))
 
-    @property
-    def length(self) -> int:
-        return len(self.values)
-
     def __len__(self) -> int:
         return len(self.values)
 

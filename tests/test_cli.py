@@ -1,12 +1,15 @@
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellkit import identities
+import bellkit
+from bellkit import egf, identities, transforms
 from bellkit.bell import bell_table
 from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main, UsageError
 from bellkit.sequences import named_sequence
@@ -146,6 +149,23 @@ class TestSeriesCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["output"]["coeffs"] == ["3", "0", "0", "0", "0"]
+
+    def test_apply_poly_builds_one_bell_table(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(x, n_max):
+            calls.append(n_max)
+            return bell_table(x, n_max)
+
+        monkeypatch.setattr(egf, "bell_table", counted)
+        monkeypatch.setattr(transforms, "bell_table", counted)
+        code, out, _ = run(
+            capsys, "series", "apply-poly", "--coeffs", "1,2,3",
+            "--a", "1", "--b", "1", "--n-max", "12", "--x", "random", "--seed", "2",
+        )
+        assert code == 0 and calls == [12]
+        payload = json.loads(out)
+        assert len(payload["series"]["coeffs"]) == len(payload["output"]["coeffs"]) == 13
 
 
 class TestVerifyCommand:
@@ -595,3 +615,14 @@ class TestLoadSequence:
         code, out, err = run(capsys, "bell", "--n", "3", "--k", "2", "--x", str(f))
         assert code == 2 and out == ""
         assert "bool.json" in err and "True" in err
+
+
+def test_only_the_parser_is_cached():
+    """The parser tree is the one process-wide cache; no library value is memoized."""
+    cached = set()
+    for info in pkgutil.iter_modules(bellkit.__path__):
+        module = importlib.import_module(f"bellkit.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_info"):
+                cached.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert cached == {"bellkit.cli.build_parser"}

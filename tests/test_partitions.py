@@ -3,8 +3,8 @@ from math import comb
 
 import pytest
 
+from bellkit.identities import _w_support, grid_vs
 from bellkit.partitions import (
-    _w,
     enumerate_pi,
     strip_trailing_zeros,
     w_coefficient,
@@ -75,9 +75,6 @@ class TestStripTrailingZeros:
 
 
 class TestWCoefficient:
-    def test_cache_is_bounded(self):
-        assert _w.cache_info().maxsize is not None
-
     def test_examples(self):
         # pi_2(2,2) = {(2,0)}: C(2,2)C(1,0) = 1
         assert w_coefficient(2, 2, (2, 1)) == 1
@@ -133,3 +130,31 @@ class TestWCoefficient:
                                 k - z, m - gamma * l
                             )
                             assert w_coefficient(m, l, v) == expected
+
+
+def definition_support(v):
+    """(l, m, W) for every nonzero W(m, l; v), l-major and m-minor, from the
+    definition sum: the order in which the double sums read them."""
+    k = sum(v)
+    n = sum(j * e for j, e in enumerate(v, start=1))
+    cells = ((l, m, w_coefficient(m, l, v)) for l in range(k + 1) for m in range(l, n + 1))
+    return tuple(cell for cell in cells if cell[2])
+
+
+class TestWSupport:
+    """The generating-function product against the definition sum, in order."""
+
+    def test_every_small_vector(self):
+        count = 0
+        for d in range(1, 5):
+            for head in itertools.product(range(5), repeat=d - 1):
+                for last in range(1, 5):
+                    v = head + (last,)
+                    assert _w_support(v) == definition_support(v), v
+                    count += 1
+        assert count == 624
+
+    def test_every_grid_vector(self):
+        for n in range(1, 10):
+            for v in grid_vs(n):
+                assert _w_support(v) == definition_support(v), v

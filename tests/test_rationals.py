@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
+from math import factorial as fact
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bellkit.rationals import _binom, binomial_general, factorial, multinomial, rat, rat_str
+from bellkit.rationals import binomial_general, factorial, multinomial, rat, rat_str
 
 
 small_rationals = st.fractions(
@@ -26,9 +28,6 @@ class TestBinomialGeneral:
     def test_half(self):
         # falling factorial by hand: (1/2)(-1/2) / 2!
         assert binomial_general(Fraction(1, 2), 2) == Fraction(-1, 8)
-
-    def test_cache_is_bounded(self):
-        assert _binom.cache_info().maxsize is not None
 
     def test_negative_lower_index_rejected(self):
         with pytest.raises(ValueError):
@@ -57,6 +56,29 @@ class TestBinomialGeneral:
         assert value.denominator > 0
         # Fraction guarantees lowest terms; re-normalizing must be a no-op
         assert Fraction(value.numerator, value.denominator) == value
+
+
+def falling_factorial_binomial(t: Fraction, j: int) -> Fraction:
+    """C(t, j) as a Fraction product (t)(t-1)...(t-j+1) / j!; the oracle."""
+    value = Fraction(1)
+    for i in range(j):
+        value *= t - i
+    return value / fact(j)
+
+
+class TestBinomialGeneralAgainstOracle:
+    def test_seeded_rationals(self):
+        rng = random.Random(20)
+        for _ in range(400):
+            t = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+            for j in range(16):
+                got = binomial_general(t, j)
+                assert got == falling_factorial_binomial(t, j)
+                if t.denominator == 1:
+                    assert type(got) is int
+                    assert binomial_general(t.numerator, j) == got
+                else:
+                    assert type(got) is Fraction
 
 
 class TestFactorial:
