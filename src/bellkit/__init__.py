@@ -4,23 +4,12 @@ Everything is computed over arbitrary-precision rationals; every identity
 check is an exact equality.  See the README for a tour.
 """
 
-from .bell import (
-    bell_eval,
-    bell_recursive,
-    bell_symbolic,
-    bell_table,
-    stirling1_unsigned,
-    stirling2,
-)
+from .bell import bell_symbolic, bell_table, stirling1_unsigned, stirling2
 from .egf import TruncatedEGF, egf_apply_poly, egf_log, egf_polyval, egf_pow
 from .identities import (
     DEFAULT_ALPHAS,
     AffineForm,
-    GridResult,
-    IdentityReport,
-    PoleError,
     certify_double_sums,
-    certify_th1_grid,
     check_alpha_constant,
     check_bell_convolution,
     check_general_binomial,
@@ -34,8 +23,9 @@ from .identities import (
     th1_plan,
     th1a_weight,
 )
-from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros, w_coefficient
-from .rationals import binomial_general, factorial, multinomial, rat, rat_str
+from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros
+from .rationals import binomial_general, rat, rat_str
+from .reports import GridResult, IdentityReport, InputError, PoleError
 from .sequences import (
     SequenceSpec,
     SequenceTooShort,
@@ -50,7 +40,6 @@ from .transforms import (
     TransformParams,
     forward_transform,
     inverse_transform,
-    inverse_value,
     lambda_identity_check,
     log_polynomials,
     potential_polynomials,

@@ -1,4 +1,4 @@
-"""Partial Bell polynomials: one production kernel and two independent oracles.
+"""Partial Bell polynomials: one kernel, evaluated or symbolic.
 
 The polynomial B(n, k) in the variables x_1, ..., x_{n-k+1} is the sum,
 over all index vectors i with entry sum k and weighted sum n, of
@@ -11,13 +11,12 @@ the row recurrence
 
     B(n, k) = sum_{m=1}^{n-k+1} C(n-1, m-1) x_m B(n-m, k-1)
 
-(Comtet, *Advanced Combinatorics*, ch. 3), in integer arithmetic.  The
-other two routes are oracles, kept for the tests and sharing no code with
-the table or with each other: ``bell_eval`` evaluates the definition sum
-above at a concrete sequence (``bell_symbolic`` expands it into a
-polynomial), and ``bell_recursive`` runs a different one-step recurrence
-in k with ``Fraction``s.  ``stirling2`` and ``stirling1_unsigned`` are the
-classical specializations at x_j = 1 and x_j = (j-1)!.
+(Comtet, *Advanced Combinatorics*, ch. 3), in integer arithmetic.
+``bell_symbolic`` expands the definition sum above into a polynomial.
+``stirling2`` and ``stirling1_unsigned`` are the classical specializations
+at x_j = 1 and x_j = (j-1)!.  The independent routes the tests hold the
+table against (the definition sum at a sequence, and a one-step recurrence
+in k) live in ``tests/oracles.py``, outside the package.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from operator import mul
 from typing import Callable
 
 from .partitions import enumerate_pi, strip_trailing_zeros
+from .reports import InputError
 from .sequences import SequenceSpec, factorials, ones
 from .sparsepoly import SparsePoly
 
@@ -50,10 +50,10 @@ def _term_coefficient(n: int, i) -> int:
 def bell_table(x: SequenceSpec, n_max: int) -> BellTable:
     """Every B(n, k)(x) with 0 <= k <= n <= n_max, from one pass of the row recurrence.
 
-    Returns ``bell(n, k)`` with the conventions of ``bell_eval``: B(0, 0) = 1,
-    B(n, 0) = 0 for n > 0 and B(n, k) = 0 for k > n.  B(n, k) needs only
-    x_1 ... x_{n-k+1}, so x may be shorter than n_max; reading an entry out
-    of its reach raises ``SequenceTooShort``.
+    Returns ``bell(n, k)`` with the conventions B(0, 0) = 1, B(n, 0) = 0 for
+    n > 0 and B(n, k) = 0 for k > n.  B(n, k) needs only x_1 ... x_{n-k+1},
+    so x may be shorter than n_max; reading an entry out of its reach raises
+    ``SequenceTooShort``.
 
     All arithmetic is in ints.  With D the lcm of the denominators of x, the
     entries a_m = D x_m are integers.  Column k is kept as integer numerators
@@ -91,9 +91,9 @@ def bell_table(x: SequenceSpec, n_max: int) -> BellTable:
 
     def bell(n: int, k: int) -> Fraction:
         if n < 0 or k < 0:
-            raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
+            raise InputError(f"indices must be nonnegative, got n={n}, k={k}")
         if n > n_max:
-            raise ValueError(f"table holds n <= {n_max}, got n={n}")
+            raise InputError(f"table holds n <= {n_max}, got n={n}")
         if k > n:
             return Fraction(0)
         value = rows[n][k]
@@ -107,67 +107,17 @@ def bell_table(x: SequenceSpec, n_max: int) -> BellTable:
 def bell_symbolic(n: int, k: int) -> SparsePoly:
     """The polynomial B(n, k), with positive integer coefficients.
 
-    Requires 1 <= k <= n; boundary cases live in ``bell_eval``.
+    Requires 1 <= k <= n; ``bell_table`` holds the boundary cases.
 
     >>> bell_symbolic(4, 2)
     3*x2^2 + 4*x1*x3
     """
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     terms = {}
     for i in enumerate_pi(n, k, n - k + 1):
         terms[strip_trailing_zeros(i)] = Fraction(_term_coefficient(n, i))
     return SparsePoly(terms)
-
-
-def bell_eval(n: int, k: int, x: SequenceSpec) -> Fraction:
-    """Value of B(n, k) at x, by the definition sum.
-
-    Conventions: B(0, 0) = 1, B(n, 0) = 0 for n > 0, B(n, k) = 0 for k > n.
-    Needs x_1 ... x_{n-k+1}.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
-    if k == 0:
-        return Fraction(1 if n == 0 else 0)
-    if k > n:
-        return Fraction(0)
-    need = n - k + 1
-    x.require(need)
-    total = Fraction(0)
-    for i in enumerate_pi(n, k, need):
-        term = Fraction(_term_coefficient(n, i))
-        for xj, ij in zip(x.values, i):
-            if ij:
-                term *= xj ** ij
-        total += term
-    return total
-
-
-def bell_recursive(n: int, k: int, x: SequenceSpec) -> Fraction:
-    """Value of B(n, k) at x via the recurrence
-
-        B(n, k) = (1/k) * sum_{m=k-1}^{n-1} C(n, m) x_{n-m} B(m, k-1)
-
-    with base B(m, 0) = [m == 0].  Must agree with ``bell_eval`` exactly.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    x.require(n - k + 1)
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def value(nn: int, kk: int) -> Fraction:
-        if kk == 0:
-            return Fraction(1 if nn == 0 else 0)
-        key = (nn, kk)
-        if key not in memo:
-            acc = Fraction(0)
-            for m in range(kk - 1, nn):
-                acc += comb(nn, m) * x[nn - m] * value(m, kk - 1)
-            memo[key] = acc / kk
-        return memo[key]
-
-    return value(n, k)
 
 
 def _integral_entry(n: int, k: int, x: SequenceSpec) -> int:

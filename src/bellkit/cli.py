@@ -1,10 +1,12 @@
 """Command-line interface: computation plus identity certification.
 
 Output is JSON by default (CSV with ``--format csv``); exit status is 0 on
-success, 1 when some identity check reports a failure, and 2 for usage or
-input errors.  Rational flag values accept "p/q" strings; negative values
-are easiest passed as ``--tau=-7/3``.  An empty flag value is an error, not
-a request for the default.
+success, 1 when some identity check reports a failure, and 2 for bad flags
+or input: argparse's errors and every :class:`~bellkit.reports.InputError`,
+poles included.  Any other exception is a fault of the program and is not
+caught.  Rational flag values accept "p/q" strings; negative values are
+easiest passed as ``--tau=-7/3``.  An empty flag value is an error, not a
+request for the default.
 
 Each leaf (a subcommand, mode or ``verify`` identity) takes only the options
 its handler reads, after the mode or identity, and reports any other option
@@ -31,7 +33,6 @@ from .identities import (
     CONVOLUTION_VARIANTS,
     DEFAULT_ALPHAS,
     AffineForm,
-    GridResult,
     bell_convolution_plan,
     certify_double_sums,
     check_alpha_constant,
@@ -49,6 +50,7 @@ from .identities import (
 from .output import csv_text, dumps
 from .partitions import strip_trailing_zeros
 from .rationals import rat, rat_str
+from .reports import GridResult, InputError
 from .sequences import NAMED_SEQUENCES, SequenceSpec, named_sequence, require_length
 from .sparsepoly import SparsePoly
 from .transforms import (
@@ -62,39 +64,37 @@ from .transforms import (
 )
 
 
-class UsageError(Exception):
-    """Bad flags or unreadable input; maps to exit status 2."""
-
-
 def load_sequence(path_or_keyword: str, n_max: int | None = None, seed: int | None = None) -> SequenceSpec:
     """Resolve a --x argument: a named sequence or a JSON file of rationals."""
     if seed is not None and path_or_keyword != "random":
-        raise UsageError("--seed is read only with --x random")
+        raise InputError("--seed is read only with --x random")
     if n_max is not None:
         require_length(n_max)
     if path_or_keyword in NAMED_SEQUENCES:
         if n_max is None:
-            raise UsageError(f"sequence {path_or_keyword!r} requires --n-max (or --n)")
+            raise InputError(f"sequence {path_or_keyword!r} requires --n-max (or --n)")
         if path_or_keyword == "random" and seed is None:
-            raise UsageError("sequence 'random' requires --seed")
+            raise InputError("sequence 'random' requires --seed")
         return named_sequence(path_or_keyword, n_max, seed)
     path = Path(path_or_keyword)
     try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read sequence file {path}: {exc}") from exc
+        text = path.read_text()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise InputError(f"cannot read sequence file {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"sequence file {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"sequence file {path} is not valid JSON: {exc}") from exc
     if isinstance(data, list) and len(data) == 1 and isinstance(data[0], list):
         data = data[0]
     if not isinstance(data, list):
-        raise UsageError(f"sequence file {path} must hold a JSON array")
+        raise InputError(f"sequence file {path} must hold a JSON array")
     try:
         seq = SequenceSpec.from_values(data)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed entry in {path}: {exc}") from exc
+        raise InputError(f"malformed entry in {path}: {exc}") from exc
     if n_max is not None and len(seq) < n_max:
-        raise UsageError(f"sequence file {path} has {len(seq)} entries, {n_max} required")
+        raise InputError(f"sequence file {path} has {len(seq)} entries, {n_max} required")
     return seq
 
 
@@ -102,7 +102,7 @@ def _parse_rat(text: str, flag: str) -> Fraction:
     try:
         return rat(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{flag} expects a rational like 5 or -7/3, got {text!r}") from exc
+        raise InputError(f"{flag} expects a rational like 5 or -7/3, got {text!r}") from exc
 
 
 def _opt_rat(text: str | None, flag: str, default=None):
@@ -113,7 +113,7 @@ def _opt_rat(text: str | None, flag: str, default=None):
 def _parse_int(value, flag: str) -> int:
     f = _parse_rat(str(value), flag)
     if f.denominator != 1:
-        raise UsageError(f"{flag} must be an integer, got {value!r}")
+        raise InputError(f"{flag} must be an integer, got {value!r}")
     return f.numerator
 
 
@@ -121,16 +121,16 @@ def _parse_vec(text: str, flag: str) -> tuple[int, ...]:
     try:
         entries = tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+        raise InputError(f"{flag} expects comma-separated integers, got {text!r}") from exc
     if not entries:
-        raise UsageError(f"{flag} must not be empty")
+        raise InputError(f"{flag} must not be empty")
     return entries
 
 
 def _parse_rats(text: str, flag: str) -> list[Fraction]:
     entries = [_parse_rat(p, flag) for p in text.split(",") if p.strip()]
     if not entries:
-        raise UsageError(f"{flag} must not be empty")
+        raise InputError(f"{flag} must not be empty")
     return entries
 
 
@@ -138,13 +138,13 @@ def _parse_alpha(text: str) -> AffineForm:
     try:
         return AffineForm.parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--alpha expects c0,c1,c2 rationals, got {text!r}") from exc
+        raise InputError(f"--alpha expects c0,c1,c2 rationals, got {text!r}") from exc
 
 
 def _need(args, name: str, flag: str | None = None):
     value = getattr(args, name.replace("-", "_"))
     if value is None:
-        raise UsageError(f"--{flag or name} is required for this command")
+        raise InputError(f"--{flag or name} is required for this command")
     return value
 
 
@@ -181,7 +181,7 @@ def cmd_bell(args):
     n, k = _need(args, "n"), _need(args, "k")
     if args.symbolic:
         if args.x is not None or args.seed is not None or args.n_max is not None:
-            raise UsageError("give --symbolic or --x/--seed/--n-max, not both")
+            raise InputError("give --symbolic or --x/--seed/--n-max, not both")
         poly = bell_symbolic(n, k)
         return {
             "command": "bell",
@@ -224,10 +224,10 @@ def cmd_transform(args):
         x = _sequence_for(args, n)
         return _verdict("transform-lambda", [lambda_identity_check(x, params, n, lam, args.k0)])
     if args.n is not None and args.n_max is not None:
-        raise UsageError("give --n or --n-max, not both")
+        raise InputError("give --n or --n-max, not both")
     n_max = args.n if args.n_max is None else args.n_max
     if n_max is None and (args.x is None or args.x in NAMED_SEQUENCES):
-        raise UsageError("--n-max (or --n) is required for this command")
+        raise InputError("--n-max (or --n) is required for this command")
     x = _sequence_for(args, n_max)
     n_max = len(x) if n_max is None else n_max
     if args.mode != "roundtrip":
@@ -281,12 +281,13 @@ def cmd_series(args):
 def _grid_vs(args) -> list[tuple[int, ...]]:
     if args.v is not None:
         if args.n is not None or args.k is not None:
-            raise UsageError("give --v or --n/--k, not both")
+            raise InputError("give --v or --n/--k, not both")
         return [strip_trailing_zeros(_parse_vec(args.v, "--v"))]
     n = _need(args, "n")
     vs = grid_vs(n, args.k)
     if not vs:
-        raise UsageError(f"no index vectors for n={n}, k={args.k}")
+        where = f"n={n}" if args.k is None else f"n={n}, k={args.k}"
+        raise InputError(f"no index vectors for {where}")
     return vs
 
 
@@ -328,7 +329,7 @@ def _verify_hagen_rothe(args, variants=None):
 def _verify_vanishing_sum(args):
     v = _parse_vec(_need(args, "v"), "--v")
     if sum(v) < 1:
-        raise UsageError("--v must have positive sum")
+        raise InputError("--v must have positive sum")
     return [
         check_vanishing_sum(v, SparsePoly.monomial(exps))
         for exps in vanishing_sum_monomials(v)
@@ -379,7 +380,7 @@ def _verify_q_product(args):
 
 def _verify_general_binomial(args):
     if args.counterexample and args.alpha is not None:
-        raise UsageError("give --alpha or --counterexample, not both")
+        raise InputError("give --alpha or --counterexample, not both")
     v = (2, 1) if args.v is None else strip_trailing_zeros(_parse_vec(args.v, "--v"))
     alpha = AffineForm(1, 1) if args.alpha is None else _parse_alpha(args.alpha)
     tau = _opt_rat(args.tau, "--tau", Fraction(5))
@@ -543,8 +544,7 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         payload, failed = args.handler(args)
-    except (UsageError, ValueError) as exc:
-        # ValueError covers PoleError and SequenceTooShort
+    except InputError as exc:
         print(f"bellkit: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":

@@ -23,6 +23,7 @@ from math import comb
 
 from .bell import bell_table
 from .rationals import rat, rat_str
+from .reports import InputError
 from .sequences import SequenceSpec
 from .transforms import TransformParams, _forward, _q_sum
 
@@ -35,7 +36,7 @@ class TruncatedEGF:
 
     def __post_init__(self):
         if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
+            raise InputError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
 
     @classmethod
@@ -99,7 +100,7 @@ class TruncatedEGF:
 
 def _require_unit_constant(z: TruncatedEGF) -> None:
     if z.coeffs[0] != 1:
-        raise ValueError(f"constant coefficient must be 1, got {rat_str(z.coeffs[0])}")
+        raise InputError(f"constant coefficient must be 1, got {rat_str(z.coeffs[0])}")
 
 
 def _scaled_terms(z: TruncatedEGF, q: int = 1):

@@ -1,9 +1,11 @@
 """Exact certification of binomial-sum and Bell-convolution identities.
 
 Every checker evaluates both sides of one identity instance in exact
-rational arithmetic and returns an :class:`IdentityReport` whose ``passed``
-flag is the exact equality ``lhs == rhs``.  Nothing is approximate: a
-report either certifies the instance or exhibits the two differing values.
+rational arithmetic and returns an :class:`~bellkit.reports.IdentityReport`
+whose ``passed`` flag is the exact equality ``lhs == rhs``.  Nothing is
+approximate: a report either certifies the instance or exhibits the two
+differing values.  The report, grid and error types live in
+:mod:`bellkit.reports`.
 
 The identity families:
 
@@ -21,8 +23,9 @@ The identity families:
 Pole policy: a summation term is *absent* when its weight (the
 binomial-product coefficient, or the Bell-polynomial product) vanishes;
 a vanishing denominator at a term that is actually present raises
-:class:`PoleError` rather than producing a bogus report.  Grid certifiers
-avoid and record pole parameter values instead of erroring.
+:class:`~bellkit.reports.PoleError` rather than producing a bogus report.
+The grid certifier avoids and records pole parameter values instead of
+erroring.
 
 The double sums and the negative-one sum are added up in integers.  Every
 term is an integer over a denominator known before the sum starts: the
@@ -38,7 +41,7 @@ nothing: their total over that denominator is the exact sum, and one
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
@@ -47,16 +50,9 @@ from typing import Callable
 from .bell import bell_table
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros
 from .rationals import binomial_general, rat, rat_str
+from .reports import GridResult, IdentityReport, InputError, PoleError
 from .sequences import SequenceSpec, factorials, ones
 from .sparsepoly import SparsePoly
-
-
-class PoleError(ValueError):
-    """A denominator vanished at a contributing summation term."""
-
-    def __init__(self, message: str, where=None):
-        super().__init__(message)
-        self.where = where
 
 
 @dataclass(frozen=True)
@@ -80,7 +76,7 @@ class AffineForm:
         """Parse "c0,c1,c2" (missing trailing coefficients default to 0)."""
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not 1 <= len(parts) <= 3:
-            raise ValueError(f"expected 1-3 comma-separated rationals, got {text!r}")
+            raise InputError(f"expected 1-3 comma-separated rationals, got {text!r}")
         coeffs = [rat(p) for p in parts] + [Fraction(0)] * (3 - len(parts))
         return cls(*coeffs)
 
@@ -115,30 +111,10 @@ DEFAULT_ALPHAS: tuple[AffineForm, ...] = (
 )
 
 
-@dataclass
-class IdentityReport:
-    """Outcome of one identity check at one parameter point."""
-
-    name: str
-    params: dict
-    lhs: Fraction
-    rhs: Fraction
-    passed: bool
-    skipped_poles: tuple = ()
-
-    #: the keys of a report's JSON object and CSV row, in output order
-    KEYS = ("identity", "params", "lhs", "rhs", "pass", "skipped_poles")
-
-
-def _report(name, params, lhs, rhs) -> IdentityReport:
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    return IdentityReport(name, params, lhs, rhs, lhs == rhs)
-
-
 def _vnk(v) -> tuple[IndexVector, int, int]:
     v = strip_trailing_zeros(int(e) for e in v)
     if not v or any(e < 0 for e in v):
-        raise ValueError(f"v must be nonzero with nonnegative entries, got {v}")
+        raise InputError(f"v must be nonzero with nonnegative entries, got {v}")
     k = sum(v)
     n = sum(j * e for j, e in enumerate(v, start=1))
     return v, n, k
@@ -153,14 +129,14 @@ def check_vanishing_sum(v, P: SparsePoly) -> IdentityReport:
     """
     v = tuple(int(e) for e in v)
     if any(e < 0 for e in v):
-        raise ValueError(f"entries must be nonnegative, got {v}")
+        raise InputError(f"entries must be nonnegative, got {v}")
     bound = sum(v)
     if P.total_degree() >= bound:
-        raise ValueError(
+        raise InputError(
             f"polynomial degree {P.total_degree()} is not below sum(v) = {bound}"
         )
     if P.max_index() > len(v):
-        raise ValueError(
+        raise InputError(
             f"polynomial uses x_{P.max_index()} but v has only {len(v)} entries"
         )
     # over the box, each term of P is a product of one sum per coordinate
@@ -169,7 +145,7 @@ def check_vanishing_sum(v, P: SparsePoly) -> IdentityReport:
         for vj, e in itertools.zip_longest(v, exps, fillvalue=0):
             coeff *= sum((-1) ** i * comb(vj, i) * i**e for i in range(vj + 1))
         total += coeff
-    return _report(
+    return IdentityReport(
         "vanishing-sum",
         {"v": v, "P": P, "degree": P.total_degree()},
         total,
@@ -369,11 +345,11 @@ def check_th1(
     contributing (l, m).  ``plan``, if given, is ``th1_plan(v, alpha)``.
     """
     if variant not in ("A", "B"):
-        raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
+        raise InputError(f"variant must be 'A' or 'B', got {variant!r}")
     plan = plan or th1_plan(v, alpha)
     tau = rat(tau)
     lhs = _double_sum(plan, variant, tau)
-    return _report(
+    return IdentityReport(
         f"th1{variant.lower()}", plan.params(tau), lhs, binomial_general(tau, plan.k)
     )
 
@@ -389,14 +365,14 @@ def check_th1c(
     tau = rat(tau)
     lhs = _double_sum(plan, "C", tau)
     rhs = _c_factor(plan, tau) * binomial_general(tau, plan.k)
-    return _report("th1c", plan.params(tau), lhs, rhs)
+    return IdentityReport("th1c", plan.params(tau), lhs, rhs)
 
 
 def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
     """Hagen-Rothe convolution identities and their z = 0 Chu-Vandermonde case."""
     x, y, z = rat(xp), rat(yp), rat(zp)
     if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+        raise InputError(f"k must be nonnegative, got {k}")
     params = {"variant": variant, "x": x, "y": y, "z": z, "k": k}
 
     if variant == "chu_vandermonde":
@@ -404,7 +380,7 @@ def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
             (binomial_general(x, l) * binomial_general(y, k - l) for l in range(k + 1)),
             Fraction(0),
         )
-        return _report("chu-vandermonde", params, lhs, binomial_general(x + y, k))
+        return IdentityReport("chu-vandermonde", params, lhs, binomial_general(x + y, k))
 
     if variant == "symmetric":
         total = x + y + k * z
@@ -424,7 +400,7 @@ def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
                 * binomial_general(yl, k - l)
             )
         rhs = (x + y) / total * binomial_general(total, k)
-        return _report("hagen-rothe-symmetric", params, lhs, rhs)
+        return IdentityReport("hagen-rothe-symmetric", params, lhs, rhs)
 
     if variant == "asymmetric":
         lhs = Fraction(0)
@@ -436,9 +412,9 @@ def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
                 y + (k - l) * z, k - l
             )
         rhs = binomial_general(x + y + k * z, k)
-        return _report("hagen-rothe-asymmetric", params, lhs, rhs)
+        return IdentityReport("hagen-rothe-asymmetric", params, lhs, rhs)
 
-    raise ValueError(f"unknown variant {variant!r}")
+    raise InputError(f"unknown variant {variant!r}")
 
 
 def check_negative_one(
@@ -477,7 +453,7 @@ def check_negative_one(
             params["reciprocal_lhs"] = recip
             params["reciprocal_rhs"] = expected
             passed_extra = recip == expected
-    report = _report("negative-one", params, lhs, 1)
+    report = IdentityReport("negative-one", params, lhs, 1)
     report.passed = report.passed and passed_extra
     return report
 
@@ -497,7 +473,7 @@ def check_general_binomial(v, p: Callable, gamma_k, tau) -> IdentityReport:
     for l, m, w in _w_support(v):
         lhs += Fraction((-1) ** l, factorial(k)) * rat(p(m, l, tau)) * w
     rhs = gamma_k * binomial_general(tau, k)
-    return _report(
+    return IdentityReport(
         "general-binomial",
         {
             "v": v,
@@ -540,7 +516,7 @@ CONVOLUTION_VARIANTS = {"cor33_first": "A", "cor33_second": "B", "cor34": "C"}
 def bell_convolution_plan(n: int, k: int, alpha: AffineForm, x: SequenceSpec) -> Th1Plan:
     """The plan of the Bell convolutions at (n, k, alpha, x); reuse it for every variant."""
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     x.require(n)
     bell = bell_table(x, n)
     terms = tuple(
@@ -566,7 +542,7 @@ def check_bell_convolution(
     ``plan``, if given, is ``bell_convolution_plan(n, k, alpha, x)``.
     """
     if variant not in CONVOLUTION_VARIANTS:
-        raise ValueError(
+        raise InputError(
             f"variant must be one of {tuple(CONVOLUTION_VARIANTS)}, got {variant!r}"
         )
     plan = plan or bell_convolution_plan(n, k, alpha, x)
@@ -577,7 +553,7 @@ def check_bell_convolution(
     rhs = binomial_general(tau, k) * sum(w for l, _, w in plan.merged if l == k)
     if sum_variant == "C":
         rhs *= _c_factor(plan, tau)
-    return _report(
+    return IdentityReport(
         f"bell-convolution-{variant}",
         {"variant": variant, "n": n, "k": k, "alpha": alpha, "tau": tau, "x": x},
         lhs,
@@ -600,8 +576,8 @@ def _splitting(n: int, k: int, r: int, x: SequenceSpec) -> tuple[Fraction, Fract
 def check_alpha_constant(n: int, k: int, r: int, x: SequenceSpec) -> IdentityReport:
     """Splitting identity C(k, r) B(n, k) = sum_m C(n, m) B(m, k-r) B(n-m, r)."""
     if not 0 < r <= k <= n:
-        raise ValueError(f"need 0 < r <= k <= n, got r={r}, k={k}, n={n}")
-    return _report(
+        raise InputError(f"need 0 < r <= k <= n, got r={r}, k={k}, n={n}")
+    return IdentityReport(
         "alpha-constant", {"n": n, "k": k, "r": r, "x": x}, *_splitting(n, k, r, x)
     )
 
@@ -612,24 +588,24 @@ def check_zerosum(n: int, k: int, x: SequenceSpec) -> IdentityReport:
         sum_{m=k-1}^{n-1} [ C(n, m)/k - C(n-1, m) ] x_{n-m} B(m, k-1) = 0.
     """
     if not 1 <= k <= n or n < 2:
-        raise ValueError(f"need 1 <= k <= n and n >= 2, got k={k}, n={n}")
+        raise InputError(f"need 1 <= k <= n and n >= 2, got k={k}, n={n}")
     x.require(n - k + 1)
     bell = bell_table(x, n - 1)
     lhs = Fraction(0)
     for m in range(k - 1, n):
         weight = Fraction(comb(n, m), k) - comb(n - 1, m)
         lhs += weight * x[n - m] * bell(m, k - 1)
-    return _report("zerosum", {"n": n, "k": k, "x": x}, lhs, 0)
+    return IdentityReport("zerosum", {"n": n, "k": k, "x": x}, lhs, 0)
 
 
 def check_stirling_recurrence(n: int, k: int, r: int, kind: str) -> IdentityReport:
     """The splitting identity at x_j = (j-1)! (first kind) or x_j = 1 (second)."""
     if not 0 < r <= k <= n:
-        raise ValueError(f"need 0 < r <= k <= n, got r={r}, k={k}, n={n}")
+        raise InputError(f"need 0 < r <= k <= n, got r={r}, k={k}, n={n}")
     if kind not in ("first", "second"):
-        raise ValueError(f"kind must be 'first' or 'second', got {kind!r}")
+        raise InputError(f"kind must be 'first' or 'second', got {kind!r}")
     x = factorials(n) if kind == "first" else ones(n)
-    return _report(
+    return IdentityReport(
         "stirling-recurrence",
         {"n": n, "k": k, "r": r, "kind": kind},
         *_splitting(n, k, r, x),
@@ -667,32 +643,6 @@ def tau_samples(count: int, avoid: dict) -> tuple[list[Fraction], list[tuple]]:
             chosen.append(candidate)
         candidate += step
     return chosen, skipped
-
-
-@dataclass
-class GridResult:
-    """Aggregate of a certification sweep."""
-
-    reports: list[IdentityReport] = field(default_factory=list)
-    skipped_pairs: list[tuple] = field(default_factory=list)
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for r in self.reports if not r.passed)
-
-    def all_passed(self) -> bool:
-        return self.n_failed == 0
-
-    def summary(self) -> dict:
-        return {
-            "checked": len(self.reports),
-            "passed": len(self.reports) - self.n_failed,
-            "failed": self.n_failed,
-            "skipped_pairs": [
-                {"v": v, "alpha": alpha, "pole_at": where}
-                for v, alpha, where in self.skipped_pairs
-            ],
-        }
 
 
 def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResult:
@@ -743,17 +693,3 @@ def grid_vs(n: int, k: int | None = None) -> list[IndexVector]:
     """Every v with weighted sum n and entry sum k (every k in 1..n if None)."""
     ks = range(1, n + 1) if k is None else (k,)
     return [strip_trailing_zeros(v) for j in ks for v in enumerate_pi(n, j, n)]
-
-
-def certify_th1_grid(n_max: int) -> GridResult:
-    """Certify the double-sum identities for every v with weighted sum <= n_max.
-
-    Each (v, alpha, variant), alpha in :data:`DEFAULT_ALPHAS`, is checked
-    at 2k+2 pole-free tau values; since both sides are polynomials in tau
-    of degree at most 2k+1 after clearing the finitely many linear
-    denominators, passing on such a grid certifies the identity for all tau.
-    Combinations where alpha vanishes at a nonzero-weight (l, m) are
-    tau-independent poles: they are recorded and skipped, never checked.
-    """
-    vs = [v for n in range(1, n_max + 1) for v in grid_vs(n)]
-    return certify_double_sums(vs, DEFAULT_ALPHAS)

@@ -28,8 +28,9 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .identities import AffineForm, IdentityReport
+from .identities import AffineForm
 from .rationals import rat_str
+from .reports import IdentityReport
 from .sequences import SequenceSpec
 from .sparsepoly import SparsePoly
 

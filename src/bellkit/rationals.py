@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, factorials, generalized binomials.
+"""Exact scalar arithmetic: rationals and generalized binomials.
 
 Every scalar in this package is an exact rational (``fractions.Fraction``)
 or an arbitrary-precision ``int``.  There is no floating point anywhere, so
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .reports import InputError
 
 
 def rat(value) -> Fraction:
@@ -21,7 +23,7 @@ def rat(value) -> Fraction:
         value = value.replace("−", "-").strip()
     if isinstance(value, (float, bool)):
         kind = type(value).__name__
-        raise ValueError(f"refusing {kind} input {value!r}; pass a string or int")
+        raise InputError(f"refusing {kind} input {value!r}; pass a string or int")
     return Fraction(value)
 
 
@@ -33,11 +35,6 @@ def rat_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    return math.factorial(n)
-
-
 def binomial_general(t, j: int):
     """Generalized binomial coefficient t(t-1)...(t-j+1) / j!.
 
@@ -47,7 +44,7 @@ def binomial_general(t, j: int):
     is prod_{i<j} (p - i*q) / (q^j j!), computed in ints.
     """
     if j < 0:
-        raise ValueError(f"lower index must be nonnegative, got {j}")
+        raise InputError(f"lower index must be nonnegative, got {j}")
     p, q = t.numerator, t.denominator
     if q == 1:
         if p >= 0:
@@ -58,18 +55,3 @@ def binomial_general(t, j: int):
     for i in range(j):
         num *= p - i * q
     return Fraction(num, q**j * math.factorial(j))
-
-
-def multinomial(n: int, parts) -> int | Fraction:
-    """n! divided by the product of the factorials of ``parts``.
-
-    Returns an int when the quotient is integral, a Fraction otherwise.
-    """
-    parts = tuple(parts)
-    if n < 0 or any(p < 0 for p in parts):
-        raise ValueError("arguments must be nonnegative")
-    denom = math.prod(math.factorial(p) for p in parts)
-    q, r = divmod(math.factorial(n), denom)
-    if r == 0:
-        return q
-    return Fraction(math.factorial(n), denom)

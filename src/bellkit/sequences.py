@@ -8,16 +8,17 @@ from fractions import Fraction
 from math import factorial
 
 from .rationals import rat, rat_str
+from .reports import InputError
 
 
-class SequenceTooShort(ValueError):
+class SequenceTooShort(InputError):
     """Raised when an operation needs more sequence entries than provided."""
 
 
 def require_length(n: int) -> int:
-    """``n`` itself when it is a valid sequence length; ValueError when negative."""
+    """``n`` itself when it is a valid sequence length; InputError when negative."""
     if n < 0:
-        raise ValueError(f"sequence length must be nonnegative, got {n}")
+        raise InputError(f"sequence length must be nonnegative, got {n}")
     return n
 
 
@@ -37,7 +38,7 @@ class SequenceSpec:
     def __getitem__(self, j: int) -> Fraction:
         """Entry x_j (1-based)."""
         if j < 1:
-            raise ValueError(f"sequence index must be >= 1, got {j}")
+            raise InputError(f"sequence index must be >= 1, got {j}")
         if j > len(self.values):
             raise SequenceTooShort(
                 f"sequence has {len(self.values)} entries, x_{j} requested"
@@ -102,6 +103,6 @@ def named_sequence(keyword: str, n: int, seed: int | None = None) -> SequenceSpe
         return naturals(n)
     if keyword == "random":
         if seed is None:
-            raise ValueError("named sequence 'random' requires a seed")
+            raise InputError("named sequence 'random' requires a seed")
         return random_rationals(n, seed)
-    raise ValueError(f"unknown sequence keyword {keyword!r}")
+    raise InputError(f"unknown sequence keyword {keyword!r}")

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .partitions import IndexVector, strip_trailing_zeros
 from .rationals import rat_str
+from .reports import InputError
 
 
 class SparsePoly:
@@ -28,7 +29,7 @@ class SparsePoly:
                 if coeff == 0:
                     continue
                 if any(e < 0 for e in exps):
-                    raise ValueError(f"exponents must be nonnegative, got {tuple(exps)}")
+                    raise InputError(f"exponents must be nonnegative, got {tuple(exps)}")
                 key = strip_trailing_zeros(exps)
                 acc = data.get(key, Fraction(0)) + coeff
                 if acc == 0:
@@ -53,7 +54,7 @@ class SparsePoly:
     def variable(cls, j: int) -> "SparsePoly":
         """The single variable x_j (j >= 1)."""
         if j < 1:
-            raise ValueError(f"variable index must be >= 1, got {j}")
+            raise InputError(f"variable index must be >= 1, got {j}")
         return cls({(0,) * (j - 1) + (1,): Fraction(1)})
 
     @property
@@ -133,7 +134,7 @@ class SparsePoly:
 
     def __pow__(self, exponent: int) -> "SparsePoly":
         if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative int, got {exponent}")
+            raise InputError(f"exponent must be a nonnegative int, got {exponent}")
         result = SparsePoly.constant(1)
         base = self
         e = exponent
@@ -160,7 +161,7 @@ class SparsePoly:
         """Evaluate with x_j = values[j-1]; values may be ints or Fractions."""
         values = tuple(values)
         if self.max_index() > len(values):
-            raise ValueError(
+            raise InputError(
                 f"need {self.max_index()} variable values, got {len(values)}"
             )
         total = Fraction(0)

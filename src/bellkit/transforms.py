@@ -25,8 +25,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .bell import BellTable, bell_table
-from .identities import IdentityReport, PoleError, _report
 from .rationals import binomial_general, rat
+from .reports import IdentityReport, InputError, PoleError
 from .sequences import SequenceSpec
 
 
@@ -39,13 +39,13 @@ class TransformParams:
 
     def require_invertible(self) -> None:
         if self.a == 0 and self.b == 0:
-            raise ValueError("(a, b) = (0, 0) has no inverse transform")
+            raise InputError("(a, b) = (0, 0) has no inverse transform")
 
 
 def q_function(n: int, b: int, lam, z: SequenceSpec) -> Fraction:
     """The weighted Bell sum over k = 1..n; total in lam and b."""
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise InputError(f"n must be positive, got {n}")
     z.require(n)
     return _q_sum(n, b, rat(lam), bell_table(z, n))
 
@@ -66,9 +66,9 @@ def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
                           sum_{m=1}^{n-1} C(n, m) z_{n-m} Q(m, i-1).
     """
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise InputError(f"n must be positive, got {n}")
     if lam < 0 or not isinstance(lam, int):
-        raise ValueError(f"lam must be a nonnegative integer, got {lam!r}")
+        raise InputError(f"lam must be a nonnegative integer, got {lam!r}")
     z.require(n)
     bell = bell_table(z, n)
     lhs = _q_sum(n, 0, lam, bell)
@@ -78,7 +78,7 @@ def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
         for m in range(1, n):
             inner += comb(n, m) * z[n - m] * _q_sum(m, 0, i - 1, bell)
         rhs += Fraction(i, lam + 1) * inner
-    return _report("q-recurrence", {"n": n, "lambda": lam, "z": z}, lhs, rhs)
+    return IdentityReport("q-recurrence", {"n": n, "lambda": lam, "z": z}, lhs, rhs)
 
 
 def q_product_check(
@@ -91,7 +91,7 @@ def q_product_check(
     vanish there.
     """
     if n1 < 1 or n2 < 1:
-        raise ValueError(f"orders must be positive, got n1={n1}, n2={n2}")
+        raise InputError(f"orders must be positive, got n1={n1}, n2={n2}")
     z.require(max(n1, n2))
     lam1, lam2 = rat(lam1), rat(lam2)
     bell = bell_table(z, max(n1, n2))
@@ -114,7 +114,7 @@ def q_product_check(
                 * bell(n1, j)
                 * bell(n2, l)
             )
-    return _report(
+    return IdentityReport(
         "q-product",
         {
             "n1": n1,
@@ -143,13 +143,6 @@ def _forward(params: TransformParams, n_max: int, bell: BellTable) -> SequenceSp
     return SequenceSpec(
         tuple(_q_sum(n, params.b, params.a * n, bell) for n in range(1, n_max + 1))
     )
-
-
-def inverse_value(y: SequenceSpec, params: TransformParams, n: int) -> Fraction:
-    """Single entry of the inverse transform; needs a*n + b != 0."""
-    params.require_invertible()
-    y.require(n)
-    return _inverse_entry(params, n, bell_table(y, n))
 
 
 def _inverse_entry(params: TransformParams, n: int, bell: BellTable) -> Fraction:
@@ -196,14 +189,14 @@ def lambda_identity_check(
     polynomials in lam of degree below n.
     """
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise InputError(f"n must be positive, got {n}")
     if k0 < 1:
-        raise ValueError(f"k0 must be >= 1, got {k0}")
+        raise InputError(f"k0 must be >= 1, got {k0}")
     x.require(n)
     lam = rat(lam)
     bell_x = bell_table(x, n)
     bell_y = bell_table(_forward(params, n, bell_x), n)
-    return _report(
+    return IdentityReport(
         "lambda-composition",
         {"a": params.a, "b": params.b, "n": n, "lambda": lam, "k0": k0, "x": x},
         _q_sum(n, 0, lam, bell_y, k0),

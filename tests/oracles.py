@@ -1,0 +1,115 @@
+"""Independent routes the tests hold the package against.
+
+No code path of ``bellkit`` calls these; they share no code with the
+kernels they check.  ``bell_eval`` is the definition sum of a partial Bell
+polynomial and ``bell_recursive`` a different one-step recurrence, both
+checked against ``bell_table``; ``w_coefficient`` is the definition sum of
+W(m, l; v), checked against the generating-function product of
+``identities._w_support``; ``certify_th1_grid`` sweeps every v up to a
+weighted sum through ``certify_double_sums``.
+
+Checks raise explicitly instead of using ``assert``: pytest rewrites
+asserts only in test modules, and ``python -O`` strips the rest.  This
+module is not collected as a test module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
+
+from bellkit.identities import DEFAULT_ALPHAS, certify_double_sums, grid_vs
+from bellkit.partitions import enumerate_pi, strip_trailing_zeros
+from bellkit.reports import GridResult
+from bellkit.sequences import SequenceSpec
+
+
+def bell_eval(n: int, k: int, x: SequenceSpec) -> Fraction:
+    """Value of B(n, k) at x, by the definition sum
+
+        sum over i of n!/(i_1! i_2! ...) * (x_1/1!)^{i_1} * (x_2/2!)^{i_2} * ...
+
+    Conventions: B(0, 0) = 1, B(n, 0) = 0 for n > 0, B(n, k) = 0 for k > n.
+    Needs x_1 ... x_{n-k+1}.
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be nonnegative, got n={n}, k={k}")
+    if k == 0:
+        return Fraction(1 if n == 0 else 0)
+    if k > n:
+        return Fraction(0)
+    need = n - k + 1
+    x.require(need)
+    total = Fraction(0)
+    for i in enumerate_pi(n, k, need):
+        term = Fraction(factorial(n))
+        for j, (xj, ij) in enumerate(zip(x.values, i), start=1):
+            if ij:
+                term *= (xj / factorial(j)) ** ij / factorial(ij)
+        total += term
+    return total
+
+
+def bell_recursive(n: int, k: int, x: SequenceSpec) -> Fraction:
+    """Value of B(n, k) at x via the recurrence
+
+        B(n, k) = (1/k) * sum_{m=k-1}^{n-1} C(n, m) x_{n-m} B(m, k-1)
+
+    with base B(m, 0) = [m == 0].  Must agree with ``bell_eval`` exactly.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    x.require(n - k + 1)
+    memo: dict[tuple[int, int], Fraction] = {}
+
+    def value(nn: int, kk: int) -> Fraction:
+        if kk == 0:
+            return Fraction(1 if nn == 0 else 0)
+        key = (nn, kk)
+        if key not in memo:
+            acc = Fraction(0)
+            for m in range(kk - 1, nn):
+                acc += comb(nn, m) * x[nn - m] * value(m, kk - 1)
+            memo[key] = acc / kk
+        return memo[key]
+
+    return value(n, k)
+
+
+def w_coefficient(m: int, l: int, v) -> int:
+    """Sum of products comb(v_1, i_1)...comb(v_d, i_d) over enumerate_pi(m, l, d).
+
+    Zero when the index set is empty (in particular for l = 0 < m), and 1 at
+    (m, l) = (0, 0).  Vectors equal up to trailing zeros give equal results.
+    """
+    v = tuple(int(e) for e in v)
+    if any(e < 0 for e in v):
+        raise ValueError(f"entries must be nonnegative, got {v}")
+    v = strip_trailing_zeros(v)
+    if not v:
+        raise ValueError("v must have at least one positive entry")
+    if m < 0 or l < 0:
+        return 0
+    total = 0
+    for i in enumerate_pi(m, l, len(v)):
+        p = 1
+        for vj, ij in zip(v, i):
+            p *= comb(vj, ij)
+            if p == 0:
+                break
+        total += p
+    return total
+
+
+def certify_th1_grid(n_max: int) -> GridResult:
+    """Certify the double-sum identities for every v with weighted sum <= n_max.
+
+    Each (v, alpha, variant), alpha in ``DEFAULT_ALPHAS``, is checked at
+    2k+2 pole-free tau values; since both sides are polynomials in tau of
+    degree at most 2k+1 after clearing the finitely many linear
+    denominators, passing on such a grid certifies the identity for all tau.
+    Combinations where alpha vanishes at a nonzero-weight (l, m) are
+    tau-independent poles: they are recorded and skipped, never checked.
+    """
+    vs = [v for n in range(1, n_max + 1) for v in grid_vs(n)]
+    return certify_double_sums(vs, DEFAULT_ALPHAS)

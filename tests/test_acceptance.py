@@ -9,11 +9,10 @@ import time
 from fractions import Fraction
 from math import comb
 
-from bellkit.bell import bell_eval, bell_recursive, bell_table, stirling1_unsigned, stirling2
+from bellkit.bell import bell_table, stirling1_unsigned, stirling2
 from bellkit.egf import TruncatedEGF, egf_apply_poly, egf_log, egf_polyval, egf_pow
 from bellkit.identities import (
     AffineForm,
-    certify_th1_grid,
     check_alpha_constant,
     check_bell_convolution,
     check_hagen_rothe,
@@ -26,14 +25,15 @@ from bellkit.sequences import random_rationals
 from bellkit.sparsepoly import SparsePoly
 from bellkit.transforms import (
     TransformParams,
+    _inverse_entry,
     forward_transform,
     inverse_transform,
-    inverse_value,
     lambda_identity_check,
     q_product_check,
     q_recurrence_check,
 )
 
+from oracles import bell_eval, bell_recursive, certify_th1_grid
 from test_bell import count_permutations_with_cycles, count_set_partitions
 
 AB_PAIRS = ((0, 1), (1, 1), (2, 3), (-1, 2), (1, 0))
@@ -181,9 +181,10 @@ def test_criterion_7_inverse_pair_roundtrip():
                 assert forward_transform(x_rec, params, n_max).values == y_free.values
             else:
                 # entries at the poles are excluded; all others still invert
+                bell_y = bell_table(y, n_max)
                 for n in range(1, n_max + 1):
                     if n not in poles:
-                        assert inverse_value(y, params, n) == x[n]
+                        assert _inverse_entry(params, n, bell_y) == x[n]
                 prefix = min(poles) - 1
                 if prefix >= 1:
                     x_rec = inverse_transform(y_free.prefix(prefix), params, prefix)

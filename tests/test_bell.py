@@ -12,17 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import bellkit.bell
 import bellkit.partitions
-from bellkit.bell import (
-    bell_eval,
-    bell_recursive,
-    bell_symbolic,
-    bell_table,
-    stirling1_unsigned,
-    stirling2,
-)
+from bellkit.bell import bell_symbolic, bell_table, stirling1_unsigned, stirling2
 from bellkit.sequences import SequenceSpec, SequenceTooShort, ones, random_rationals
 from bellkit.sparsepoly import SparsePoly
 
+import oracles
+from oracles import bell_eval, bell_recursive
 from test_partitions import partitions_into_exact_parts
 
 
@@ -212,13 +207,15 @@ class TestBellTable:
 
         monkeypatch.setattr(bellkit.partitions, "enumerate_pi", forbidden)
         monkeypatch.setattr(bellkit.bell, "enumerate_pi", forbidden)
-        monkeypatch.setattr(bellkit.bell, "bell_eval", forbidden)
-        monkeypatch.setattr(bellkit.bell, "bell_recursive", forbidden)
         monkeypatch.setattr(bellkit.bell, "_term_coefficient", forbidden)
+        monkeypatch.setattr(oracles, "enumerate_pi", forbidden)
+        monkeypatch.setattr(oracles, "comb", forbidden)
         bell = bell_table(x, 9)
         assert {key: bell(*key) for key in expected} == expected
         with pytest.raises(AssertionError):
             bell_eval(5, 2, x)
+        with pytest.raises(AssertionError):
+            bell_recursive(5, 2, x)
 
 
 class TestIntegralityGuards:

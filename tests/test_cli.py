@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellkit
-from bellkit import egf, identities, transforms
+from bellkit import cli, egf, identities, transforms
 from bellkit.bell import bell_table
-from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main, UsageError
+from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main
+from bellkit.reports import InputError
 from bellkit.sequences import named_sequence
 
 
@@ -267,6 +268,23 @@ class TestErrorHandling:
         code, _, err = run(capsys, "bell", "--n", "3", "--k", "2", "--x", "/nope/missing.json")
         assert code == 2 and "missing.json" in err
 
+    def test_undecodable_file_is_named(self, capsys, tmp_path):
+        # a UnicodeDecodeError is a ValueError, not an OSError
+        f = tmp_path / "utf16.json"
+        f.write_bytes(b"\xff\xfe[\x00]\x00")
+        code, out, err = run(capsys, "series", "log", "--n-max", "3", "--x", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"bellkit: cannot read sequence file {f}: 'utf-8' codec")
+
+    def test_library_errors_reach_the_caller(self, monkeypatch):
+        # only InputError means exit 2; any other ValueError is a fault of the program
+        def bug(*args):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "bell_table", bug)
+        with pytest.raises(ValueError, match="bug"):
+            main(["bell", "--n", "3", "--k", "2"])
+
     def test_random_requires_seed(self, capsys):
         code, _, err = run(capsys, "bell", "--n", "3", "--k", "2", "--x", "random")
         assert code == 2 and "seed" in err
@@ -289,6 +307,7 @@ class TestErrorHandling:
             (["verify", "q-product", "--n", "2", "--lambda", "1", "--lambda2="], "--lambda2"),
             (["verify", "q-product", "--n", "2", "--n2", "0", "--lambda", "1"], "n2=0"),
             (["verify", "general-binomial-demo", "--v="], "--v"),
+            (["verify", "th1a", "--n", "0"], "bellkit: no index vectors for n=0\n"),
             (["transform", "lambda", "--n", "3", "--lambda", "2", "--k0", "0"], "k0"),
             (["series", "apply-poly", "--n-max", "3", "--coeffs="], "--coeffs"),
         ],
@@ -404,17 +423,19 @@ class TestFuzzMain:
     )
 
     @pytest.fixture(scope="class")
-    def seq_file(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("fuzz") / "seq.json"
-        path.write_text('["1/2", "3", "-2/5", "1"]')
-        return str(path)
+    def seq_files(self, tmp_path_factory):
+        """A valid sequence file and one that is not UTF-8."""
+        folder = tmp_path_factory.mktemp("fuzz")
+        (folder / "seq.json").write_text('["1/2", "3", "-2/5", "1"]')
+        (folder / "utf16.json").write_bytes(b"\xff\xfe[\x00]\x00")
+        return [str(folder / "seq.json"), str(folder / "utf16.json")]
 
     @staticmethod
     def _one_of(draw, valid, invalid):
         """Mostly a value argparse accepts; one time in eight, one it refuses."""
         return draw(invalid if draw(st.integers(0, 7)) == 0 else valid)
 
-    def _value(self, draw, flag, seq_file):
+    def _value(self, draw, flag, seq_files):
         spec = FLAGS[flag]
         if spec.get("action") == "store_true":
             return None
@@ -422,7 +443,7 @@ class TestFuzzMain:
             return self._one_of(draw, st.sampled_from(spec["choices"]), st.sampled_from(["bogus", ""]))
         if flag == "--x":
             return draw(st.sampled_from(
-                ["ones", "factorials", "identity-j", "random", seq_file, "/nonexistent.json", ""]
+                ["ones", "factorials", "identity-j", "random", *seq_files, "/nonexistent.json", ""]
             ))
         if spec.get("type") is int:
             return self._one_of(draw, st.integers(-2, 7).map(str), self.TEXTS)
@@ -430,7 +451,7 @@ class TestFuzzMain:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_exit_status(self, data, seq_file):
+    def test_exit_status(self, data, seq_files):
         command = data.draw(st.sampled_from(list(COMMANDS)))
         _, _, dest, options = COMMANDS[command]
         argv = [command]
@@ -444,7 +465,7 @@ class TestFuzzMain:
         foreign = [flag for flag in FLAGS if flag not in (*own, "--format")]
         extra = self._one_of(data.draw, st.just([]), st.sampled_from(foreign).map(lambda f: [f]))
         for flag in flags + extra:
-            value = self._value(data.draw, flag, seq_file)
+            value = self._value(data.draw, flag, seq_files)
             argv.append(flag if value is None else f"{flag}={value}")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
@@ -600,13 +621,13 @@ class TestLoadSequence:
     def test_file_too_short(self, tmp_path):
         f = tmp_path / "s.json"
         f.write_text('["1", "2"]')
-        with pytest.raises(UsageError):
+        with pytest.raises(InputError):
             load_sequence(str(f), n_max=5)
 
     def test_malformed_entries(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text('["1", "x/y"]')
-        with pytest.raises(UsageError):
+        with pytest.raises(InputError):
             load_sequence(str(f))
 
     def test_boolean_entry_refused(self, tmp_path, capsys):

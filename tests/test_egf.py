@@ -4,7 +4,6 @@ from math import comb
 
 import pytest
 
-from bellkit.bell import bell_eval
 from bellkit.egf import (
     TruncatedEGF,
     egf_apply_poly,
@@ -19,6 +18,8 @@ from bellkit.transforms import (
     log_polynomials,
     potential_polynomials,
 )
+
+from oracles import bell_eval
 
 
 X = random_rationals(10, seed=8)

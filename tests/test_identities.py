@@ -10,10 +10,8 @@ from bellkit.identities import (
     CONVOLUTION_VARIANTS,
     DEFAULT_ALPHAS,
     AffineForm,
-    PoleError,
     bell_convolution_plan,
     certify_double_sums,
-    certify_th1_grid,
     check_alpha_constant,
     check_bell_convolution,
     check_general_binomial,
@@ -30,10 +28,13 @@ from bellkit.identities import (
     th1a_weight,
     vanishing_sum_monomials,
 )
-from bellkit.partitions import enumerate_pi, strip_trailing_zeros, w_coefficient
+from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat, rat_str
+from bellkit.reports import PoleError
 from bellkit.sequences import SequenceSpec, ones, naturals, random_rationals
 from bellkit.sparsepoly import SparsePoly
+
+from oracles import certify_th1_grid, w_coefficient
 
 
 class TestAffineForm:

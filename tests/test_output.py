@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit.cli import build_parser
-from bellkit.identities import IdentityReport, _report, certify_th1_grid
 from bellkit.output import dumps, json_value
+from bellkit.reports import IdentityReport
+
+from oracles import certify_th1_grid
 
 #: strings heavy in what JSON escapes: quotes, backslashes, control and non-ASCII characters
 TEXT = st.text(st.sampled_from('a"\\/\n\t\r\x00\x08\x1f\x7f é€ 😀')) | st.text()
@@ -91,7 +93,7 @@ def test_every_report_of_the_grid_renders_as_json_dumps():
 def test_equal_params_render_by_their_own_type():
     # (1,), (Fraction(1),) and (True,) are equal and hash alike
     reports = [
-        _report("t", {"v": v, "x": v[0]}, 0, 0) for v in [(1,), (Fraction(1),), (True,)]
+        IdentityReport("t", {"v": v, "x": v[0]}, 0, 0) for v in [(1,), (Fraction(1),), (True,)]
     ]
     text = dumps({"reports": reports})
     assert text == _as_reference({"reports": reports})
@@ -99,6 +101,6 @@ def test_equal_params_render_by_their_own_type():
 
 
 def test_csv_and_json_share_the_key_order():
-    rep = _report("t", {"v": (2, 1)}, Fraction(1, 2), Fraction(1, 2))
+    rep = IdentityReport("t", {"v": (2, 1)}, Fraction(1, 2), Fraction(1, 2))
     assert tuple(json_value(rep)) == IdentityReport.KEYS
     assert tuple(json.loads(dumps(rep))) == IdentityReport.KEYS

@@ -4,11 +4,9 @@ from math import comb
 import pytest
 
 from bellkit.identities import _w_support, grid_vs
-from bellkit.partitions import (
-    enumerate_pi,
-    strip_trailing_zeros,
-    w_coefficient,
-)
+from bellkit.partitions import enumerate_pi, strip_trailing_zeros
+
+from oracles import w_coefficient
 
 
 def brute_force_pi(m, l, d):

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial as fact
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bellkit.rationals import binomial_general, factorial, multinomial, rat, rat_str
+from bellkit.rationals import binomial_general, rat, rat_str
 
 
 small_rationals = st.fractions(
@@ -63,7 +63,7 @@ def falling_factorial_binomial(t: Fraction, j: int) -> Fraction:
     value = Fraction(1)
     for i in range(j):
         value *= t - i
-    return value / fact(j)
+    return value / factorial(j)
 
 
 class TestBinomialGeneralAgainstOracle:
@@ -79,36 +79,6 @@ class TestBinomialGeneralAgainstOracle:
                     assert binomial_general(t.numerator, j) == got
                 else:
                     assert type(got) is Fraction
-
-
-class TestFactorial:
-    def test_base_cases(self):
-        assert factorial(0) == 1
-        assert factorial(5) == 120
-
-    def test_iterated_multiplication_oracle(self):
-        acc = 1
-        for n in range(1, 13):
-            acc *= n
-            assert factorial(n) == acc
-        assert factorial(12) == 479001600
-
-
-class TestMultinomial:
-    def test_examples(self):
-        assert multinomial(4, (2, 1)) == 12
-        assert multinomial(6, (1, 1, 1)) == 720
-
-    @pytest.mark.parametrize("n", [0, 1, 5, 9])
-    def test_empty_parts(self, n):
-        assert multinomial(n, ()) == factorial(n)
-
-    def test_non_integral_result(self):
-        assert multinomial(2, (3,)) == Fraction(1, 3)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            multinomial(3, (-1,))
 
 
 class TestRatParsing:
