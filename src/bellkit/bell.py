@@ -5,13 +5,15 @@ over all index vectors i with entry sum k and weighted sum n, of
 
     n!/(i_1! i_2! ...) * (x_1/1!)^{i_1} * (x_2/2!)^{i_2} * ...
 
-``bell_table`` is the kernel every Bell consumer in the package reads.  It
-builds the whole triangle B(n, k)(x), 0 <= k <= n <= n_max, in one pass of
-the row recurrence
+``bell_columns`` is the one kernel.  It builds the whole triangle
+B(n, k)(x), 0 <= k <= n <= n_max, in one pass of the row recurrence
 
     B(n, k) = sum_{m=1}^{n-k+1} C(n-1, m-1) x_m B(n-m, k-1)
 
-(Comtet, *Advanced Combinatorics*, ch. 3), in integer arithmetic.
+(Comtet, *Advanced Combinatorics*, ch. 3), in integer arithmetic, and
+returns each column k as integer numerators over one denominator Q_k.  The
+weighted sums of :mod:`bellkit.transforms` read these columns directly;
+``bell_table`` is the view for consumers that read single entries.
 ``bell_symbolic`` expands the definition sum above into a polynomial.
 ``stirling2`` and ``stirling1_unsigned`` are the classical specializations
 at x_j = 1 and x_j = (j-1)!.  The independent routes the tests hold the
@@ -47,19 +49,14 @@ def _term_coefficient(n: int, i) -> int:
     return c
 
 
-def bell_table(x: SequenceSpec, n_max: int) -> BellTable:
-    """Every B(n, k)(x) with 0 <= k <= n <= n_max, from one pass of the row recurrence.
-
-    Returns ``bell(n, k)`` with the conventions B(0, 0) = 1, B(n, 0) = 0 for
-    n > 0 and B(n, k) = 0 for k > n.  B(n, k) needs only x_1 ... x_{n-k+1},
-    so x may be shorter than n_max; reading an entry out of its reach raises
-    ``SequenceTooShort``.
+def bell_columns(x: SequenceSpec, n_max: int) -> tuple[list[list[int]], list[int]]:
+    """``(num, q)`` with B(n, k)(x) = num[k][n] / q[k], 0 <= k <= n <= n_max, in one pass.
 
     All arithmetic is in ints.  With D the lcm of the denominators of x, the
-    entries a_m = D x_m are integers.  Column k is kept as integer numerators
-    over one denominator Q_k: a step of the recurrence puts column k over
-    D Q_{k-1}, and the gcd of that and the column's numerators is divided
-    out before the next step, so the numbers do not grow like D^k.
+    entries a_m = D x_m are integers.  A step of the recurrence puts column k
+    over D Q_{k-1}, and the gcd of that and the column's numerators is
+    divided out, so Q_k does not grow like D^k.  Entries out of the reach of
+    x (n - k + 1 > len(x)) are held as 0.
     """
     length = min(len(x), max(n_max, 0))
     xs = x.values[:length]
@@ -69,25 +66,29 @@ def bell_table(x: SequenceSpec, n_max: int) -> BellTable:
     weights = [
         [comb(n - 1, m) * am for m, am in enumerate(a[:n])] for n in range(n_max + 1)
     ]
-    rows: list[list[Fraction | None]] = [[None] * (n + 1) for n in range(n_max + 1)]
-    for n in range(n_max + 1):
-        rows[n][0] = Fraction(1 if n == 0 else 0)
     prev = [1] + [0] * n_max  # numerators of column k-1, indexed by n
-    q = 1  # their common denominator
+    num, q = [prev], [1]
     for k in range(1, n_max + 1):
         top = min(n_max, length + k - 1)  # last row in reach of x
-        if top < k:
-            break
         col = [0] * (n_max + 1)
         for n in range(k, top + 1):
             # m = 1..n-k+1 pairs weights[n][m-1] with prev[n-m]
             col[n] = sum(map(mul, weights[n], reversed(prev[k - 1 : n])))
-        g = gcd(d * q, *col[k : top + 1])
-        q = d * q // g
-        for n in range(k, top + 1):
-            col[n] //= g
-            rows[n][k] = Fraction(col[n], q)
-        prev = col
+        g = gcd(d * q[-1], *col[k : top + 1])
+        prev = [c // g for c in col]
+        num.append(prev)
+        q.append(d * q[-1] // g)
+    return num, q
+
+
+def bell_table(x: SequenceSpec, n_max: int) -> BellTable:
+    """``bell(n, k)`` -> B(n, k)(x) for n <= n_max, read from ``bell_columns``.
+
+    Conventions: B(0, 0) = 1, B(n, 0) = 0 for n > 0 and B(n, k) = 0 for k > n.
+    x may be shorter than n_max; an entry out of its reach raises ``SequenceTooShort``.
+    """
+    num, q = bell_columns(x, n_max)
+    rows = [[Fraction(num[k][n], q[k]) for k in range(n + 1)] for n in range(n_max + 1)]
 
     def bell(n: int, k: int) -> Fraction:
         if n < 0 or k < 0:
@@ -96,10 +97,9 @@ def bell_table(x: SequenceSpec, n_max: int) -> BellTable:
             raise InputError(f"table holds n <= {n_max}, got n={n}")
         if k > n:
             return Fraction(0)
-        value = rows[n][k]
-        if value is None:
+        if k and n - k >= len(x):
             x.require(n - k + 1)
-        return value
+        return rows[n][k]
 
     return bell
 

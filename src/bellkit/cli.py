@@ -241,13 +241,14 @@ def cmd_transform(args):
             "output": output.to_json_obj(),
         }, False
     y = forward_transform(x, params, n_max)
+    x = x.prefix(n_max)
     back = inverse_transform(y, params, n_max)
-    recovered = back.values == x.prefix(n_max).values
+    recovered = back.values == x.values
     return {
         "command": "transform-roundtrip",
         "a": params.a,
         "b": params.b,
-        "x": x.prefix(n_max).to_json_obj(),
+        "x": x.to_json_obj(),
         "forward": y.to_json_obj(),
         "recovered": back.to_json_obj(),
         "exact_match": recovered,
@@ -469,6 +470,9 @@ FLAGS = {
     "--format": {"choices": ("json", "csv"), "default": "json"},
 }
 
+#: integer options that count or index entries; argparse's int takes any size
+INDEX_FLAGS = ("--n", "--k", "--n-max", "--n2", "--k0")
+
 TRANSFORM_FLAGS = ("--a", "--b", "--n", *SEQUENCE_FLAGS)
 
 #: subcommand -> (help, handler, mode argument or None, {mode: options} or options)
@@ -543,6 +547,10 @@ def main(argv=None) -> int:
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
+        for flag in INDEX_FLAGS:
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and abs(value) > sys.maxsize:
+                raise InputError(f"{flag} is out of range for an index, got {value}")
         payload, failed = args.handler(args)
     except InputError as exc:
         print(f"bellkit: {exc}", file=sys.stderr)

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bell import bell_table
 from .rationals import rat, rat_str
 from .reports import InputError
 from .sequences import SequenceSpec
-from .transforms import TransformParams, _forward, _q_sum
+from .transforms import TransformParams, _forward, _q_sum, _rows
 
 
 @dataclass(frozen=True)
@@ -199,14 +198,14 @@ def egf_apply_poly(
     l-1+a*n, x) and the constant one is F(1).
     """
     n_max = len(x)
-    bell = bell_table(x, n_max)
-    z = TruncatedEGF.from_sequence(_forward(params, n_max, bell))
+    rows = _rows(x, n_max)
+    z = TruncatedEGF.from_sequence(_forward(params, rows))
     coeffs = [rat(c) for c in f_coeffs]
     out = [sum(coeffs, Fraction(0))]
     for n in range(1, n_max + 1):
         acc = Fraction(0)
         for l, c in enumerate(coeffs):
             if l >= 1 and c:
-                acc += c * l * _q_sum(n, params.b, l - 1 + params.a * n, bell)
+                acc += c * l * _q_sum(rows[n], params.b, l - 1 + params.a * n)
         out.append(acc)
     return z, TruncatedEGF(tuple(out))

@@ -35,13 +35,23 @@ def rat_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def falling(p: int, j: int, q: int = 1) -> int:
+    """p (p - q) (p - 2q) ... (p - (j-1)q), in ints: q^j times the falling factorial of p/q."""
+    if q == 1:
+        return math.perm(p, j) if p >= 0 else (-1) ** j * math.perm(j - 1 - p, j)
+    out = 1
+    for i in range(j):
+        out *= p - i * q
+    return out
+
+
 def binomial_general(t, j: int):
     """Generalized binomial coefficient t(t-1)...(t-j+1) / j!.
 
     Defined for any rational (or integer) upper argument t and any
     nonnegative integer lower argument j; total on that domain.  Returns an
     int when t is an integer, a Fraction otherwise.  For t = p/q the value
-    is prod_{i<j} (p - i*q) / (q^j j!), computed in ints.
+    is falling(p, j, q) / (q^j j!), computed in ints.
     """
     if j < 0:
         raise InputError(f"lower index must be nonnegative, got {j}")
@@ -51,7 +61,4 @@ def binomial_general(t, j: int):
             return math.comb(p, j)
         # falling factorial of a negative integer, flipped upward
         return (-1) ** j * math.comb(-p + j - 1, j)
-    num = 1
-    for i in range(j):
-        num *= p - i * q
-    return Fraction(num, q**j * math.factorial(j))
+    return Fraction(falling(p, j, q), q**j * math.factorial(j))

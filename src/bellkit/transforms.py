@@ -14,18 +14,21 @@ binomial weights; composed in either order they give back the input,
 exactly, whenever a*n + b stays away from 0.  ``lambda_identity_check``
 certifies the composition identity that makes the inversion work.
 
-Every function here reads its Bell values from one ``bell_table`` per
-sequence per call.
+Every function here reads the Bell triangle of a sequence as the integer
+columns of ``bell_columns``, one build per sequence per call.  Row n is put
+over one denominator L_n = lcm(Q_1, ..., Q_n) of the column denominators,
+and each weighted sum is one integer sum over L_n (times the weights' own
+denominator), with one ``Fraction`` per result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, perm
 
-from .bell import BellTable, bell_table
-from .rationals import binomial_general, rat
+from .bell import bell_columns
+from .rationals import binomial_general, falling, rat
 from .reports import IdentityReport, InputError, PoleError
 from .sequences import SequenceSpec
 
@@ -47,16 +50,35 @@ def q_function(n: int, b: int, lam, z: SequenceSpec) -> Fraction:
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     z.require(n)
-    return _q_sum(n, b, rat(lam), bell_table(z, n))
+    return _q_sum(_rows(z, n)[n], b, rat(lam))
 
 
-def _q_sum(n: int, b: int, lam, bell: BellTable, k0: int = 1) -> Fraction:
-    """sum_{k=k0}^{n} C(lam + b*k, k-k0) (k-1)! B(n, k)(z) from a Bell table of z;
-    at k0 = 1 it is q_function(n, b, lam, z)."""
-    total = Fraction(0)
-    for k in range(k0, n + 1):
-        total += binomial_general(lam + b * k, k - k0) * factorial(k - 1) * bell(n, k)
-    return total
+Row = tuple[list[int], int]
+
+
+def _rows(z: SequenceSpec, n_max: int) -> list[Row]:
+    """Row n of the Bell triangle of z as integers r over one denominator L_n:
+    B(n, k)(z) = r[k] / L_n, with L_n = lcm(Q_1, ..., Q_n) from ``bell_columns``."""
+    num, q = bell_columns(z, n_max)
+    rows, l = [], 1
+    for n in range(n_max + 1):
+        l = lcm(l, q[n])
+        rows.append(([num[k][n] * (l // q[k]) for k in range(n + 1)], l))
+    return rows
+
+
+def _q_sum(row: Row, b: int, lam, k0: int = 1) -> Fraction:
+    """sum_{k=k0}^{n} C(lam + b*k, k-k0) (k-1)! B(n, k)(z) from row n of ``_rows(z, .)``,
+    q_function(n, b, lam, z) at k0 = 1.  With lam = p/s each weight is an
+    integer over s^(k-k0), so the sum is one integer over L_n s^(n-k0)."""
+    r, l = row
+    n = len(r) - 1
+    p, s = lam.numerator, lam.denominator
+    total = sum(
+        falling(p + b * k * s, k - k0, s) * perm(k - 1, k0 - 1) * s ** (n - k) * r[k]
+        for k in range(k0, n + 1)
+    )
+    return Fraction(total, l * s ** max(n - k0, 0))
 
 
 def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
@@ -70,13 +92,13 @@ def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
     if lam < 0 or not isinstance(lam, int):
         raise InputError(f"lam must be a nonnegative integer, got {lam!r}")
     z.require(n)
-    bell = bell_table(z, n)
-    lhs = _q_sum(n, 0, lam, bell)
+    rows = _rows(z, n)
+    lhs = _q_sum(rows[n], 0, lam)
     rhs = z[n]
     for i in range(1, lam + 1):
         inner = Fraction(0)
         for m in range(1, n):
-            inner += comb(n, m) * z[n - m] * _q_sum(m, 0, i - 1, bell)
+            inner += comb(n, m) * z[n - m] * _q_sum(rows[m], 0, i - 1)
         rhs += Fraction(i, lam + 1) * inner
     return IdentityReport("q-recurrence", {"n": n, "lambda": lam, "z": z}, lhs, rhs)
 
@@ -94,8 +116,9 @@ def q_product_check(
         raise InputError(f"orders must be positive, got n1={n1}, n2={n2}")
     z.require(max(n1, n2))
     lam1, lam2 = rat(lam1), rat(lam2)
-    bell = bell_table(z, max(n1, n2))
-    lhs = _q_sum(n1, b1, lam1, bell) * _q_sum(n2, b2, lam2, bell)
+    rows = _rows(z, max(n1, n2))
+    (r1, l1), (r2, l2) = rows[n1], rows[n2]
+    lhs = _q_sum(rows[n1], b1, lam1) * _q_sum(rows[n2], b2, lam2)
     rhs = Fraction(0)
     for l in range(1, n2 + 1):
         den2 = lam2 + b2 * l + 1
@@ -111,8 +134,8 @@ def q_product_check(
                 * binomial_general(den1, j)
                 * binomial_general(den2, l)
                 / (den1 * den2 * comb(k, l))
-                * bell(n1, j)
-                * bell(n2, l)
+                * r1[j]
+                * r2[l]
             )
     return IdentityReport(
         "q-product",
@@ -126,7 +149,7 @@ def q_product_check(
             "z": z,
         },
         lhs,
-        rhs,
+        rhs / (l1 * l2),
     )
 
 
@@ -135,30 +158,25 @@ def forward_transform(
 ) -> SequenceSpec:
     """y_n = sum_{k=1}^{n} C(a*n + b*k, k-1) (k-1)! B(n, k)(x), n = 1..n_max."""
     x.require(n_max)
-    return _forward(params, n_max, bell_table(x, n_max))
+    return _forward(params, _rows(x, n_max))
 
 
-def _forward(params: TransformParams, n_max: int, bell: BellTable) -> SequenceSpec:
-    """forward_transform from a Bell table of x."""
+def _forward(params: TransformParams, rows: list[Row]) -> SequenceSpec:
+    """forward_transform from ``_rows(x, n_max)``."""
     return SequenceSpec(
-        tuple(_q_sum(n, params.b, params.a * n, bell) for n in range(1, n_max + 1))
+        tuple(_q_sum(rows[n], params.b, params.a * n) for n in range(1, len(rows)))
     )
 
 
-def _inverse_entry(params: TransformParams, n: int, bell: BellTable) -> Fraction:
+def _inverse_entry(params: TransformParams, n: int, row: Row) -> Fraction:
+    """x_n from row n of ``_rows(y, .)``: one integer sum over L_n (a*n + b)."""
     a, b = params.a, params.b
     den = a * n + b
     if den == 0:
         raise PoleError(f"a*n + b = 0 at n = {n}", where=("n", n))
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += (
-            Fraction(a * n + b * k, den)
-            * binomial_general(-a * n - b, k - 1)
-            * factorial(k - 1)
-            * bell(n, k)
-        )
-    return total
+    r, l = row
+    total = sum((a * n + b * k) * falling(-den, k - 1) * r[k] for k in range(1, n + 1))
+    return Fraction(total, l * den)
 
 
 def inverse_transform(
@@ -171,9 +189,9 @@ def inverse_transform(
     """
     params.require_invertible()
     y.require(n_max)
-    bell = bell_table(y, n_max)
+    rows = _rows(y, n_max)
     return SequenceSpec(
-        tuple(_inverse_entry(params, n, bell) for n in range(1, n_max + 1))
+        tuple(_inverse_entry(params, n, rows[n]) for n in range(1, n_max + 1))
     )
 
 
@@ -194,30 +212,28 @@ def lambda_identity_check(
         raise InputError(f"k0 must be >= 1, got {k0}")
     x.require(n)
     lam = rat(lam)
-    bell_x = bell_table(x, n)
-    bell_y = bell_table(_forward(params, n, bell_x), n)
+    rows_x = _rows(x, n)
+    rows_y = _rows(_forward(params, rows_x), n)
     return IdentityReport(
         "lambda-composition",
         {"a": params.a, "b": params.b, "n": n, "lambda": lam, "k0": k0, "x": x},
-        _q_sum(n, 0, lam, bell_y, k0),
-        _q_sum(n, params.b, lam + params.a * n, bell_x, k0),
+        _q_sum(rows_y[n], 0, lam, k0),
+        _q_sum(rows_x[n], params.b, lam + params.a * n, k0),
     )
 
 
 def log_polynomials(z: SequenceSpec, n_max: int) -> SequenceSpec:
     """Logarithmic polynomials: the b = 0 weighted sum at lam = -1."""
     z.require(n_max)
-    bell = bell_table(z, n_max)
-    return SequenceSpec(
-        tuple(_q_sum(n, 0, Fraction(-1), bell) for n in range(1, n_max + 1))
-    )
+    rows = _rows(z, n_max)
+    return SequenceSpec(tuple(_q_sum(rows[n], 0, -1) for n in range(1, n_max + 1)))
 
 
 def potential_polynomials(r, z: SequenceSpec, n_max: int) -> SequenceSpec:
     """Potential polynomials: r times the b = 0 weighted sum at lam = r - 1."""
     z.require(n_max)
     r = rat(r)
-    bell = bell_table(z, n_max)
+    rows = _rows(z, n_max)
     return SequenceSpec(
-        tuple(r * _q_sum(n, 0, r - 1, bell) for n in range(1, n_max + 1))
+        tuple(r * _q_sum(rows[n], 0, r - 1) for n in range(1, n_max + 1))
     )

@@ -8,6 +8,13 @@ W(m, l; v), checked against the generating-function product of
 ``identities._w_support``; ``certify_th1_grid`` sweeps every v up to a
 weighted sum through ``certify_double_sums``.
 
+The weighted Bell sums of ``bellkit.transforms`` (``q_function``, the
+transform pair, the two sides of the lambda identity, the logarithmic and
+potential polynomials) are held against ``Fraction`` loops over the entries
+of ``bell_table``: one ``Fraction`` product and sum per (n, k), where the
+package adds integers over one denominator.  ``bell_table`` itself is held
+against ``bell_eval`` and ``bell_recursive``.
+
 Checks raise explicitly instead of using ``assert``: pytest rewrites
 asserts only in test modules, and ``python -O`` strips the rest.  This
 module is not collected as a test module.
@@ -18,9 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from bellkit.bell import bell_table
 from bellkit.identities import DEFAULT_ALPHAS, certify_double_sums, grid_vs
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
-from bellkit.reports import GridResult
+from bellkit.rationals import binomial_general, rat
+from bellkit.reports import GridResult, InputError, PoleError
 from bellkit.sequences import SequenceSpec
 
 
@@ -113,3 +122,68 @@ def certify_th1_grid(n_max: int) -> GridResult:
     """
     vs = [v for n in range(1, n_max + 1) for v in grid_vs(n)]
     return certify_double_sums(vs, DEFAULT_ALPHAS)
+
+
+def q_sum(n: int, b: int, lam, bell, k0: int = 1) -> Fraction:
+    """sum_{k=k0}^{n} C(lam + b*k, k-k0) (k-1)! B(n, k) over a ``bell_table``."""
+    total = Fraction(0)
+    for k in range(k0, n + 1):
+        total += binomial_general(lam + b * k, k - k0) * factorial(k - 1) * bell(n, k)
+    return total
+
+
+def q_function(n: int, b: int, lam, z: SequenceSpec) -> Fraction:
+    if n < 1:
+        raise InputError(f"n must be positive, got {n}")
+    z.require(n)
+    return q_sum(n, b, rat(lam), bell_table(z, n))
+
+
+def forward_transform(x: SequenceSpec, a: int, b: int, n_max: int) -> SequenceSpec:
+    x.require(n_max)
+    bell = bell_table(x, n_max)
+    return SequenceSpec(tuple(q_sum(n, b, a * n, bell) for n in range(1, n_max + 1)))
+
+
+def inverse_transform(y: SequenceSpec, a: int, b: int, n_max: int) -> SequenceSpec:
+    """The inverse with the pole and (0, 0) errors of ``transforms.inverse_transform``."""
+    if a == 0 and b == 0:
+        raise InputError("(a, b) = (0, 0) has no inverse transform")
+    y.require(n_max)
+    bell = bell_table(y, n_max)
+    out = []
+    for n in range(1, n_max + 1):
+        den = a * n + b
+        if den == 0:
+            raise PoleError(f"a*n + b = 0 at n = {n}", where=("n", n))
+        total = Fraction(0)
+        for k in range(1, n + 1):
+            total += (
+                Fraction(a * n + b * k, den)
+                * binomial_general(-a * n - b, k - 1)
+                * factorial(k - 1)
+                * bell(n, k)
+            )
+        out.append(total)
+    return SequenceSpec(tuple(out))
+
+
+def lambda_identity_sides(x: SequenceSpec, a: int, b: int, n: int, lam, k0: int = 1):
+    """Both sides of ``transforms.lambda_identity_check`` at n >= 1 and k0 >= 1."""
+    x.require(n)
+    lam = rat(lam)
+    bell_y = bell_table(forward_transform(x, a, b, n), n)
+    return q_sum(n, 0, lam, bell_y, k0), q_sum(n, b, lam + a * n, bell_table(x, n), k0)
+
+
+def log_polynomials(z: SequenceSpec, n_max: int) -> SequenceSpec:
+    z.require(n_max)
+    bell = bell_table(z, n_max)
+    return SequenceSpec(tuple(q_sum(n, 0, Fraction(-1), bell) for n in range(1, n_max + 1)))
+
+
+def potential_polynomials(r, z: SequenceSpec, n_max: int) -> SequenceSpec:
+    z.require(n_max)
+    r = rat(r)
+    bell = bell_table(z, n_max)
+    return SequenceSpec(tuple(r * q_sum(n, 0, r - 1, bell) for n in range(1, n_max + 1)))

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellkit
-from bellkit import cli, egf, identities, transforms
-from bellkit.bell import bell_table
+from bellkit import cli, identities, transforms
+from bellkit.bell import bell_columns, bell_table
 from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main
 from bellkit.reports import InputError
 from bellkit.sequences import named_sequence
@@ -156,10 +156,9 @@ class TestSeriesCommand:
 
         def counted(x, n_max):
             calls.append(n_max)
-            return bell_table(x, n_max)
+            return bell_columns(x, n_max)
 
-        monkeypatch.setattr(egf, "bell_table", counted)
-        monkeypatch.setattr(transforms, "bell_table", counted)
+        monkeypatch.setattr(transforms, "bell_columns", counted)
         code, out, _ = run(
             capsys, "series", "apply-poly", "--coeffs", "1,2,3",
             "--a", "1", "--b", "1", "--n-max", "12", "--x", "random", "--seed", "2",
@@ -411,6 +410,24 @@ class TestErrorHandling:
         code, out, err = run(capsys, *command.split(), "--n", n, "--lambda", "2")
         assert code == 2 and out == ""
         assert err == f"bellkit: n must be positive, got {n}\n"
+
+    @pytest.mark.parametrize("value", ["99999999999999999999", "-99999999999999999999"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("stirling --n={} --k 1", "--n"),
+            ("stirling --n 3 --k={}", "--k"),
+            ("bell --n 3 --k={} --x ones", "--k"),
+            ("series log --n-max={} --x ones", "--n-max"),
+            ("transform forward --n-max={} --x ones", "--n-max"),
+            ("verify th1a --n={}", "--n"),
+        ],
+    )
+    def test_index_beyond_an_index_sized_int_is_named(self, capsys, argv, flag, value):
+        # argparse's int takes any size; such a value used to end in OverflowError
+        code, out, err = run(capsys, *argv.format(value).split())
+        assert code == 2 and out == ""
+        assert err == f"bellkit: {flag} is out of range for an index, got {value}\n"
 
 
 class TestFuzzMain:

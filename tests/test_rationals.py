@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from bellkit.rationals import binomial_general, rat, rat_str
+from bellkit.rationals import binomial_general, falling, rat, rat_str
 
 
 small_rationals = st.fractions(
@@ -79,6 +79,16 @@ class TestBinomialGeneralAgainstOracle:
                     assert binomial_general(t.numerator, j) == got
                 else:
                     assert type(got) is Fraction
+
+    def test_falling_is_the_scaled_fraction_product(self):
+        # falling(p, j, q) = q^j (p/q)(p/q - 1)...(p/q - j + 1), an int for every sign of p
+        rng = random.Random(21)
+        for _ in range(400):
+            p, q = rng.randint(-60, 60), rng.randint(1, 12)
+            for j in range(16):
+                got = falling(p, j, q)
+                assert type(got) is int
+                assert got == falling_factorial_binomial(Fraction(p, q), j) * factorial(j) * q**j
 
 
 class TestRatParsing:

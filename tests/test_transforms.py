@@ -1,15 +1,18 @@
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from bellkit.bell import bell_table
+import oracles
+
 from bellkit.rationals import binomial_general
 from bellkit.reports import PoleError
 from bellkit.sequences import SequenceSpec, SequenceTooShort, ones, random_rationals
 from bellkit.transforms import (
     TransformParams,
     _inverse_entry,
+    _rows,
     forward_transform,
     inverse_transform,
     lambda_identity_check,
@@ -146,9 +149,9 @@ class TestInverse:
         params = TransformParams(1, -2)
         x = random_rationals(5, seed=13)
         y = forward_transform(x, params, 5)
-        bell_y = bell_table(y, 5)
+        rows_y = _rows(y, 5)
         for n in (1, 3, 4, 5):
-            assert _inverse_entry(params, n, bell_y) == x[n]
+            assert _inverse_entry(params, n, rows_y[n]) == x[n]
 
 
 class TestBEqualsOneSpecialization:
@@ -262,3 +265,107 @@ class TestNegativeLengths:
     def test_transforms_refuse_negative_n_max(self, transform):
         with pytest.raises(ValueError, match="nonnegative"):
             transform(Z, TransformParams(1, 1), -1)
+
+
+def _seq(length, seed, height, zeros=()):
+    rng = random.Random(seed)
+    values = [Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(length)]
+    for j in zeros:
+        values[j] = Fraction(0)
+    return SequenceSpec(tuple(values))
+
+
+#: heights <= 9 and <= 10^6, zero entries, an all-zero prefix, and one
+#: sequence too short for n_max = 12
+ORACLE_SEQUENCES = (
+    _seq(12, 1, 9),
+    _seq(12, 2, 10**6),
+    _seq(12, 3, 9, zeros=(1, 4, 5, 9)),
+    _seq(12, 4, 10**6, zeros=range(4)),
+    _seq(7, 5, 10**6),
+)
+
+#: rationals with denominators up to 12
+ORACLE_LAMBDAS = (0, -1, 4, Fraction(7, 12), Fraction(-5, 11), Fraction(3, 8), Fraction(-13, 6))
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type, message and pole of the error it raises."""
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "where", None)
+    return getattr(value, "values", value)
+
+
+class TestAgainstFractionOracle:
+    """The integer sums over one denominator equal the Fraction loops of
+    ``tests/oracles.py`` exactly, errors included."""
+
+    @pytest.mark.parametrize("a", range(-3, 4))
+    @pytest.mark.parametrize("b", range(-3, 4))
+    def test_transform_pair(self, a, b):
+        params = TransformParams(a, b)
+        for x in ORACLE_SEQUENCES:
+            for n_max in (0, 1, 2, 3, 7, 12):
+                assert outcome(forward_transform, x, params, n_max) == outcome(
+                    oracles.forward_transform, x, a, b, n_max
+                )
+                assert outcome(inverse_transform, x, params, n_max) == outcome(
+                    oracles.inverse_transform, x, a, b, n_max
+                )
+
+    @pytest.mark.parametrize(
+        "n_max, height, pairs",
+        [
+            (26, 9, ((0, 1), (1, 1), (2, 3), (1, 0), (-2, 3))),
+            (26, 10**6, ((0, 1), (2, 3), (-1, -2))),
+            (60, 9, ((2, 3), (0, -1))),
+        ],
+    )
+    def test_transform_pair_spot_checks(self, n_max, height, pairs):
+        x = _seq(n_max, n_max + height, height, zeros=(2, 7))
+        for a, b in pairs:
+            params = TransformParams(a, b)
+            y = forward_transform(x, params, n_max)
+            assert y.values == oracles.forward_transform(x, a, b, n_max).values
+            assert outcome(inverse_transform, y, params, n_max) == outcome(
+                oracles.inverse_transform, y, a, b, n_max
+            )
+
+    @pytest.mark.parametrize("b", range(-3, 4))
+    def test_q_function(self, b):
+        for x in ORACLE_SEQUENCES[::2] + ORACLE_SEQUENCES[-1:]:
+            for n in (0, 1, 2, 5, 8, 12):
+                for lam in ORACLE_LAMBDAS:
+                    assert outcome(q_function, n, b, lam, x) == outcome(
+                        oracles.q_function, n, b, lam, x
+                    )
+
+    @pytest.mark.parametrize("k0", [1, 2, 3])
+    @pytest.mark.parametrize("a, b", [(0, 1), (1, 1), (2, 3), (-1, 2), (3, -3), (0, 0)])
+    def test_lambda_identity(self, k0, a, b):
+        params = TransformParams(a, b)
+        for x in ORACLE_SEQUENCES[1:4]:
+            for n in (1, 2, 3, 6, 12):
+                for lam in ORACLE_LAMBDAS[2:6]:
+                    rep = lambda_identity_check(x, params, n, lam, k0)
+                    assert rep.passed
+                    assert (rep.lhs, rep.rhs) == oracles.lambda_identity_sides(
+                        x, a, b, n, lam, k0
+                    )
+        short = ORACLE_SEQUENCES[-1]
+        assert outcome(lambda_identity_check, short, params, 12, 1, k0) == outcome(
+            oracles.lambda_identity_sides, short, a, b, 12, 1, k0
+        )
+
+    def test_log_and_potential_polynomials(self):
+        for x in ORACLE_SEQUENCES:
+            for n_max in (0, 1, 5, 12):
+                assert outcome(log_polynomials, x, n_max) == outcome(
+                    oracles.log_polynomials, x, n_max
+                )
+                for r in ORACLE_LAMBDAS:
+                    assert outcome(potential_polynomials, r, x, n_max) == outcome(
+                        oracles.potential_polynomials, r, x, n_max
+                    )
