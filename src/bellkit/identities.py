@@ -34,8 +34,11 @@ tau's denominator and d the common denominator of alpha's coefficients.
 One common denominator, the ``math.lcm`` of the factors' denominators
 times the highest power of q*d, is a multiple of each term's, so each term
 scaled to it has an exact integer numerator.  Adding integers rounds
-nothing: their total over that denominator is the exact sum, and one
-``Fraction`` per report reduces it.
+nothing: their total over that denominator is the exact sum.  The right
+side is an integer numerator over a denominator too, and the two sides are
+compared by cross-multiplying.  A passing report holds one reduced
+``Fraction``, the right side, as both ``lhs`` and ``rhs``; a failing one
+holds both sides, each reduced.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable
 
 from .bell import bell_table
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros
-from .rationals import binomial_general, rat, rat_str
+from .rationals import binomial_general, falling, rat, rat_str
 from .reports import GridResult, IdentityReport, InputError, PoleError
 from .sequences import SequenceSpec, factorials, ones
 from .sparsepoly import SparsePoly
@@ -201,14 +204,15 @@ class Th1Plan:
     the weight is W(m, l; v) in :func:`th1_plan`, and C(n, m) B(m, l)
     B(n-m, k-l) with v None in :func:`bell_convolution_plan`.  alpha is
     evaluated in integers: alpha(l, m) = A / d, where d is the common
-    denominator of alpha's coefficients and A an integer numerator.
+    denominator of alpha's coefficients and A an integer numerator;
+    ``a00`` and ``akn`` are the A of alpha(0, 0) and alpha(k, n).
     Summation terms with equal (l, alpha(l, m)) differ only in their weight,
     so they are merged, in first-appearance order, into one term (l, A, w)
     of ``merged`` carrying the summed weight w; the sums are exact, so
     merging cannot change a value.  ``pole`` is the first (l, m), in
     l-major, m-minor order, where alpha vanishes at nonzero weight (None if
-    there is none), and ``avoid`` maps each value alpha takes on the
-    support to the first (l, m) taking it.
+    there is none), and ``first`` maps each A that alpha takes on the
+    support to the first (l, m) taking it; ``avoid`` keys it by A / d.
     """
 
     def __init__(self, support, alpha: AffineForm):
@@ -217,20 +221,22 @@ class Th1Plan:
         coeffs = (alpha.c0, alpha.c1, alpha.c2)
         self.d = d = lcm(*(c.denominator for c in coeffs))
         c0, c1, c2 = (c.numerator * (d // c.denominator) for c in coeffs)
-        self.a00 = Fraction(c0, d)
-        self.akn = Fraction(c0 + c1 * self.k + c2 * self.n, d)
+        self.a00, self.akn = c0, c0 + c1 * self.k + c2 * self.n
         self.pole: tuple[int, int] | None = None
-        first: dict[int, tuple[int, int]] = {}
+        self.first: dict[int, tuple[int, int]] = {}
         merged: dict[tuple[int, int], int | Fraction] = {}
         for l, m, w in terms:
             a = c0 + c1 * l + c2 * m
             if a == 0 and self.pole is None:
                 self.pole = (l, m)
-            first.setdefault(a, (l, m))
+            self.first.setdefault(a, (l, m))
             merged[l, a] = merged.get((l, a), 0) + w
-        self.avoid = {Fraction(a, d): where for a, where in first.items()}
         self.merged = tuple((l, a, w) for (l, a), w in merged.items())
         self._coefficients: dict[str, tuple] = {}
+
+    @cached_property
+    def avoid(self) -> dict[Fraction, tuple[int, int]]:
+        return {Fraction(a, self.d): where for a, where in self.first.items()}
 
     def coefficients(self, variant: str) -> tuple[int, int, list, list]:
         """Variant A, B or C as integers: (L, J, terms, tails).
@@ -247,30 +253,32 @@ class Th1Plan:
         With C(a, r) = P / (d^r r!), where P = A (A - d) ... (A - (r-1)d),
         and r! C(k, l) j! = k! for r + j = k, each c / j! (c / l! for C) is
         one quotient lead * P w / (A d^r k!), where lead is d * alpha(k, n)
-        for A, d * alpha(0, 0) for B (with r = l) and d for C (r = k - l).
+        for A, d * alpha(0, 0) for B (with r = l) and d for C (r = k - l);
+        each quotient is reduced by its gcd and L is the lcm of what is left.
         """
         if variant not in self._coefficients:
             k, d = self.k, self.d
-            lead = {"A": int(self.akn * d), "B": int(self.a00 * d), "C": d}[variant]
+            lead = {"A": self.akn, "B": self.a00, "C": d}[variant]
             terms, tails = [], []
             for l, num, w in self.merged:
                 r = l if variant == "B" else k - l
-                c = Fraction(lead * prod(num - i * d for i in range(r)) * w,
-                             num * d**r * factorial(k))
-                if not c:
+                top = lead * falling(num, r, d) * w.numerator
+                if not top:
                     continue
+                bottom = num * d**r * factorial(k) * w.denominator
+                c = (top // (g := gcd(top, bottom)), bottom // g)
                 if variant != "C":
                     terms.append((num, k - r, c))
                 elif l == 0:
                     tails.append((num, c))
                 else:
                     terms.append((num + d, l - 1, c))
-            scale = lcm(*(c.denominator for *_, c in terms + tails))
+            scale = lcm(*(c[1] for *_, c in terms + tails))
             self._coefficients[variant] = (
                 scale,
                 max((j for _, j, _ in terms), default=0),
-                [(num, j, c.numerator * (scale // c.denominator)) for num, j, c in terms],
-                [(num, c.numerator * (scale // c.denominator)) for num, c in tails],
+                [(num, j, top * (scale // bottom)) for num, j, (top, bottom) in terms],
+                [(num, top * (scale // bottom)) for num, (top, bottom) in tails],
             )
         return self._coefficients[variant]
 
@@ -289,28 +297,30 @@ def _raise_at_pole(plan: Th1Plan) -> None:
         raise PoleError(f"alpha({l},{m}) = 0", where=plan.pole)
 
 
-def _double_sum(plan: Th1Plan, variant: str, tau: Fraction) -> Fraction:
-    """The left side of variant A, B or C at tau.
+def _double_sum(plan: Th1Plan, variant: str, tau: Fraction) -> tuple[int, int]:
+    """The left side of variant A, B or C at tau, as an unreduced (num, den).
 
     Raises :class:`PoleError` at the first pole, in this order: for variant
     C, alpha(k, n) = 0 and then tau = alpha(0, 0); then the first (l, m)
-    where alpha is 0 or (for variant C) equal to tau.
+    where alpha is 0 or (for variant C) equal to tau.  tau = p/q equals
+    alpha = A/d exactly when p*d = A*q.
     """
+    p, q = tau.numerator, tau.denominator
+    pd = p * plan.d
     if variant == "C":
         if plan.akn == 0:
             raise PoleError(f"alpha({plan.k},{plan.n}) = 0", where=(plan.k, plan.n))
-        if tau == plan.a00:
+        if pd == plan.a00 * q:
             raise PoleError(f"tau = alpha(0,0) = {rat_str(tau)}", where=(0, 0))
         # the first contributing (l, m) where alpha is 0 or tau decides the error
-        hit = plan.avoid.get(tau)
+        hit = None if pd % q else plan.first.get(pd // q)
         if hit is not None and (plan.pole is None or hit < plan.pole):
             l, m = hit
             raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=hit)
     _raise_at_pole(plan)
     scale, j_max, terms, tails = plan.coefficients(variant)
     # times q*d, tau - A/d - i is the integer p*d - A*q - i*q*d
-    p, q = tau.numerator, tau.denominator
-    pd, step = p * plan.d, q * plan.d
+    step = q * plan.d
     powers = [1]
     for _ in range(j_max):
         powers.append(powers[-1] * step)
@@ -326,13 +336,35 @@ def _double_sum(plan: Th1Plan, variant: str, tau: Fraction) -> Fraction:
         x = pd - num * q
         total, den = total * scale * x + w * step * den, den * scale * x
     if variant == "C":
-        return Fraction(p * total, q * den)
-    return Fraction(total, den)
+        return p * total, q * den
+    return total, den
 
 
-def _c_factor(plan: Th1Plan, tau: Fraction) -> Fraction:
-    """Variant C's right side over C(tau, k): the partial-fraction prefactor."""
-    return (tau - plan.a00 + plan.akn) / (plan.akn * (tau - plan.a00))
+def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=()):
+    """The report ``name`` with ``params(tau)`` of variant A, B or C at each tau.
+
+    At tau = p/q the right side is C(tau, k) = falling(p, k, q) / (q^k k!)
+    times the weight at l = k; for C, times d (x + akn q) / (akn x), with
+    x = p d - a00 q.  The sides are compared by cross-multiplying, and when
+    they are equal one reduced ``Fraction`` is both ``lhs`` and ``rhs``.
+    """
+    k, d, fk = plan.k, plan.d, factorial(plan.k)
+    # at l = k only m = n has weight: W(n, k; v) = 1, C(n, n) B(n, k) B(0, 0) = B(n, k)
+    top = sum(w for l, _, w in plan.merged if l == k)
+    for tau in taus:
+        ln, ld = _double_sum(plan, variant, tau)
+        p, q = tau.numerator, tau.denominator
+        rn, rd = falling(p, k, q) * top.numerator, q**k * fk * top.denominator
+        if variant == "C":
+            x = p * d - plan.a00 * q
+            rn, rd = rn * d * (x + plan.akn * q), rd * plan.akn * x
+        if ln * rd == rn * ld:
+            lhs = rhs = Fraction(rn, rd)
+        else:
+            lhs, rhs = Fraction(ln, ld), Fraction(rn, rd)
+        report = IdentityReport(name, params(tau), lhs, rhs)
+        report.skipped_poles = skipped
+        yield report
 
 
 def check_th1(
@@ -347,11 +379,7 @@ def check_th1(
     if variant not in ("A", "B"):
         raise InputError(f"variant must be 'A' or 'B', got {variant!r}")
     plan = plan or th1_plan(v, alpha)
-    tau = rat(tau)
-    lhs = _double_sum(plan, variant, tau)
-    return IdentityReport(
-        f"th1{variant.lower()}", plan.params(tau), lhs, binomial_general(tau, plan.k)
-    )
+    return next(_th1_reports(plan, variant, [rat(tau)], f"th1{variant.lower()}", plan.params))
 
 
 def check_th1c(
@@ -362,10 +390,7 @@ def check_th1c(
     ``plan``, if given, is ``th1_plan(v, alpha)``.
     """
     plan = plan or th1_plan(v, alpha)
-    tau = rat(tau)
-    lhs = _double_sum(plan, "C", tau)
-    rhs = _c_factor(plan, tau) * binomial_general(tau, plan.k)
-    return IdentityReport("th1c", plan.params(tau), lhs, rhs)
+    return next(_th1_reports(plan, "C", [rat(tau)], "th1c", plan.params))
 
 
 def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
@@ -435,7 +460,7 @@ def check_negative_one(
     total = 0
     for l, a, w in plan.merged:
         total += (-1) ** l * prod(a + (k - l - i) * d for i in range(k)) * w * (scale // a)
-    lhs = Fraction(int(plan.a00 * d) * total, scale * d**k * factorial(k))
+    lhs = Fraction(plan.a00 * total, scale * d**k * factorial(k))
     params = {"v": plan.v, "alpha": alpha, "n": plan.n, "k": k}
     passed_extra = True
     if alpha.c1 == 1 and alpha.c2 == 0:
@@ -546,19 +571,10 @@ def check_bell_convolution(
             f"variant must be one of {tuple(CONVOLUTION_VARIANTS)}, got {variant!r}"
         )
     plan = plan or bell_convolution_plan(n, k, alpha, x)
-    tau = rat(tau)
-    sum_variant = CONVOLUTION_VARIANTS[variant]
-    lhs = _double_sum(plan, sum_variant, tau)
-    # at l = k only m = n has weight: C(n, n) B(n, k) B(0, 0) = B(n, k)
-    rhs = binomial_general(tau, k) * sum(w for l, _, w in plan.merged if l == k)
-    if sum_variant == "C":
-        rhs *= _c_factor(plan, tau)
-    return IdentityReport(
-        f"bell-convolution-{variant}",
-        {"variant": variant, "n": n, "k": k, "alpha": alpha, "tau": tau, "x": x},
-        lhs,
-        rhs,
-    )
+    params = {"variant": variant, "n": n, "k": k, "alpha": alpha, "tau": rat(tau), "x": x}
+    sums = _th1_reports(plan, CONVOLUTION_VARIANTS[variant], [params["tau"]],
+                        f"bell-convolution-{variant}", lambda tau: params)
+    return next(sums)
 
 
 def _splitting(n: int, k: int, r: int, x: SequenceSpec) -> tuple[Fraction, Fraction]:
@@ -629,19 +645,21 @@ def tau_samples(count: int, avoid: dict) -> tuple[list[Fraction], list[tuple]]:
     """First ``count`` values of 0, 1/2, 1, 3/2, ... outside ``avoid``.
 
     ``avoid`` maps pole values to the (l, m) witnessing them; skipped
-    candidates are reported as (l, m, tau) triples.
+    candidates are reported as (l, m, tau) triples, with tau the key of
+    ``avoid``.  The candidate i/2 is matched by the integer i, which a key
+    of denominator 1 or 2 doubles to; no other key is a candidate.
     """
+    halves = {a.numerator * (2 // a.denominator): (*where, a)
+              for a, where in avoid.items() if a.denominator <= 2}
     chosen: list[Fraction] = []
     skipped: list[tuple] = []
-    step = Fraction(1, 2)
-    candidate = Fraction(0)
+    i = 0
     while len(chosen) < count:
-        if candidate in avoid:
-            l, m = avoid[candidate]
-            skipped.append((l, m, candidate))
+        if i in halves:
+            skipped.append(halves[i])
         else:
-            chosen.append(candidate)
-        candidate += step
+            chosen.append(Fraction(i, 2))
+        i += 1
     return chosen, skipped
 
 
@@ -649,8 +667,9 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
     """Check each variant at every (v, alpha): v-major, then alpha, variant, tau.
 
     ``variants`` holds "A", "B", "C" (the th1 double sums) and
-    "negative-one".  The support of each v is built once, and each
-    (v, alpha) builds one :class:`Th1Plan` shared by its variants and taus.
+    "negative-one".  The support of each v is built once, each (v, alpha)
+    builds one :class:`Th1Plan`, and each of its th1 variants runs at all
+    its taus through the evaluator that ``check_th1`` and ``check_th1c`` use.
 
     With ``tau`` None, each th1 variant is checked at 2k+2 pole-free tau
     values from :func:`tau_samples`; variant C's tau poles are skipped and
@@ -661,7 +680,7 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
     """
     result = GridResult()
     sampled = tau is None and any(variant in TH1_VARIANTS for variant in variants)
-    taus, skipped = [tau], ()
+    taus, skipped = [rat(tau)] if tau is not None else [], ()
     for support in map(_support, vs):
         for alpha in alphas:
             plan = Th1Plan(support, alpha)
@@ -677,15 +696,11 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
             for variant in variants:
                 if variant == "negative-one":
                     result.reports.append(check_negative_one(v, alpha, plan=plan))
-                elif variant == "C":
-                    for t in taus:
-                        rep = check_th1c(v, alpha, t, plan=plan)
-                        rep.skipped_poles = skipped
-                        result.reports.append(rep)
                 else:
-                    result.reports.extend(
-                        check_th1(variant, v, alpha, t, plan=plan) for t in taus
-                    )
+                    result.reports.extend(_th1_reports(
+                        plan, variant, taus, f"th1{variant.lower()}", plan.params,
+                        skipped if variant == "C" else (),
+                    ))
     return result
 
 

@@ -13,11 +13,14 @@ rendered once per depth and its text reused wherever the same object
 appears again, as a plan's ``v`` and its skipped tau poles do in every
 report of the plan.  Tuples are remembered by identity, never by equal
 value: ``(1,)``, ``(Fraction(1),)`` and ``(True,)`` are equal but render
-differently.  The memo lives for one call.
+differently.  The memo lives for one call.  A dict value that is the same
+object as the value before it reuses its text, as a passing report's
+``rhs``, the same ``Fraction`` as its ``lhs``, does.
 
-Dict keys must be strings.  Floats are refused with ``TypeError``, like any
-other type :func:`json_value` does not convert: no value in this package is
-a float.
+Values are told apart by their exact type, and dict keys must be strings.
+Floats are refused with ``TypeError``, like any other type :func:`json_value`
+does not convert, a subclass of str, int, dict, list or tuple included: no
+value in this package is a float or such a subclass.
 """
 
 from __future__ import annotations
@@ -55,37 +58,36 @@ def json_value(value):
 
 
 def dumps(value) -> str:
-    """``json.dumps(value, indent=2, default=json_value)``, floats refused."""
+    """``json.dumps(value, indent=2, default=json_value)``, floats and subclasses refused."""
     memo: dict[tuple[int, int], tuple[tuple, str]] = {}
 
     def render(value, depth: int) -> str:
-        if isinstance(value, str):
+        kind = type(value)
+        if kind is str:
             return encode_basestring_ascii(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
+        if kind is int:
             return int.__repr__(value)
-        if isinstance(value, dict):
+        if kind is dict:
             if not value:
                 return "{}"
             inner = "\n" + "  " * (depth + 1)
-            items = []
+            items, last, text = [], None, None
             for key, item in value.items():
-                if not isinstance(key, str):
+                if type(key) is not str:
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
-                items.append(f"{encode_basestring_ascii(key)}: {render(item, depth + 1)}")
+                if item is not last or text is None:
+                    last, text = item, render(item, depth + 1)
+                items.append(f"{encode_basestring_ascii(key)}: {text}")
             return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
-        if isinstance(value, list):
+        if kind is list:
             return sequence(value, depth)
-        if isinstance(value, tuple):
+        if kind is tuple:
             hit = memo.get((id(value), depth))
             if hit is None:
                 hit = memo[id(value), depth] = (value, sequence(value, depth))
             return hit[1]
+        if value is None or kind is bool:
+            return "null" if value is None else "true" if value else "false"
         return render(json_value(value), depth)
 
     def sequence(value, depth: int) -> str:

@@ -35,8 +35,8 @@ class PoleError(InputError):
 class IdentityReport:
     """Outcome of one identity check at one parameter point.
 
-    ``lhs`` and ``rhs`` are converted to ``Fraction``, and ``passed`` is
-    their exact equality.
+    ``lhs`` and ``rhs`` that are not ``Fraction`` already are converted, and
+    ``passed`` is their exact equality; the two may be one object.
     """
 
     name: str
@@ -50,8 +50,9 @@ class IdentityReport:
     KEYS = ("identity", "params", "lhs", "rhs", "pass", "skipped_poles")
 
     def __post_init__(self):
-        self.lhs, self.rhs = Fraction(self.lhs), Fraction(self.rhs)
-        self.passed = self.lhs == self.rhs
+        self.lhs = self.lhs if isinstance(self.lhs, Fraction) else Fraction(self.lhs)
+        self.rhs = self.rhs if isinstance(self.rhs, Fraction) else Fraction(self.rhs)
+        self.passed = self.lhs is self.rhs or self.lhs == self.rhs
 
 
 @dataclass

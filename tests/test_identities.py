@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import json
 from fractions import Fraction
 from math import comb
 
@@ -28,6 +30,7 @@ from bellkit.identities import (
     th1a_weight,
     vanishing_sum_monomials,
 )
+from bellkit.output import dumps
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat, rat_str
 from bellkit.reports import PoleError
@@ -373,6 +376,21 @@ class TestGrid:
         assert taus == [Fraction(0), Fraction(1, 2), Fraction(2), Fraction(5, 2)]
         assert skipped == [(0, 1, Fraction(1)), (1, 2, Fraction(3, 2))]
 
+    def test_tau_samples_skip_only_candidates(self):
+        # negative values and denominators other than 1 and 2 are never candidates
+        avoid = {
+            Fraction(-1): (0, 0), Fraction(-1, 2): (0, 1), Fraction(1, 3): (1, 1),
+            Fraction(5, 3): (1, 2), Fraction(2): (2, 2), Fraction(1, 2): (1, 3),
+            Fraction(7, 4): (2, 3),
+        }
+        taus, skipped = tau_samples(5, avoid)
+        assert taus == [Fraction(i, 2) for i in (0, 2, 3, 5, 6)]
+        assert skipped == [(1, 3, Fraction(1, 2)), (2, 2, Fraction(2))]
+        keys = {id(a) for a in avoid}
+        assert all(id(tau) in keys for _, _, tau in skipped)
+        assert tau_samples(3, {}) == ([Fraction(0), Fraction(1, 2), Fraction(1)], [])
+        assert tau_samples(0, {Fraction(0): (0, 0)}) == ([], [])
+
 
 def oracle_double_sum(variant, v, alpha, tau=None):
     """The double sum term by term over (l, m), W(m, l; v) recomputed at each.
@@ -524,6 +542,96 @@ class TestPlanAgainstOracle:
         assert result.reports == [] and result.skipped_pairs == [
             ((2, 1), AffineForm(-1, 1), (1, 1))
         ]
+
+
+def _oracle_samples(variant, v, alpha):
+    """The taus the certifier samples for (v, alpha), and the (l, m, tau) it skips.
+
+    The first 2k+2 of 0, 1/2, 1, ...; for variant C those where the oracle
+    raises a pole are skipped and recorded with the oracle's ``where``.
+    """
+    count, taus, skipped = 2 * sum(v) + 2, [], []
+    for i in itertools.count():
+        if len(taus) == count:
+            return taus, skipped
+        tau = Fraction(i, 2)
+        where = _pole_at(oracle_double_sum, "C", v, alpha, tau) if variant == "C" else None
+        if where is None:
+            taus.append(tau)
+        else:
+            skipped.append((*where, tau))
+
+
+class TestCertifierAgainstOracle:
+    """Every report of ``certify_double_sums`` against the term-by-term oracle."""
+
+    ALPHAS = DEFAULT_ALPHAS + POLE_ALPHAS + WIDE_ALPHAS
+
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "negative-one"])
+    def test_every_report_up_to_five(self, variant):
+        vs = list(_vectors_up_to(5))
+        result = certify_double_sums(vs, self.ALPHAS, (variant,))
+        reports, skipped_pairs = iter(result.reports), []
+        for v in vs:
+            for alpha in self.ALPHAS:
+                pole = _pole_at(oracle_double_sum, "negative-one", v, alpha)
+                if pole is not None:
+                    skipped_pairs.append((v, alpha, pole))
+                    continue
+                if variant == "negative-one":
+                    rep = next(reports)
+                    assert (rep.lhs, rep.rhs) == oracle_double_sum(variant, v, alpha)
+                    assert rep.passed and rep.params["v"] == v and rep.params["alpha"] == alpha
+                    continue
+                taus, skipped = _oracle_samples(variant, v, alpha)
+                for tau in taus:
+                    rep = next(reports)
+                    assert rep.name == f"th1{variant.lower()}" and rep.params["tau"] == tau
+                    assert rep.params["v"] == v and rep.params["alpha"] == alpha
+                    assert (rep.lhs, rep.rhs) == oracle_double_sum(variant, v, alpha, tau)
+                    assert rep.passed and rep.skipped_poles == tuple(skipped)
+        assert next(reports, None) is None
+        assert result.skipped_pairs == skipped_pairs
+
+    def test_explicit_wide_taus(self):
+        # check_th1 and check_th1c meet WIDE_TAUS in TestPlanAgainstOracle
+        for v in _vectors_up_to(4):
+            for alpha in self.ALPHAS:
+                for tau in WIDE_TAUS:
+                    for variant in "ABC":
+                        assert _outcome(
+                            lambda: certify_double_sums([v], [alpha], (variant,), tau=tau).reports[0]
+                        ) == _outcome(oracle_double_sum, variant, v, alpha, tau)
+
+    def test_a_perturbed_weight_fails_with_both_sides_shown(self):
+        # alpha = 1/2 + l takes odd numerators over 2, so no falling factorial
+        # of it vanishes and the perturbed term counts in every variant
+        v, alpha = (2, 1, 1), AffineForm(Fraction(1, 2), 1)
+        plan = th1_plan(v, alpha)
+        mutant = copy.copy(plan)
+        l, a, w = plan.merged[0]
+        mutant.merged = ((l, a, w + 1),) + plan.merged[1:]
+        mutant._coefficients = {}
+        taus, _ = tau_samples(2 * plan.k + 2, plan.avoid)
+        checks = {
+            "A": functools.partial(check_th1, "A"),
+            "B": functools.partial(check_th1, "B"),
+            "C": check_th1c,
+        }
+        for variant, check in checks.items():
+            affected = 0
+            for tau in taus:
+                good = check(v, alpha, tau, plan=plan)
+                bad = check(v, alpha, tau, plan=mutant)
+                assert good.passed and bad.rhs == good.rhs
+                if bad.lhs == good.lhs:  # the perturbed term vanishes at this tau
+                    continue
+                affected += 1
+                shown = json.loads(dumps(bad))
+                assert not bad.passed and shown["pass"] is False
+                assert shown["lhs"] == rat_str(bad.lhs) != shown["rhs"] == rat_str(good.rhs)
+            # the perturbation adds a nonzero function of tau with at most k zeros
+            assert affected >= len(taus) - plan.k
 
 
 def oracle_bell_convolution(variant, n, k, alpha, tau, x):

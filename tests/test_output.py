@@ -43,6 +43,24 @@ def test_floats_are_refused(value):
         dumps(value)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value", [_Str("a"), [_Int(1)], {"a": type("D", (dict,), {})()}, (type("L", (list,), {})(),),
+              {_Str("k"): 1}, type("T", (tuple,), {})()],
+)
+def test_subclasses_are_refused(value):
+    # values are told apart by exact type; json.dumps would accept these
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 2), [Fraction(1)], {"a": (Fraction(3),)}])
 def test_fractions_need_the_default(value):
     assert dumps(value) == json.dumps(value, indent=2, default=json_value)
@@ -104,3 +122,27 @@ def test_csv_and_json_share_the_key_order():
     rep = IdentityReport("t", {"v": (2, 1)}, Fraction(1, 2), Fraction(1, 2))
     assert tuple(json_value(rep)) == IdentityReport.KEYS
     assert tuple(json.loads(dumps(rep))) == IdentityReport.KEYS
+
+
+def test_an_adjacent_repeated_value_renders_as_json_dumps():
+    shared, t = [Fraction(1, 3), {"x": (1, None)}], (None,)
+    value = {"a": shared, "b": shared, "c": [shared, shared], "d": None, "e": None, "f": t, "g": t}
+    assert dumps(value) == _as_reference(value)
+
+
+def test_report_sides_become_fractions_and_pass_on_exact_equality():
+    rep = IdentityReport("t", {}, 3, Fraction(6, 2))
+    assert type(rep.lhs) is Fraction and type(rep.rhs) is Fraction and rep.passed
+    assert IdentityReport("t", {}, Fraction(1, 3), Fraction(2, 6)).passed
+    assert not IdentityReport("t", {}, Fraction(1, 3), Fraction(10**30 + 1, 3 * 10**30)).passed
+    assert not IdentityReport("t", {}, 0, Fraction(-1, 10**30)).passed
+
+
+def test_a_shared_side_renders_as_both_sides():
+    side = Fraction(-7, 3)
+    rep = IdentityReport("t", {"tau": side}, side, side)
+    assert rep.lhs is rep.rhs is side and rep.passed
+    shown = json.loads(dumps(rep))
+    assert shown["lhs"] == shown["rhs"] == shown["params"]["tau"] == "-7/3"
+    payload = {"reports": [rep, rep]}
+    assert dumps(payload) == _as_reference(payload)
