@@ -12,17 +12,24 @@ Each leaf (a subcommand, mode or ``verify`` identity) takes only the options
 its handler reads, after the mode or identity, and reports any other option
 with its own usage line.  ``FLAGS`` defines each option once; ``VERIFY`` and
 ``COMMANDS`` give each leaf its handler and options.  Every payload is
-written by one JSON writer, ``output.dumps``, or as CSV by
+written by one JSON writer, ``output.write``, or as CSV by
 ``output.csv_text``; a ``verify`` payload carries its reports as
 :class:`IdentityReport` objects, and ``output.json_value`` is the one
-converter that turns them and the values they hold into JSON form.
+converter that turns them and the values they hold into JSON form.  A
+``verify`` handler may return its reports unmade, as a generator or a
+:class:`GridResult`: the writer streams them to stdout as they are made,
+and the exit status is read once they are written.  Such a handler raises
+every :class:`InputError` before it returns, so nothing reaches stdout on
+exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,7 +54,7 @@ from .identities import (
     th1a_weight,
     vanishing_sum_monomials,
 )
-from .output import csv_text, dumps
+from .output import csv_text, write
 from .partitions import strip_trailing_zeros
 from .rationals import rat, rat_str
 from .reports import GridResult, InputError
@@ -162,16 +169,13 @@ def _sequence_for(args, length: int | None) -> SequenceSpec:
     return load_sequence(source, n_max, args.seed)
 
 
-def _verdict(name: str, result) -> tuple[dict, bool]:
-    """The payload of ``result`` (a GridResult or a list of reports) and whether a check failed."""
-    if not isinstance(result, GridResult):
-        result = GridResult(result)
-    return {
-        "command": "verify",
-        "identity": name,
-        "reports": result.reports,
-        "summary": result.summary(),
-    }, not result.all_passed()
+def _verdict(name: str, result):
+    """The payload of ``result`` (a GridResult or an iterable of reports), and a
+    function that tells, once the payload is written, whether a check failed."""
+    grid = result if isinstance(result, GridResult) else GridResult(result)
+    # the summary after the reports, so that it counts them as they are written
+    payload = {"command": "verify", "identity": name, "reports": iter(grid), "summary": grid}
+    return payload, lambda: not grid.all_passed()
 
 
 # --- command handlers --------------------------------------------------------
@@ -331,10 +335,13 @@ def _verify_vanishing_sum(args):
     v = _parse_vec(_need(args, "v"), "--v")
     if sum(v) < 1:
         raise InputError("--v must have positive sum")
-    return [
+    reports = (
         check_vanishing_sum(v, SparsePoly.monomial(exps))
         for exps in vanishing_sum_monomials(v)
-    ]
+    )
+    # every monomial is below the degree bound and uses at most len(v)
+    # variables, so only the first check can refuse v: it runs before any output
+    return itertools.chain([next(reports)], reports)
 
 
 def _verify_bell_conv(args):
@@ -404,7 +411,7 @@ GRID_FLAGS = ("--n", "--k", "--alpha", "--v")
 
 SEQUENCE_FLAGS = ("--x", "--seed", "--n-max")
 
-#: identity -> (function(args) returning a list of reports or a GridResult, its options)
+#: identity -> (function(args) returning an iterable of reports or a GridResult, its options)
 VERIFY = {
     "th1a": (_double_sums("A"), (*GRID_FLAGS, "--tau")),
     "th1b": (_double_sums("B"), (*GRID_FLAGS, "--tau")),
@@ -558,12 +565,23 @@ def main(argv=None) -> int:
     if args.format == "csv":
         sys.stdout.write(csv_text(payload))
     else:
-        print(dumps(payload))
-    return 1 if failed else 0
+        write(payload, sys.stdout)
+        sys.stdout.write("\n")
+    # a verify verdict is known once its reports are written
+    return 1 if (failed() if callable(failed) else failed) else 0
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader left: as the signal module's documentation advises, point
+        # stdout at devnull so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

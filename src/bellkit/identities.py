@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from typing import Callable
 
-from .bell import bell_table
+from .bell import bell_columns, bell_table
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros
 from .rationals import binomial_general, falling, rat, rat_str
 from .reports import GridResult, IdentityReport, InputError, PoleError
@@ -291,23 +291,17 @@ def th1_plan(v, alpha: AffineForm) -> Th1Plan:
     return Th1Plan(_support(v), alpha)
 
 
-def _raise_at_pole(plan: Th1Plan) -> None:
-    if plan.pole is not None:
-        l, m = plan.pole
-        raise PoleError(f"alpha({l},{m}) = 0", where=plan.pole)
+def _raise_at_pole(plan: Th1Plan, variant: str | None = None, tau: Fraction | None = None) -> None:
+    """Raise :class:`PoleError` at the first pole of ``variant`` at ``tau``.
 
-
-def _double_sum(plan: Th1Plan, variant: str, tau: Fraction) -> tuple[int, int]:
-    """The left side of variant A, B or C at tau, as an unreduced (num, den).
-
-    Raises :class:`PoleError` at the first pole, in this order: for variant
-    C, alpha(k, n) = 0 and then tau = alpha(0, 0); then the first (l, m)
-    where alpha is 0 or (for variant C) equal to tau.  tau = p/q equals
-    alpha = A/d exactly when p*d = A*q.
+    The order: for variant C, alpha(k, n) = 0 and then tau = alpha(0, 0);
+    then the first (l, m) where alpha is 0 or (for variant C) equal to tau.
+    Any other variant has only alpha's poles.  tau = p/q equals alpha = A/d
+    exactly when p*d = A*q.
     """
-    p, q = tau.numerator, tau.denominator
-    pd = p * plan.d
     if variant == "C":
+        p, q = tau.numerator, tau.denominator
+        pd = p * plan.d
         if plan.akn == 0:
             raise PoleError(f"alpha({plan.k},{plan.n}) = 0", where=(plan.k, plan.n))
         if pd == plan.a00 * q:
@@ -317,7 +311,20 @@ def _double_sum(plan: Th1Plan, variant: str, tau: Fraction) -> tuple[int, int]:
         if hit is not None and (plan.pole is None or hit < plan.pole):
             l, m = hit
             raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=hit)
-    _raise_at_pole(plan)
+    if plan.pole is not None:
+        l, m = plan.pole
+        raise PoleError(f"alpha({l},{m}) = 0", where=plan.pole)
+
+
+def _double_sum(plan: Th1Plan, variant: str, tau: Fraction) -> tuple[int, int]:
+    """The left side of variant A, B or C at tau, as an unreduced (num, den).
+
+    Raises :class:`PoleError` at the first pole, in the order of
+    :func:`_raise_at_pole`.
+    """
+    _raise_at_pole(plan, variant, tau)
+    p, q = tau.numerator, tau.denominator
+    pd = p * plan.d
     scale, j_max, terms, tails = plan.coefficients(variant)
     # times q*d, tau - A/d - i is the integer p*d - A*q - i*q*d
     step = q * plan.d
@@ -347,8 +354,11 @@ def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=(
     times the weight at l = k; for C, times d (x + akn q) / (akn x), with
     x = p d - a00 q.  The sides are compared by cross-multiplying, and when
     they are equal one reduced ``Fraction`` is both ``lhs`` and ``rhs``.
+    The reports share one ``run`` object, so the writer renders their fixed
+    text once.
     """
     k, d, fk = plan.k, plan.d, factorial(plan.k)
+    run = object()
     # at l = k only m = n has weight: W(n, k; v) = 1, C(n, n) B(n, k) B(0, 0) = B(n, k)
     top = sum(w for l, _, w in plan.merged if l == k)
     for tau in taus:
@@ -364,6 +374,7 @@ def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=(
             lhs, rhs = Fraction(ln, ld), Fraction(rn, rd)
         report = IdentityReport(name, params(tau), lhs, rhs)
         report.skipped_poles = skipped
+        report.run = run
         yield report
 
 
@@ -543,12 +554,13 @@ def bell_convolution_plan(n: int, k: int, alpha: AffineForm, x: SequenceSpec) ->
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
     x.require(n)
-    bell = bell_table(x, n)
+    # B(m, l) = num[l][m] / q[l], so each weight is one integer over q[l] q[k-l]
+    num, q = bell_columns(x, n)
     terms = tuple(
-        (l, m, w)
+        (l, m, Fraction(comb(n, m) * top, q[l] * q[k - l]))
         for l in range(k + 1)
         for m in range(l, n + 1)
-        if (w := comb(n, m) * bell(m, l) * bell(n - m, k - l))
+        if (top := num[l][m] * num[k - l][n - m])
     )
     return Th1Plan((None, n, k, terms), alpha)
 
@@ -667,41 +679,62 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
     """Check each variant at every (v, alpha): v-major, then alpha, variant, tau.
 
     ``variants`` holds "A", "B", "C" (the th1 double sums) and
-    "negative-one".  The support of each v is built once, each (v, alpha)
-    builds one :class:`Th1Plan`, and each of its th1 variants runs at all
-    its taus through the evaluator that ``check_th1`` and ``check_th1c`` use.
+    "negative-one".  The result makes its reports as they are read: the
+    support of one v and the :class:`Th1Plan` of one (v, alpha) are built
+    when the sweep reaches them and dropped when it moves on, and each th1
+    variant of a plan runs at all its taus through the evaluator that
+    ``check_th1`` and ``check_th1c`` use.  Its counts and ``skipped_pairs``
+    grow as it is read.
 
     With ``tau`` None, each th1 variant is checked at 2k+2 pole-free tau
     values from :func:`tau_samples`; variant C's tau poles are skipped and
     recorded on its reports, and a pair where alpha vanishes at a
     nonzero-weight (l, m) is recorded in ``skipped_pairs`` and not checked.
     With an explicit ``tau`` every pair is checked there, and a pole raises
-    :class:`PoleError`.
+    :class:`PoleError`.  Every error is raised by this call, before the
+    first report: each v is validated, and with an explicit ``tau`` each
+    plan's poles are checked, in the order the sweep meets them.
     """
-    result = GridResult()
+    tau = None if tau is None else rat(tau)
+    alphas, variants = tuple(alphas), tuple(variants)
+    vnks = []
+    for v in vs:
+        vnks.append(_vnk(v))
+        if tau is not None:
+            # the sweep builds these plans again: keeping them would hold them all at once
+            support = (*vnks[-1], _w_support(vnks[-1][0]))
+            for alpha in alphas:
+                plan = Th1Plan(support, alpha)
+                for variant in variants:
+                    _raise_at_pole(plan, variant, tau)
+    skipped_pairs: list[tuple] = []
+    return GridResult(_sweep(vnks, alphas, variants, tau, skipped_pairs), skipped_pairs)
+
+
+def _sweep(vnks, alphas, variants, tau, skipped_pairs):
+    """The reports of :func:`certify_double_sums`, over validated (v, n, k)."""
     sampled = tau is None and any(variant in TH1_VARIANTS for variant in variants)
-    taus, skipped = [rat(tau)] if tau is not None else [], ()
-    for support in map(_support, vs):
+    taus, skipped = [tau], ()
+    for v, n, k in vnks:
+        support = (v, n, k, _w_support(v))
         for alpha in alphas:
             plan = Th1Plan(support, alpha)
-            v = plan.v
             if tau is None:
                 pole = support_alpha_pole(v, alpha, plan=plan)
                 if pole is not None:
-                    result.skipped_pairs.append((v, alpha, pole))
+                    skipped_pairs.append((v, alpha, pole))
                     continue
             if sampled:
-                taus, skipped = tau_samples(2 * plan.k + 2, plan.avoid if "C" in variants else {})
+                taus, skipped = tau_samples(2 * k + 2, plan.avoid if "C" in variants else {})
                 skipped = tuple(skipped)
             for variant in variants:
                 if variant == "negative-one":
-                    result.reports.append(check_negative_one(v, alpha, plan=plan))
+                    yield check_negative_one(v, alpha, plan=plan)
                 else:
-                    result.reports.extend(_th1_reports(
+                    yield from _th1_reports(
                         plan, variant, taus, f"th1{variant.lower()}", plan.params,
                         skipped if variant == "C" else (),
-                    ))
-    return result
+                    )
 
 
 def grid_vs(n: int, k: int | None = None) -> list[IndexVector]:

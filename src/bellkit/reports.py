@@ -2,7 +2,8 @@
 
 An :class:`IdentityReport` holds both sides of one identity instance as
 exact rationals; it passes when they are equal, with zero tolerance.  A
-:class:`GridResult` gathers the reports of a certification sweep.
+:class:`GridResult` hands out the reports of a check or a certification
+sweep as they are made, and counts them as they go by.
 
 :class:`InputError` is the one type for input a function refuses: an
 argument outside its domain, an unreadable file or a pole of an identity
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 
 class InputError(ValueError):
@@ -37,6 +39,11 @@ class IdentityReport:
 
     ``lhs`` and ``rhs`` that are not ``Fraction`` already are converted, and
     ``passed`` is their exact equality; the two may be one object.
+
+    Reports that share one ``run`` object, not None, differ only in ``lhs``,
+    ``rhs``, ``passed`` and the ``Fraction`` values of ``params``: the JSON
+    writer renders the rest of their text once.  ``identities`` gives one
+    to the reports of each (plan, variant) of the double sums.
     """
 
     name: str
@@ -45,6 +52,7 @@ class IdentityReport:
     rhs: Fraction
     passed: bool = field(init=False)
     skipped_poles: tuple = field(default=(), init=False)
+    run: object = field(default=None, init=False, repr=False, compare=False)
 
     #: the keys of a report's JSON object and CSV row, in output order
     KEYS = ("identity", "params", "lhs", "rhs", "pass", "skipped_poles")
@@ -55,25 +63,36 @@ class IdentityReport:
         self.passed = self.lhs is self.rhs or self.lhs == self.rhs
 
 
-@dataclass
 class GridResult:
-    """Aggregate of a certification sweep."""
+    """The reports of a check or a sweep, made as they are read, and their summary.
 
-    reports: list[IdentityReport] = field(default_factory=list)
-    skipped_pairs: list[tuple] = field(default_factory=list)
+    Iterating yields each report once and counts it; a second pass yields
+    nothing.  ``skipped_pairs`` holds the (v, alpha, pole) pairs a sweep has
+    passed over so far.  The counts and :meth:`summary` cover the reports
+    read so far, so read them after the reports.
+    """
 
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for r in self.reports if not r.passed)
+    def __init__(self, reports: Iterable[IdentityReport] = (), skipped_pairs=None):
+        self._reports = iter(reports)
+        self.skipped_pairs: list[tuple] = [] if skipped_pairs is None else skipped_pairs
+        self.checked = 0
+        self.failed = 0
+
+    def __iter__(self) -> Iterator[IdentityReport]:
+        for report in self._reports:
+            self.checked += 1
+            if not report.passed:
+                self.failed += 1
+            yield report
 
     def all_passed(self) -> bool:
-        return self.n_failed == 0
+        return self.failed == 0
 
     def summary(self) -> dict:
         return {
-            "checked": len(self.reports),
-            "passed": len(self.reports) - self.n_failed,
-            "failed": self.n_failed,
+            "checked": self.checked,
+            "passed": self.checked - self.failed,
+            "failed": self.failed,
             "skipped_pairs": [
                 {"v": v, "alpha": alpha, "pole_at": where}
                 for v, alpha, where in self.skipped_pairs

@@ -29,7 +29,7 @@ from bellkit.bell import bell_table
 from bellkit.identities import DEFAULT_ALPHAS, certify_double_sums, grid_vs
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat
-from bellkit.reports import GridResult, InputError, PoleError
+from bellkit.reports import GridResult, IdentityReport, InputError, PoleError
 from bellkit.sequences import SequenceSpec
 
 
@@ -110,7 +110,7 @@ def w_coefficient(m: int, l: int, v) -> int:
     return total
 
 
-def certify_th1_grid(n_max: int) -> GridResult:
+def certify_th1_grid(n_max: int) -> tuple[list[IdentityReport], GridResult]:
     """Certify the double-sum identities for every v with weighted sum <= n_max.
 
     Each (v, alpha, variant), alpha in ``DEFAULT_ALPHAS``, is checked at
@@ -119,9 +119,12 @@ def certify_th1_grid(n_max: int) -> GridResult:
     denominators, passing on such a grid certifies the identity for all tau.
     Combinations where alpha vanishes at a nonzero-weight (l, m) are
     tau-independent poles: they are recorded and skipped, never checked.
+    Returns every report and the result they were read from, whose counts
+    and skipped pairs then cover the whole sweep.
     """
     vs = [v for n in range(1, n_max + 1) for v in grid_vs(n)]
-    return certify_double_sums(vs, DEFAULT_ALPHAS)
+    result = certify_double_sums(vs, DEFAULT_ALPHAS)
+    return list(result), result
 
 
 def q_sum(n: int, b: int, lam, bell, k0: int = 1) -> Fraction:

@@ -76,22 +76,22 @@ def test_criterion_2_stirling_cross_checks():
 
 def test_criterion_3_th1_grid_certification():
     started = time.perf_counter()
-    result = certify_th1_grid(7)
-    assert result.all_passed(), result.summary()
+    reports, result = certify_th1_grid(7)
+    assert result.all_passed() and result.checked == len(reports), result.summary()
     # the only inadmissible combination on this grid: the weight vector
     # concentrated at slot 7 makes 5 + 2l - m vanish at the contributing
     # point (1, 7), independently of tau
     assert result.skipped_pairs == [
         ((0, 0, 0, 0, 0, 0, 1), AffineForm(5, 2, -1), (1, 7))
     ]
-    for report in result.reports:
+    for report in reports:
         if report.passed:
             assert report.lhs == report.rhs
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"budget exceeded: {elapsed:.1f}s"
     _announce(
         3,
-        f"binomial double sums on {len(result.reports)} samples, n <= 7",
+        f"binomial double sums on {len(reports)} samples, n <= 7",
         started,
     )
 

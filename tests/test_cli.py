@@ -2,7 +2,11 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,9 @@ from bellkit.sequences import named_sequence
 
 
 SYMBOLIC_ALONE = "give --symbolic or --x/--seed/--n-max, not both"
+
+#: the package source, for tests that run the CLI in a child interpreter
+SRC = str(Path(bellkit.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -221,9 +228,9 @@ class TestVerifyCommand:
 
         def counted(x, n_max):
             calls.append(n_max)
-            return bell_table(x, n_max)
+            return bell_columns(x, n_max)
 
-        monkeypatch.setattr(identities, "bell_table", counted)
+        monkeypatch.setattr(identities, "bell_columns", counted)
         code, out, _ = run(
             capsys, "verify", "bell-conv", "--n", "6", "--k", "3",
             "--x", "random", "--seed", "12", *variant,
@@ -293,6 +300,34 @@ class TestErrorHandling:
             capsys, "verify", "th1a", "--v", "2,1", "--alpha", "0,1", "--tau", "5"
         )
         assert code == 2 and "alpha" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the plan of v = (0, 0, 0, 1) checks; the next, v = (0, 2), has alpha(2, 4) = 0
+            ("verify th1a --n 4 --tau 1 --alpha=-2,1,0", "alpha(2,4) = 0"),
+            # the five plans of v = (0, 0, 1) check; then 1 + l is tau at (2, 3)
+            ("verify th1c --n 3 --tau 3", "alpha(2,3) = tau = 3"),
+            # entries are checked by the first of the 3 reports
+            ("verify vanishing-sum --v 2,-1,1", "entries must be nonnegative, got (2, -1, 1)"),
+        ],
+    )
+    def test_a_pole_on_a_later_plan_aborts_before_any_output(self, capsys, argv, message):
+        # reports are written as they are made, so every error is raised first
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err == f"bellkit: {message}\n"
+
+    def test_a_closed_pipe_ends_without_a_traceback(self):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        argv = [sys.executable, "-m", "bellkit.cli", "verify", "th1c", "--n", "12"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            head = proc.stdout.read(50)
+            proc.stdout.close()  # the reader leaves, like head -c 50
+            status = proc.wait(timeout=60)
+            err = proc.stderr.read().decode()
+        assert head.startswith(b'{\n  "command": "verify"')
+        assert "Traceback" not in err and status == 1, err
 
     @pytest.mark.parametrize(
         "argv, fragment",
@@ -664,3 +699,22 @@ def test_only_the_parser_is_cached():
             if hasattr(obj, "cache_info"):
                 cached.add(f"{obj.__module__}.{obj.__qualname__}")
     assert cached == {"bellkit.cli.build_parser"}
+
+
+#: runs argv with stdout at devnull; prints the child's peak RSS in KiB
+PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_a_streamed_grid_holds_one_plan_at_a_time():
+    """``verify th1c --n 16`` writes 15,398 reports in a bounded footprint."""
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = [sys.executable, "-c", PEAK_RSS,
+            sys.executable, "-m", "bellkit.cli", "verify", "th1c", "--n", "16"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120, check=True)
+    peak_mb = int(done.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"

@@ -353,7 +353,7 @@ class TestStirlingRecurrence:
 
 class TestGrid:
     def test_small_grid_clean(self):
-        result = certify_th1_grid(4)
+        reports, result = certify_th1_grid(4)
         assert result.all_passed()
         assert result.skipped_pairs == []
         # p(1)+...+p(4) = 11 vectors, 5 alphas, 3 variants, 2k+2 taus each
@@ -363,7 +363,7 @@ class TestGrid:
             for k in range(1, n + 1)
             for v in enumerate_pi(n, k, n)
         )
-        assert len(result.reports) == expected
+        assert len(reports) == result.checked == expected
 
     def test_support_pole_detection(self):
         # the only weighted-sum-7 vector hitting alpha = 5 + 2l - m
@@ -539,7 +539,7 @@ class TestPlanAgainstOracle:
             certify_double_sums([(2, 1)], [AffineForm(-1, 1)], ("A",), tau=Fraction(5))
         assert err.value.where == (1, 1)
         result = certify_double_sums([(2, 1)], [AffineForm(-1, 1)], ("A",))
-        assert result.reports == [] and result.skipped_pairs == [
+        assert list(result) == [] and result.skipped_pairs == [
             ((2, 1), AffineForm(-1, 1), (1, 1))
         ]
 
@@ -571,7 +571,7 @@ class TestCertifierAgainstOracle:
     def test_every_report_up_to_five(self, variant):
         vs = list(_vectors_up_to(5))
         result = certify_double_sums(vs, self.ALPHAS, (variant,))
-        reports, skipped_pairs = iter(result.reports), []
+        reports, skipped_pairs = iter(result), []
         for v in vs:
             for alpha in self.ALPHAS:
                 pole = _pole_at(oracle_double_sum, "negative-one", v, alpha)
@@ -600,7 +600,7 @@ class TestCertifierAgainstOracle:
                 for tau in WIDE_TAUS:
                     for variant in "ABC":
                         assert _outcome(
-                            lambda: certify_double_sums([v], [alpha], (variant,), tau=tau).reports[0]
+                            lambda: next(iter(certify_double_sums([v], [alpha], (variant,), tau=tau)))
                         ) == _outcome(oracle_double_sum, variant, v, alpha, tau)
 
     def test_a_perturbed_weight_fails_with_both_sides_shown(self):

@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellkit.cli import build_parser
-from bellkit.output import dumps, json_value
-from bellkit.reports import IdentityReport
+from bellkit.identities import DEFAULT_ALPHAS, AffineForm, certify_double_sums, grid_vs
+from bellkit.output import dumps, json_value, write
+from bellkit.reports import GridResult, IdentityReport, PoleError
 
 from oracles import certify_th1_grid
 
@@ -76,6 +78,13 @@ def _payload(argv: str) -> dict:
     return args.handler(args)[0]
 
 
+def _materialised(payload: dict) -> dict:
+    """``payload`` with its reports read into a list, so that its summary counts them."""
+    if "reports" not in payload:
+        return payload
+    return {**payload, "reports": list(payload["reports"])}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -93,18 +102,18 @@ def _payload(argv: str) -> dict:
     ],
 )
 def test_cli_payloads_render_as_json_dumps(argv):
-    payload = _payload(argv)
-    assert dumps(payload) == _as_reference(payload)
-    for rep in payload.get("reports", ()):
+    # a verify payload's reports are made as they are written: build it twice
+    assert dumps(_payload(argv)) == _as_reference(_materialised(_payload(argv)))
+    for rep in _materialised(_payload(argv)).get("reports", ()):
         assert dumps(rep) == _as_reference(rep)
 
 
 def test_every_report_of_the_grid_renders_as_json_dumps():
-    result = certify_th1_grid(5)
-    assert result.skipped_pairs == [] and len(result.reports) > 1000
-    payload = {"reports": result.reports, "summary": result.summary()}
+    reports, result = certify_th1_grid(5)
+    assert result.skipped_pairs == [] and len(reports) > 1000
+    payload = {"reports": reports, "summary": result.summary()}
     assert dumps(payload) == _as_reference(payload)
-    for rep in result.reports:
+    for rep in reports:
         assert dumps(rep) == _as_reference(rep)
 
 
@@ -146,3 +155,118 @@ def test_a_shared_side_renders_as_both_sides():
     assert shown["lhs"] == shown["rhs"] == shown["params"]["tau"] == "-7/3"
     payload = {"reports": [rep, rep]}
     assert dumps(payload) == _as_reference(payload)
+
+
+# --- the streamed writer ------------------------------------------------------
+
+#: every v of weighted sum at most 6
+GRID_VS = [v for n in range(1, 7) for v in grid_vs(n)]
+#: alphas that vanish inside the support of some v, so pairs are skipped
+POLE_ALPHAS = (AffineForm(-1, 1), AffineForm(-2, 1, Fraction(-1, 3)), AffineForm(3, -1))
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+ALPHAS = (
+    st.sampled_from(DEFAULT_ALPHAS + POLE_ALPHAS)
+    | st.builds(AffineForm, SMALL, SMALL, SMALL)
+)
+
+
+class _Chunks(io.StringIO):
+    """A text stream that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _streamed(grid: GridResult) -> tuple[str, int]:
+    """The CLI's payload of ``grid`` as written, and the number of writes."""
+    out = _Chunks()
+    write({"command": "verify", "identity": "t", "reports": iter(grid), "summary": grid}, out)
+    return out.getvalue(), out.writes
+
+
+def _runs(reports) -> int:
+    """Reports with no run object count one each; a run counts once."""
+    runs, last = 0, None
+    for rep in reports:
+        runs += rep.run is None or rep.run is not last
+        last = rep.run
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vs=st.lists(st.sampled_from(GRID_VS), min_size=1, max_size=3),
+    alphas=st.lists(ALPHAS, min_size=1, max_size=3),
+    variants=st.lists(st.sampled_from(["A", "B", "C", "negative-one"]), min_size=1,
+                      max_size=2, unique=True),
+    tau=st.none() | SMALL,
+)
+def test_a_streamed_grid_is_json_dumps_of_the_materialised_payload(vs, alphas, variants, tau):
+    try:
+        streamed = certify_double_sums(vs, alphas, variants, tau=tau)
+    except PoleError:
+        return  # an explicit tau at a pole: raised before any report
+    grid = certify_double_sums(vs, alphas, variants, tau=tau)
+    reports = list(grid)
+    expected = _as_reference(
+        {"command": "verify", "identity": "t", "reports": reports, "summary": grid.summary()}
+    )
+    text, writes = _streamed(streamed)
+    assert text == expected
+    assert streamed.summary() == grid.summary()
+    # envelope, one chunk per run, summary, closing brace
+    assert writes == 5 + max(_runs(reports), 1)
+
+
+def _run(name, params_and_sides, skipped=()):
+    """Reports that share one run object, with the params and sides given."""
+    run = object()
+    reports = []
+    for params, lhs, rhs in params_and_sides:
+        rep = IdentityReport(name, params, lhs, rhs)
+        rep.skipped_poles, rep.run = skipped, run
+        reports.append(rep)
+    return reports
+
+
+def test_runs_render_each_report_by_its_own_values():
+    v = (2, 1)
+    alpha = AffineForm(1, 1)
+    third = Fraction(1, 3)
+    reports = [
+        # a failing report in the middle of a run, and sides that are one object
+        *_run("th1a", [({"v": v, "alpha": alpha, "tau": Fraction(i, 2), "k": 3}, lhs, rhs)
+                       for i, (lhs, rhs) in enumerate([(third, third), (1, 2), (5, 5)])],
+              skipped=((0, 0, Fraction(1)),)),
+        # a run of one report
+        *_run("th1b", [({"v": v, "tau": Fraction(-7, 3)}, 0, 0)]),
+        # consecutive runs whose fixed values are equal but of different types
+        *_run("t%s", [({"v": (1,), "x": 1, "tau": Fraction(t)}, t, t) for t in (1, 2)]),
+        *_run("t%s", [({"v": (Fraction(1),), "x": Fraction(1), "tau": Fraction(t)}, t, t)
+                      for t in (1, 2)]),
+        *_run("t%s", [({"v": (True,), "x": True, "tau": Fraction(t)}, t, t) for t in (1, 2)]),
+        # no run object: each report on its own
+        IdentityReport("100%", {"tau": Fraction(1, 2)}, 1, 1),
+        IdentityReport("100%", {"tau": Fraction(1, 2)}, 1, 1),
+    ]
+    assert not reports[1].passed
+    text, writes = _streamed(GridResult(reports))
+    counted = GridResult(reports)
+    expected = {"command": "verify", "identity": "t", "reports": list(counted),
+                "summary": counted.summary()}
+    assert text == _as_reference(expected)
+    assert writes == 5 + 7
+    shown = json.loads(text)["reports"]
+    assert [r["params"]["v"] for r in shown[4:10:2]] == [[1], ["1"], [True]]
+    assert [r["params"]["x"] for r in shown[4:10:2]] == [1, "1", True]
+    assert shown[1]["lhs"] == "1" and shown[1]["rhs"] == "2" and shown[1]["pass"] is False
+    assert json.loads(text)["summary"]["failed"] == 1
+
+
+def test_an_empty_stream_is_an_empty_list():
+    assert dumps({"reports": (r for r in ()), "summary": GridResult()}) == _as_reference(
+        {"reports": [], "summary": GridResult()}
+    )
