@@ -11,16 +11,14 @@ request for the default.
 Each leaf (a subcommand, mode or ``verify`` identity) takes only the options
 its handler reads, after the mode or identity, and reports any other option
 with its own usage line.  ``FLAGS`` defines each option once; ``VERIFY`` and
-``COMMANDS`` give each leaf its handler and options.  Every payload is
-written by one JSON writer, ``output.write``, or as CSV by
-``output.csv_text``; a ``verify`` payload carries its reports as
-:class:`IdentityReport` objects, and ``output.json_value`` is the one
-converter that turns them and the values they hold into JSON form.  A
-``verify`` handler may return its reports unmade, as a generator or a
-:class:`GridResult`: the writer streams them to stdout as they are made,
-and the exit status is read once they are written.  Such a handler raises
-every :class:`InputError` before it returns, so nothing reaches stdout on
-exit 2.
+``COMMANDS`` give each leaf its handler and options.  A handler returns a
+payload and whether it failed, which ``output.dumps`` writes as JSON or
+``output.csv_text`` as CSV; a ``verify`` handler, and ``transform lambda``,
+return an identity's name and its reports instead, which
+``output.write_reports`` writes in either format as they are made, and the
+exit status is read once they are written.  Such a handler raises every
+:class:`InputError` before it returns, so nothing reaches stdout on exit 2.
+A list flag refuses an empty item, as in ``--v 2,,1``.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .identities import (
     th1a_weight,
     vanishing_sum_monomials,
 )
-from .output import csv_text, write
+from .output import csv_text, dumps, write_reports
 from .partitions import strip_trailing_zeros
 from .rationals import rat, rat_str
 from .reports import GridResult, InputError
@@ -124,21 +122,26 @@ def _parse_int(value, flag: str) -> int:
     return f.numerator
 
 
+def _items(text: str, flag: str) -> list[str]:
+    """The comma-separated items of a list flag; an empty item is refused, not dropped."""
+    if not text.strip():
+        raise InputError(f"{flag} must not be empty")
+    items = text.split(",")
+    if not all(p.strip() for p in items):
+        raise InputError(f"{flag} has an empty item, got {text!r}")
+    return items
+
+
 def _parse_vec(text: str, flag: str) -> tuple[int, ...]:
+    items = _items(text, flag)
     try:
-        entries = tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(int(p) for p in items)
     except ValueError as exc:
         raise InputError(f"{flag} expects comma-separated integers, got {text!r}") from exc
-    if not entries:
-        raise InputError(f"{flag} must not be empty")
-    return entries
 
 
 def _parse_rats(text: str, flag: str) -> list[Fraction]:
-    entries = [_parse_rat(p, flag) for p in text.split(",") if p.strip()]
-    if not entries:
-        raise InputError(f"{flag} must not be empty")
-    return entries
+    return [_parse_rat(p, flag) for p in _items(text, flag)]
 
 
 def _parse_alpha(text: str) -> AffineForm:
@@ -167,15 +170,6 @@ def _sequence_for(args, length: int | None) -> SequenceSpec:
     else:
         n_max = None if length is None else max(length, 0)
     return load_sequence(source, n_max, args.seed)
-
-
-def _verdict(name: str, result):
-    """The payload of ``result`` (a GridResult or an iterable of reports), and a
-    function that tells, once the payload is written, whether a check failed."""
-    grid = result if isinstance(result, GridResult) else GridResult(result)
-    # the summary after the reports, so that it counts them as they are written
-    payload = {"command": "verify", "identity": name, "reports": iter(grid), "summary": grid}
-    return payload, lambda: not grid.all_passed()
 
 
 # --- command handlers --------------------------------------------------------
@@ -226,7 +220,7 @@ def cmd_transform(args):
         n = _need(args, "n")
         lam = _parse_rat(_need(args, "lam", "lambda"), "--lambda")
         x = _sequence_for(args, n)
-        return _verdict("transform-lambda", [lambda_identity_check(x, params, n, lam, args.k0)])
+        return "transform-lambda", [lambda_identity_check(x, params, n, lam, args.k0)]
     if args.n is not None and args.n_max is not None:
         raise InputError("give --n or --n-max, not both")
     n_max = args.n if args.n_max is None else args.n_max
@@ -437,7 +431,7 @@ VERIFY = {
 
 def cmd_verify(args):
     # the demo reports under the name of the identity it demonstrates
-    return _verdict(args.identity.removesuffix("-demo"), VERIFY[args.identity][0](args))
+    return args.identity.removesuffix("-demo"), VERIFY[args.identity][0](args)
 
 
 # --- plumbing ------------------------------------------------------------------
@@ -558,17 +552,18 @@ def main(argv=None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"), None)
             if value is not None and abs(value) > sys.maxsize:
                 raise InputError(f"{flag} is out of range for an index, got {value}")
-        payload, failed = args.handler(args)
+        head, body = args.handler(args)
     except InputError as exc:
         print(f"bellkit: {exc}", file=sys.stderr)
         return 2
-    if args.format == "csv":
-        sys.stdout.write(csv_text(payload))
-    else:
-        write(payload, sys.stdout)
+    if isinstance(head, str):  # an identity's name and its reports
+        failed = write_reports(head, body, sys.stdout, args.format)
+    else:  # a payload and whether it failed
+        payload, failed = head, body
+        sys.stdout.write(csv_text(payload) if args.format == "csv" else dumps(payload))
+    if args.format == "json":
         sys.stdout.write("\n")
-    # a verify verdict is known once its reports are written
-    return 1 if (failed() if callable(failed) else failed) else 0
+    return 1 if failed else 0
 
 
 def console_main() -> None:

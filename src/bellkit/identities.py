@@ -76,9 +76,9 @@ class AffineForm:
 
     @classmethod
     def parse(cls, text: str) -> "AffineForm":
-        """Parse "c0,c1,c2" (missing trailing coefficients default to 0)."""
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not 1 <= len(parts) <= 3:
+        """Parse "c0,c1,c2" (missing trailing coefficients default to 0; an empty one is refused)."""
+        parts = [p.strip() for p in text.split(",")]
+        if not 1 <= len(parts) <= 3 or "" in parts:
             raise InputError(f"expected 1-3 comma-separated rationals, got {text!r}")
         coeffs = [rat(p) for p in parts] + [Fraction(0)] * (3 - len(parts))
         return cls(*coeffs)

@@ -1,34 +1,24 @@
 """The CLI's output formats: one JSON writer, and CSV.
 
 :func:`json_value` is the one converter from a report's values to JSON
-form; :func:`write` writes the text of
-``json.dumps(value, indent=2, default=json_value)`` to a stream,
-:func:`dumps` returns it, and :func:`csv_text` reads its cells back from
-that text.
+form; :func:`dumps` returns the text of
+``json.dumps(value, indent=2, default=json_value)``, and :func:`csv_text`
+the CSV of a payload that holds no reports.
 
-A generator that is a value of the top-level dict is written as it is
-read, and a value after it is rendered only then: a ``verify`` payload
-puts its reports there and its :class:`GridResult` after them, whose
-summary counts the reports read.  So the writer holds one run of
-reports at a time, and writes one chunk per run.  Reports that share a
-``run`` object (see :class:`IdentityReport`) differ only in their
-``Fraction`` params, ``lhs``, ``rhs`` and ``pass``: the first two reports
-of a run tell the writer that the run has more than one report, it
-renders the run's text once with holes for those values, and fills the
-holes for each report.  A run is recognised by the identity of its
-``run`` object, never by equal values: ``(1,)``, ``(Fraction(1),)`` and
-``(True,)`` are equal but render differently.
+:func:`write_reports` writes a ``verify`` payload in either format as its
+reports are made, one run of reports at a time, so it holds one run at
+once.  Reports that share a ``run`` object (see :class:`IdentityReport`)
+differ only in their ``Fraction`` params, ``lhs``, ``rhs`` and ``pass``:
+the writer renders the run's text once with holes for those values, and
+fills the holes for each report.  A run is recognised by the identity of
+its ``run`` object, never by equal values: ``(1,)``, ``(Fraction(1),)``
+and ``(True,)`` are equal but render differently.  A CSV row holds the
+cells of a report's JSON object, read back from its run's text.
 
 CPython encodes in C only when ``indent`` is None; with ``indent=2`` the
 pure-Python encoder was the largest single cost of a certify run's output.
 The writer builds the same text in fewer steps.  Strings go through the C
-``encode_basestring_ascii`` that ``json`` itself uses.  A tuple is
-rendered once per depth and its text reused wherever the same object
-appears again within one chunk, as a plan's ``v`` does in the summary.
-Tuples are remembered by identity, never by equal value, and the memo
-holds each tuple it keys by ``id`` until the chunk is written.  A dict
-value that is the same object as the value before it reuses its text, as
-a passing report's ``rhs``, the same ``Fraction`` as its ``lhs``, does.
+``encode_basestring_ascii`` that ``json`` itself uses.
 
 Values are told apart by their exact type, and dict keys must be strings.
 Floats are refused with ``TypeError``, like any other type :func:`json_value`
@@ -40,10 +30,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from types import GeneratorType
 
 from .identities import AffineForm
 from .rationals import rat_str
@@ -57,10 +47,9 @@ _RATIONAL, _FLAG = object(), object()
 
 
 def json_value(value):
-    """The JSON form of a report or of a Fraction, AffineForm, SequenceSpec,
-    SparsePoly, generator or GridResult, one level deep.  A report becomes
-    a dict of :attr:`IdentityReport.KEYS`, a generator the list of what it
-    yields, and a GridResult its summary of the reports read so far."""
+    """The JSON form of a report or of a Fraction, AffineForm, SequenceSpec or
+    SparsePoly, one level deep.  A report becomes a dict of
+    :attr:`IdentityReport.KEYS`."""
     if isinstance(value, Fraction):
         return rat_str(value)
     if isinstance(value, IdentityReport):
@@ -73,136 +62,104 @@ def json_value(value):
         return value.to_json_obj()
     if isinstance(value, SparsePoly):
         return repr(value)
-    if isinstance(value, GeneratorType):
-        return list(value)
-    if isinstance(value, GridResult):
-        return value.summary()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dumps(value) -> str:
     """``json.dumps(value, indent=2, default=json_value)``, floats and subclasses refused."""
-    out = io.StringIO()
-    write(value, out)
-    return out.getvalue()
+    return _render(value, 0)
 
 
-def write(value, stream) -> None:
-    """Write ``json.dumps(value, indent=2, default=json_value)`` to ``stream``.
-
-    A generator that is a value of a top-level dict is written as it is
-    read, one chunk per run of reports; everything else is rendered whole.
-    """
-    memo: dict[tuple[int, int], tuple[tuple, str]] = {}
-
-    def render(value, depth: int) -> str:
-        kind = type(value)
-        if kind is str:
-            return encode_basestring_ascii(value)
-        if kind is int:
-            return int.__repr__(value)
-        if kind is dict:
-            if not value:
-                return "{}"
-            inner = "\n" + "  " * (depth + 1)
-            items, last, text = [], None, None
-            for key, item in value.items():
-                if type(key) is not str:
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                if item is not last or text is None:
-                    last, text = item, render(item, depth + 1)
-                items.append(f"{encode_basestring_ascii(key)}: {text}")
-            return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
-        if kind is list:
-            return sequence(value, depth)
-        if kind is tuple:
-            hit = memo.get((id(value), depth))
-            if hit is None:
-                hit = memo[id(value), depth] = (value, sequence(value, depth))
-            return hit[1]
-        if value is None or kind is bool:
-            return "null" if value is None else "true" if value else "false"
-        if value is _RATIONAL or value is _FLAG:
-            # rendered JSON text holds no raw control character
-            return '"\x00"' if value is _RATIONAL else "\x00"
-        return render(json_value(value), depth)
-
-    def sequence(value, depth: int) -> str:
+def _render(value, depth: int) -> str:
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = "\n" + "  " * (depth + 1)
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_render(item, depth + 1)}")
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = "\n" + "  " * (depth + 1)
-        items = [render(item, depth + 1) for item in value]
+        items = [_render(item, depth + 1) for item in value]
         return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if value is _RATIONAL or value is _FLAG:
+        # rendered JSON text holds no raw control character
+        return '"\x00"' if value is _RATIONAL else "\x00"
+    return _render(json_value(value), depth)
 
-    def chunk(run: list, depth: int) -> str:
-        """The text of one run of reports, or of one item, joined as list items."""
-        first = run[0]
-        if len(run) == 1:
-            text = render(first, depth)
-        else:
-            holes = [key for key, item in first.params.items() if type(item) is Fraction]
-            fields = json_value(first)
-            fields["params"] = {key: _RATIONAL if key in holes else item
-                                for key, item in first.params.items()}
-            fields["lhs"] = fields["rhs"] = _RATIONAL
-            fields["pass"] = _FLAG
-            # KEYS puts params before lhs, rhs and pass, so the holes come in
-            # that order; "%s" of a Fraction is its str, the "p/q" or "p" of rat_str
-            template = render(fields, depth).replace("%", "%%").replace("\x00", "%s")
-            texts = [
-                template % (*[report.params[key] for key in holes], report.lhs, report.rhs,
-                            "true" if report.passed else "false")
-                for report in run
-            ]
-            text = (",\n" + "  " * depth).join(texts)
-        memo.clear()
-        return text
 
-    def stream_items(items, depth: int) -> None:
-        """Write a generator as a list, one chunk per run of reports."""
-        inner = "\n" + "  " * (depth + 1)
-        sep, run, shared = "[" + inner, [], None
-        for item in items:
-            key = item.run if type(item) is IdentityReport else None
-            if run and (key is None or key is not shared):
-                stream.write(sep + chunk(run, depth + 1))
-                sep, run = "," + inner, []
-            run.append(item)
-            shared = key
-        if run:
-            stream.write(sep + chunk(run, depth + 1) + "\n" + "  " * depth + "]")
-        else:
-            stream.write("[]")
+def _run_text(run: list, depth: int) -> str:
+    """The text of a run of reports at ``depth``, joined as list items."""
+    first = run[0]
+    if len(run) == 1:
+        return _render(first, depth)
+    holes = [key for key, item in first.params.items() if type(item) is Fraction]
+    fields = json_value(first)
+    fields["params"] = {key: _RATIONAL if key in holes else item
+                        for key, item in first.params.items()}
+    fields["lhs"] = fields["rhs"] = _RATIONAL
+    fields["pass"] = _FLAG
+    # KEYS puts params before lhs, rhs and pass, so the holes come in that
+    # order; "%s" of a Fraction is its str, the "p/q" or "p" of rat_str
+    template = _render(fields, depth).replace("%", "%%").replace("\x00", "%s")
+    return (",\n" + "  " * depth).join(
+        template % (*[report.params[key] for key in holes], report.lhs, report.rhs,
+                    "true" if report.passed else "false")
+        for report in run
+    )
 
-    if type(value) is not dict or not value:
-        stream.write(render(value, 0))
-        return
-    opening = "{\n  "
-    for key, item in value.items():
-        if type(key) is not str:
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        head = f"{opening}{encode_basestring_ascii(key)}: "
-        opening = ",\n  "
-        if type(item) is GeneratorType:
-            stream.write(head)
-            stream_items(item, 1)
-        else:
-            stream.write(head + render(item, 1))
-    stream.write("\n}")
+
+def write_reports(name: str, reports, stream, fmt: str) -> bool:
+    """Write the ``verify`` payload of identity ``name`` to ``stream`` as
+    ``fmt``, "json" or "csv"; return whether a check failed.
+
+    ``reports`` is a :class:`GridResult` or an iterable of reports, read
+    once.  JSON is the text of ``{"command": "verify", "identity": name,
+    "reports": [...], "summary": ...}``, written as the envelope, one write
+    per run of reports, and the summary of the reports read; CSV is a
+    header of :attr:`IdentityReport.KEYS` and one row per report.
+    """
+    grid = reports if isinstance(reports, GridResult) else GridResult(reports)
+    # consecutive reports that share a run object; a fresh object() for a
+    # report without one compares unequal to any other key, so it runs alone
+    runs = (list(run) for _, run in itertools.groupby(grid, lambda r: r.run or object()))
+    if fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(IdentityReport.KEYS)
+        for run in runs:
+            for report in json.loads("[" + _run_text(run, 0) + "]"):
+                writer.writerow(map(_csv_cell, report.values()))
+    else:
+        stream.write('{\n  "command": "verify",\n  "identity": '
+                     f'{encode_basestring_ascii(name)},\n  "reports": ')
+        opening = "[\n    "
+        for run in runs:
+            stream.write(opening + _run_text(run, 2))
+            opening = ",\n    "
+        closing = "[]" if opening[0] == "[" else "\n  ]"
+        stream.write(f'{closing},\n  "summary": {_render(grid.summary(), 1)}\n}}')
+    return not grid.all_passed()
 
 
 def csv_text(payload: dict) -> str:
-    """A payload as CSV: one row per report, or one row per key of any other payload."""
+    """A payload that holds no reports as CSV: one row per key."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if "reports" in payload:
-        writer.writerow(IdentityReport.KEYS)
-        for rep in json.loads(dumps(payload["reports"])):
-            writer.writerow(map(_csv_cell, rep.values()))
-    else:
-        writer.writerow(["key", "value"])
-        for key, value in payload.items():
-            writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
+    writer.writerow(["key", "value"])
+    for key, value in payload.items():
+        writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
     return out.getvalue()
 
 

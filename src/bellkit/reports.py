@@ -41,9 +41,10 @@ class IdentityReport:
     ``passed`` is their exact equality; the two may be one object.
 
     Reports that share one ``run`` object, not None, differ only in ``lhs``,
-    ``rhs``, ``passed`` and the ``Fraction`` values of ``params``: the JSON
-    writer renders the rest of their text once.  ``identities`` gives one
-    to the reports of each (plan, variant) of the double sums.
+    ``rhs``, ``passed`` and the ``Fraction`` values of ``params``: the writer
+    renders the rest of their text once, for JSON and CSV alike.
+    ``identities`` gives one to the reports of each (plan, variant) of the
+    double sums.
     """
 
     name: str

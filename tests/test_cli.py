@@ -310,6 +310,8 @@ class TestErrorHandling:
             ("verify th1c --n 3 --tau 3", "alpha(2,3) = tau = 3"),
             # entries are checked by the first of the 3 reports
             ("verify vanishing-sum --v 2,-1,1", "entries must be nonnegative, got (2, -1, 1)"),
+            # CSV is written as the reports are made, too
+            ("verify th1c --n 3 --tau 3 --format csv", "alpha(2,3) = tau = 3"),
         ],
     )
     def test_a_pole_on_a_later_plan_aborts_before_any_output(self, capsys, argv, message):
@@ -321,13 +323,15 @@ class TestErrorHandling:
     def test_a_closed_pipe_ends_without_a_traceback(self):
         env = {**os.environ, "PYTHONPATH": SRC}
         argv = [sys.executable, "-m", "bellkit.cli", "verify", "th1c", "--n", "12"]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-            head = proc.stdout.read(50)
-            proc.stdout.close()  # the reader leaves, like head -c 50
-            status = proc.wait(timeout=60)
-            err = proc.stderr.read().decode()
-        assert head.startswith(b'{\n  "command": "verify"')
-        assert "Traceback" not in err and status == 1, err
+        for fmt, start in [("json", b'{\n  "command": "verify"'), ("csv", b"identity,params,")]:
+            with subprocess.Popen([*argv, "--format", fmt], stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, env=env) as proc:
+                head = proc.stdout.read(50)
+                proc.stdout.close()  # the reader leaves, like head -c 50
+                status = proc.wait(timeout=60)
+                err = proc.stderr.read().decode()
+            assert head.startswith(start), fmt
+            assert "Traceback" not in err and status == 1, (fmt, err)
 
     @pytest.mark.parametrize(
         "argv, fragment",
@@ -344,6 +348,13 @@ class TestErrorHandling:
             (["verify", "th1a", "--n", "0"], "bellkit: no index vectors for n=0\n"),
             (["transform", "lambda", "--n", "3", "--lambda", "2", "--k0", "0"], "k0"),
             (["series", "apply-poly", "--n-max", "3", "--coeffs="], "--coeffs"),
+            # an empty item between commas used to be dropped
+            (["verify", "th1a", "--v", "2,1", "--alpha", "1,,2", "--tau", "5"], "--alpha"),
+            (["series", "apply-poly", "--n-max", "3", "--coeffs", "1,,2"], "--coeffs"),
+            (["verify", "th1a", "--v", "2,,1"], "--v"),
+            (["verify", "vanishing-sum", "--v", "2,1,"], "--v"),
+            (["verify", "general-binomial-demo", "--v", ",2,1"], "--v"),
+            (["verify", "bell-conv", "--n", "4", "--k", "2", "--alpha", "1,1,"], "--alpha"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else "",
     )
@@ -710,11 +721,13 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 def test_a_streamed_grid_holds_one_plan_at_a_time():
-    """``verify th1c --n 16`` writes 15,398 reports in a bounded footprint."""
+    """``verify th1c --n 16`` writes 15,398 reports in a bounded footprint, as JSON or CSV."""
     pytest.importorskip("resource")
     env = {**os.environ, "PYTHONPATH": SRC}
-    argv = [sys.executable, "-c", PEAK_RSS,
-            sys.executable, "-m", "bellkit.cli", "verify", "th1c", "--n", "16"]
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120, check=True)
-    peak_mb = int(done.stdout) / 1024  # ru_maxrss is in KiB on Linux
-    assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"
+    for fmt in ("json", "csv"):
+        argv = [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "bellkit.cli",
+                "verify", "th1c", "--n", "16", "--format", fmt]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120,
+                              check=True)
+        peak_mb = int(done.stdout) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 40, f"--format {fmt}: peak RSS {peak_mb:.1f} MB"

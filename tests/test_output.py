@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from bellkit.cli import build_parser
 from bellkit.identities import DEFAULT_ALPHAS, AffineForm, certify_double_sums, grid_vs
-from bellkit.output import dumps, json_value, write
+from bellkit.output import dumps, json_value, write_reports
 from bellkit.reports import GridResult, IdentityReport, PoleError
 
 from oracles import certify_th1_grid
@@ -73,16 +74,22 @@ def _as_reference(value):
     return json.dumps(value, indent=2, default=json_value)
 
 
-def _payload(argv: str) -> dict:
+def _verify_payload(name: str, reports) -> dict:
+    """The ``verify`` payload of ``reports``, read into a list, and their summary."""
+    grid = reports if isinstance(reports, GridResult) else GridResult(reports)
+    reports = list(grid)
+    return {"command": "verify", "identity": name, "reports": reports, "summary": grid.summary()}
+
+
+def _handled(argv: str):
     args = build_parser().parse_args(argv.split())
-    return args.handler(args)[0]
+    return args.handler(args)
 
 
-def _materialised(payload: dict) -> dict:
-    """``payload`` with its reports read into a list, so that its summary counts them."""
-    if "reports" not in payload:
-        return payload
-    return {**payload, "reports": list(payload["reports"])}
+def _written(name: str, reports, fmt: str = "json") -> str:
+    out = io.StringIO()
+    write_reports(name, reports, out, fmt)
+    return out.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -102,9 +109,14 @@ def _materialised(payload: dict) -> dict:
     ],
 )
 def test_cli_payloads_render_as_json_dumps(argv):
-    # a verify payload's reports are made as they are written: build it twice
-    assert dumps(_payload(argv)) == _as_reference(_materialised(_payload(argv)))
-    for rep in _materialised(_payload(argv)).get("reports", ()):
+    head, body = _handled(argv)
+    if not isinstance(head, str):
+        assert dumps(head) == _as_reference(head)
+        return
+    # a verify handler's reports are made as they are written: build them twice
+    payload = _verify_payload(*_handled(argv))
+    assert _written(head, body) == _as_reference(payload)
+    for rep in payload["reports"]:
         assert dumps(rep) == _as_reference(rep)
 
 
@@ -181,10 +193,29 @@ class _Chunks(io.StringIO):
 
 
 def _streamed(grid: GridResult) -> tuple[str, int]:
-    """The CLI's payload of ``grid`` as written, and the number of writes."""
+    """The CLI's JSON payload of ``grid`` as written, and the number of writes."""
     out = _Chunks()
-    write({"command": "verify", "identity": "t", "reports": iter(grid), "summary": grid}, out)
+    write_reports("t", grid, out, "json")
     return out.getvalue(), out.writes
+
+
+def _cell(value):
+    """A report field's JSON value as its CSV cell."""
+    if isinstance(value, dict):
+        return ";".join(f"{k}={v}" for k, v in value.items())
+    if isinstance(value, list):
+        return ";".join(",".join(map(str, triple)) for triple in value)
+    return value
+
+
+def _csv_of(text: str) -> str:
+    """The CSV of a JSON ``verify`` payload's reports, read back from the whole text."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(IdentityReport.KEYS)
+    for rep in json.loads(text)["reports"]:
+        writer.writerow(map(_cell, rep.values()))
+    return out.getvalue()
 
 
 def _runs(reports) -> int:
@@ -209,16 +240,14 @@ def test_a_streamed_grid_is_json_dumps_of_the_materialised_payload(vs, alphas, v
         streamed = certify_double_sums(vs, alphas, variants, tau=tau)
     except PoleError:
         return  # an explicit tau at a pole: raised before any report
-    grid = certify_double_sums(vs, alphas, variants, tau=tau)
-    reports = list(grid)
-    expected = _as_reference(
-        {"command": "verify", "identity": "t", "reports": reports, "summary": grid.summary()}
-    )
+    payload = _verify_payload("t", certify_double_sums(vs, alphas, variants, tau=tau))
     text, writes = _streamed(streamed)
-    assert text == expected
-    assert streamed.summary() == grid.summary()
-    # envelope, one chunk per run, summary, closing brace
-    assert writes == 5 + max(_runs(reports), 1)
+    assert text == _as_reference(payload)
+    assert streamed.summary() == payload["summary"]
+    # the envelope, one write per run, then the summary
+    assert writes == 2 + _runs(payload["reports"])
+    # CSV holds the cells of the same reports, one run read back at a time
+    assert _written("t", certify_double_sums(vs, alphas, variants, tau=tau), "csv") == _csv_of(text)
 
 
 def _run(name, params_and_sides, skipped=()):
@@ -254,11 +283,11 @@ def test_runs_render_each_report_by_its_own_values():
     ]
     assert not reports[1].passed
     text, writes = _streamed(GridResult(reports))
-    counted = GridResult(reports)
-    expected = {"command": "verify", "identity": "t", "reports": list(counted),
-                "summary": counted.summary()}
-    assert text == _as_reference(expected)
-    assert writes == 5 + 7
+    assert text == _as_reference(_verify_payload("t", reports))
+    assert writes == 2 + 7
+    rows = io.StringIO()
+    assert write_reports("t", reports, rows, "csv") is True  # reports[1] failed
+    assert rows.getvalue() == _csv_of(text)
     shown = json.loads(text)["reports"]
     assert [r["params"]["v"] for r in shown[4:10:2]] == [[1], ["1"], [True]]
     assert [r["params"]["x"] for r in shown[4:10:2]] == [1, "1", True]
@@ -267,6 +296,9 @@ def test_runs_render_each_report_by_its_own_values():
 
 
 def test_an_empty_stream_is_an_empty_list():
-    assert dumps({"reports": (r for r in ()), "summary": GridResult()}) == _as_reference(
-        {"reports": [], "summary": GridResult()}
-    )
+    text, writes = _streamed(GridResult(r for r in ()))
+    assert text == _as_reference(_verify_payload("t", ()))
+    assert json.loads(text)["reports"] == [] and writes == 2
+    rows = io.StringIO()
+    assert write_reports("t", (), rows, "csv") is False
+    assert rows.getvalue() == ",".join(IdentityReport.KEYS) + "\n"
