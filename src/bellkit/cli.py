@@ -132,12 +132,20 @@ def _items(text: str, flag: str) -> list[str]:
     return items
 
 
+def _index(value: int, flag: str) -> int:
+    """``value``, refused if it is too large for an index: Python's int takes any size."""
+    if abs(value) > sys.maxsize:
+        raise InputError(f"{flag} is out of range for an index, got {value}")
+    return value
+
+
 def _parse_vec(text: str, flag: str) -> tuple[int, ...]:
     items = _items(text, flag)
     try:
-        return tuple(int(p) for p in items)
+        vec = [int(p) for p in items]
     except ValueError as exc:
         raise InputError(f"{flag} expects comma-separated integers, got {text!r}") from exc
+    return tuple(_index(e, flag) for e in vec)
 
 
 def _parse_rats(text: str, flag: str) -> list[Fraction]:
@@ -367,7 +375,7 @@ def _verify_stirling_rec(args):
 
 def _verify_q_recurrence(args):
     n = _need(args, "n")
-    lam = _parse_int(_need(args, "lam", "lambda"), "--lambda")
+    lam = _index(_parse_int(_need(args, "lam", "lambda"), "--lambda"), "--lambda")
     return [q_recurrence_check(n, lam, _sequence_for(args, n))]
 
 
@@ -550,8 +558,8 @@ def main(argv=None) -> int:
     try:
         for flag in INDEX_FLAGS:
             value = getattr(args, flag[2:].replace("-", "_"), None)
-            if value is not None and abs(value) > sys.maxsize:
-                raise InputError(f"{flag} is out of range for an index, got {value}")
+            if value is not None:
+                _index(value, flag)
         head, body = args.handler(args)
     except InputError as exc:
         print(f"bellkit: {exc}", file=sys.stderr)

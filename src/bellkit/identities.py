@@ -191,12 +191,6 @@ def _w_support(v: IndexVector) -> tuple[tuple[int, int, int], ...]:
     return tuple((l, m, w) for (l, m), w in sorted(poly.items()))
 
 
-def _support(v) -> tuple[IndexVector, int, int, tuple[tuple[int, int, int], ...]]:
-    """(v, n, k, its (l, m, W) triples); it does not depend on alpha or tau."""
-    v, n, k = _vnk(v)
-    return v, n, k, _w_support(v)
-
-
 class Th1Plan:
     """The tau-independent part of the double sums at one (v, alpha).
 
@@ -213,6 +207,8 @@ class Th1Plan:
     l-major, m-minor order, where alpha vanishes at nonzero weight (None if
     there is none), and ``first`` maps each A that alpha takes on the
     support to the first (l, m) taking it; ``avoid`` keys it by A / d.
+    Nothing derived from these is stored: ``avoid`` and :meth:`coefficients`
+    are computed at each read, so an edited copy evaluates as edited.
     """
 
     def __init__(self, support, alpha: AffineForm):
@@ -232,9 +228,8 @@ class Th1Plan:
             self.first.setdefault(a, (l, m))
             merged[l, a] = merged.get((l, a), 0) + w
         self.merged = tuple((l, a, w) for (l, a), w in merged.items())
-        self._coefficients: dict[str, tuple] = {}
 
-    @cached_property
+    @property
     def avoid(self) -> dict[Fraction, tuple[int, int]]:
         return {Fraction(a, self.d): where for a, where in self.first.items()}
 
@@ -248,7 +243,7 @@ class Th1Plan:
         tau-independent factor c is nonzero, with j! folded into w.  Variant
         C is tau times the sum of c * C(tau - a, l) / (tau - a); for l > 0
         that term is (c / l) * C(tau - a - 1, l - 1), so it needs no division
-        by tau - a.  Needs ``pole`` to be None.
+        by tau - a.  Needs ``pole`` to be None; computed anew at each call.
 
         With C(a, r) = P / (d^r r!), where P = A (A - d) ... (A - (r-1)d),
         and r! C(k, l) j! = k! for r + j = k, each c / j! (c / l! for C) is
@@ -256,31 +251,29 @@ class Th1Plan:
         for A, d * alpha(0, 0) for B (with r = l) and d for C (r = k - l);
         each quotient is reduced by its gcd and L is the lcm of what is left.
         """
-        if variant not in self._coefficients:
-            k, d = self.k, self.d
-            lead = {"A": self.akn, "B": self.a00, "C": d}[variant]
-            terms, tails = [], []
-            for l, num, w in self.merged:
-                r = l if variant == "B" else k - l
-                top = lead * falling(num, r, d) * w.numerator
-                if not top:
-                    continue
-                bottom = num * d**r * factorial(k) * w.denominator
-                c = (top // (g := gcd(top, bottom)), bottom // g)
-                if variant != "C":
-                    terms.append((num, k - r, c))
-                elif l == 0:
-                    tails.append((num, c))
-                else:
-                    terms.append((num + d, l - 1, c))
-            scale = lcm(*(c[1] for *_, c in terms + tails))
-            self._coefficients[variant] = (
-                scale,
-                max((j for _, j, _ in terms), default=0),
-                [(num, j, top * (scale // bottom)) for num, j, (top, bottom) in terms],
-                [(num, top * (scale // bottom)) for num, (top, bottom) in tails],
-            )
-        return self._coefficients[variant]
+        k, d = self.k, self.d
+        lead = {"A": self.akn, "B": self.a00, "C": d}[variant]
+        terms, tails = [], []
+        for l, num, w in self.merged:
+            r = l if variant == "B" else k - l
+            top = lead * falling(num, r, d) * w.numerator
+            if not top:
+                continue
+            bottom = num * d**r * factorial(k) * w.denominator
+            c = (top // (g := gcd(top, bottom)), bottom // g)
+            if variant != "C":
+                terms.append((num, k - r, c))
+            elif l == 0:
+                tails.append((num, c))
+            else:
+                terms.append((num + d, l - 1, c))
+        scale = lcm(*(c[1] for *_, c in terms + tails))
+        return (
+            scale,
+            max((j for _, j, _ in terms), default=0),
+            [(num, j, top * (scale // bottom)) for num, j, (top, bottom) in terms],
+            [(num, top * (scale // bottom)) for num, (top, bottom) in tails],
+        )
 
     def params(self, tau: Fraction) -> dict:
         return {"v": self.v, "alpha": self.alpha, "tau": tau, "n": self.n, "k": self.k}
@@ -288,7 +281,8 @@ class Th1Plan:
 
 def th1_plan(v, alpha: AffineForm) -> Th1Plan:
     """The plan of one (v, alpha); reuse it for every tau and variant there."""
-    return Th1Plan(_support(v), alpha)
+    v, n, k = _vnk(v)
+    return Th1Plan((v, n, k, _w_support(v)), alpha)
 
 
 def _raise_at_pole(plan: Th1Plan, variant: str | None = None, tau: Fraction | None = None) -> None:
@@ -316,57 +310,45 @@ def _raise_at_pole(plan: Th1Plan, variant: str | None = None, tau: Fraction | No
         raise PoleError(f"alpha({l},{m}) = 0", where=plan.pole)
 
 
-def _double_sum(plan: Th1Plan, variant: str, tau: Fraction) -> tuple[int, int]:
-    """The left side of variant A, B or C at tau, as an unreduced (num, den).
-
-    Raises :class:`PoleError` at the first pole, in the order of
-    :func:`_raise_at_pole`.
-    """
-    _raise_at_pole(plan, variant, tau)
-    p, q = tau.numerator, tau.denominator
-    pd = p * plan.d
-    scale, j_max, terms, tails = plan.coefficients(variant)
-    # times q*d, tau - A/d - i is the integer p*d - A*q - i*q*d
-    step = q * plan.d
-    powers = [1]
-    for _ in range(j_max):
-        powers.append(powers[-1] * step)
-    total = 0
-    for num, j, w in terms:
-        x = pd - num * q
-        for _ in range(j):
-            w *= x
-            x -= step
-        total += w * powers[j_max - j]
-    den = scale * powers[j_max]
-    for num, w in tails:
-        x = pd - num * q
-        total, den = total * scale * x + w * step * den, den * scale * x
-    if variant == "C":
-        return p * total, q * den
-    return total, den
-
-
 def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=()):
     """The report ``name`` with ``params(tau)`` of variant A, B or C at each tau.
 
-    At tau = p/q the right side is C(tau, k) = falling(p, k, q) / (q^k k!)
-    times the weight at l = k; for C, times d (x + akn q) / (akn x), with
-    x = p d - a00 q.  The sides are compared by cross-multiplying, and when
-    they are equal one reduced ``Fraction`` is both ``lhs`` and ``rhs``.
-    The reports share one ``run`` object, so the writer renders their fixed
-    text once.
+    Each tau first raises :class:`PoleError` at its first pole, in the order
+    of :func:`_raise_at_pole`.  The left side sums the terms of one call to
+    ``plan.coefficients(variant)`` in integers: times q*d, tau - A/d - i is
+    p*d - A*q - i*q*d at tau = p/q.  The right side is C(tau, k) =
+    falling(p, k, q) / (q^k k!) times the weight at l = k; for C, times
+    d (x + akn q) / (akn x), with x = p d - a00 q.  The sides are compared
+    by cross-multiplying; when equal, one reduced ``Fraction`` is both
+    ``lhs`` and ``rhs``.  The reports share one ``run`` object, so the
+    writer renders their fixed text once.
     """
     k, d, fk = plan.k, plan.d, factorial(plan.k)
+    if plan.pole is None:  # with an alpha pole there are none, and the first tau raises
+        scale, j_max, terms, tails = plan.coefficients(variant)
     run = object()
     # at l = k only m = n has weight: W(n, k; v) = 1, C(n, n) B(n, k) B(0, 0) = B(n, k)
     top = sum(w for l, _, w in plan.merged if l == k)
     for tau in taus:
-        ln, ld = _double_sum(plan, variant, tau)
+        _raise_at_pole(plan, variant, tau)
         p, q = tau.numerator, tau.denominator
+        pd, step = p * d, q * d
+        powers = [step**i for i in range(j_max + 1)]
+        ln = 0
+        for num, j, w in terms:
+            x = pd - num * q
+            for _ in range(j):
+                w *= x
+                x -= step
+            ln += w * powers[j_max - j]
+        ld = scale * powers[j_max]
+        for num, w in tails:
+            x = pd - num * q
+            ln, ld = ln * scale * x + w * step * ld, ld * scale * x
         rn, rd = falling(p, k, q) * top.numerator, q**k * fk * top.denominator
         if variant == "C":
-            x = p * d - plan.a00 * q
+            ln, ld = p * ln, q * ld
+            x = pd - plan.a00 * q
             rn, rd = rn * d * (x + plan.akn * q), rd * plan.akn * x
         if ln * rd == rn * ld:
             lhs = rhs = Fraction(rn, rd)
@@ -692,11 +674,16 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
     nonzero-weight (l, m) is recorded in ``skipped_pairs`` and not checked.
     With an explicit ``tau`` every pair is checked there, and a pole raises
     :class:`PoleError`.  Every error is raised by this call, before the
-    first report: each v is validated, and with an explicit ``tau`` each
-    plan's poles are checked, in the order the sweep meets them.
+    first report: each variant and each v is validated, and with an
+    explicit ``tau`` each plan's poles are checked, in the order the sweep
+    meets them.
     """
     tau = None if tau is None else rat(tau)
     alphas, variants = tuple(alphas), tuple(variants)
+    accepted = (*TH1_VARIANTS, "negative-one")
+    for variant in variants:
+        if variant not in accepted:
+            raise InputError(f"unknown variant {variant!r}, expected one of {accepted}")
     vnks = []
     for v in vs:
         vnks.append(_vnk(v))

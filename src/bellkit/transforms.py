@@ -110,7 +110,10 @@ def q_product_check(
 
     Terms are indexed by (k, l) with the two Bell factors nonzero, i.e.
     1 <= l <= n2 and 1 <= k - l <= n1; the two affine denominators must not
-    vanish there.
+    vanish there.  With j = k - l and den = lam + b*j + 1, k!/C(k, l) =
+    j! l! and C(den, j) j!/den = C(lam + b*j, j-1) (j-1)!, so the right side
+    is the two left factors expanded term by term: the check can fail only
+    at a pole, never on a value.
     """
     if n1 < 1 or n2 < 1:
         raise InputError(f"orders must be positive, got n1={n1}, n2={n2}")

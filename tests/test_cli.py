@@ -467,6 +467,11 @@ class TestErrorHandling:
             ("series log --n-max={} --x ones", "--n-max"),
             ("transform forward --n-max={} --x ones", "--n-max"),
             ("verify th1a --n={}", "--n"),
+            ("verify vanishing-sum --v={}", "--v"),
+            ("verify th1a --v={} --tau 5/2", "--v"),
+            ("verify negative-one --v={}", "--v"),
+            ("verify general-binomial-demo --v={}", "--v"),
+            ("verify q-recurrence --n 3 --lambda={}", "--lambda"),
         ],
     )
     def test_index_beyond_an_index_sized_int_is_named(self, capsys, argv, flag, value):

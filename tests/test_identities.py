@@ -12,6 +12,7 @@ from bellkit.identities import (
     CONVOLUTION_VARIANTS,
     DEFAULT_ALPHAS,
     AffineForm,
+    Th1Plan,
     bell_convolution_plan,
     certify_double_sums,
     check_alpha_constant,
@@ -24,6 +25,7 @@ from bellkit.identities import (
     check_th1c,
     check_vanishing_sum,
     check_zerosum,
+    grid_vs,
     support_alpha_pole,
     tau_samples,
     th1_plan,
@@ -33,7 +35,7 @@ from bellkit.identities import (
 from bellkit.output import dumps
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat, rat_str
-from bellkit.reports import PoleError
+from bellkit.reports import InputError, PoleError
 from bellkit.sequences import SequenceSpec, ones, naturals, random_rationals
 from bellkit.sparsepoly import SparsePoly
 
@@ -543,6 +545,14 @@ class TestPlanAgainstOracle:
             ((2, 1), AffineForm(-1, 1), (1, 1))
         ]
 
+    @pytest.mark.parametrize("variant, tau", [("D", None), ("a", 2)])
+    def test_unknown_variant_is_refused_at_the_call(self, variant, tau):
+        with pytest.raises(InputError) as err:
+            certify_double_sums([(2, 1)], [AffineForm(1)], (variant,), tau=tau)
+        assert str(err.value) == (
+            f"unknown variant {variant!r}, expected one of ('A', 'B', 'C', 'negative-one')"
+        )
+
 
 def _oracle_samples(variant, v, alpha):
     """The taus the certifier samples for (v, alpha), and the (l, m, tau) it skips.
@@ -611,7 +621,6 @@ class TestCertifierAgainstOracle:
         mutant = copy.copy(plan)
         l, a, w = plan.merged[0]
         mutant.merged = ((l, a, w + 1),) + plan.merged[1:]
-        mutant._coefficients = {}
         taus, _ = tau_samples(2 * plan.k + 2, plan.avoid)
         checks = {
             "A": functools.partial(check_th1, "A"),
@@ -632,6 +641,29 @@ class TestCertifierAgainstOracle:
                 assert shown["lhs"] == rat_str(bad.lhs) != shown["rhs"] == rat_str(good.rhs)
             # the perturbation adds a nonzero function of tau with at most k zeros
             assert affected >= len(taus) - plan.k
+
+    def test_each_plan_variant_derives_its_coefficients_once(self, monkeypatch):
+        asked = []
+        coefficients = Th1Plan.coefficients
+        monkeypatch.setattr(
+            Th1Plan, "coefficients",
+            lambda plan, variant: asked.append(variant) or coefficients(plan, variant),
+        )
+        result = certify_double_sums(grid_vs(5), DEFAULT_ALPHAS)
+        runs = {id(rep.run): rep.name for rep in list(result)}
+        assert sorted(asked) == sorted(name[-1].upper() for name in runs.values())
+
+    def test_a_perturbed_copy_fails_after_the_original_was_evaluated(self):
+        # the copy must not read anything the original's evaluation left behind
+        v, alpha, tau = (2, 1, 1), AffineForm(Fraction(1, 2), 1), Fraction(7, 2)
+        plan = th1_plan(v, alpha)
+        good = check_th1("A", v, alpha, tau, plan=plan)
+        mutant = copy.copy(plan)
+        l, a, w = plan.merged[0]
+        mutant.merged = ((l, a, w + 1),) + plan.merged[1:]
+        bad = check_th1("A", v, alpha, tau, plan=mutant)
+        assert good.passed and not bad.passed
+        assert bad.rhs == good.rhs and bad.lhs != good.lhs
 
 
 def oracle_bell_convolution(variant, n, k, alpha, tau, x):
