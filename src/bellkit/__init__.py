@@ -4,7 +4,7 @@ Everything is computed over arbitrary-precision rationals; every identity
 check is an exact equality.  See the README for a tour.
 """
 
-from .bell import bell_symbolic, bell_table, stirling1_unsigned, stirling2
+from .bell import bell_symbolic, bell_value, stirling1_unsigned, stirling2
 from .egf import TruncatedEGF, egf_apply_poly, egf_log, egf_polyval, egf_pow
 from .identities import (
     DEFAULT_ALPHAS,

@@ -11,14 +11,15 @@ B(n, k)(x), 0 <= k <= n <= n_max, in one pass of the row recurrence
     B(n, k) = sum_{m=1}^{n-k+1} C(n-1, m-1) x_m B(n-m, k-1)
 
 (Comtet, *Advanced Combinatorics*, ch. 3), in integer arithmetic, and
-returns each column k as integer numerators over one denominator Q_k.  The
-weighted sums of :mod:`bellkit.transforms` read these columns directly;
-``bell_table`` is the view for consumers that read single entries.
-``bell_symbolic`` expands the definition sum above into a polynomial.
-``stirling2`` and ``stirling1_unsigned`` are the classical specializations
-at x_j = 1 and x_j = (j-1)!.  The independent routes the tests hold the
-table against (the definition sum at a sequence, and a one-step recurrence
-in k) live in ``tests/oracles.py``, outside the package.
+returns each column k as integer numerators over one denominator Q_k.  Every
+consumer reads these columns: the weighted sums of :mod:`bellkit.transforms`,
+the Bell convolutions and the splitting identity of :mod:`bellkit.identities`,
+and ``bell_value``, which returns one entry.  ``bell_symbolic`` expands the
+definition sum above into a polynomial.  ``stirling2`` and
+``stirling1_unsigned`` are the classical specializations at x_j = 1 and
+x_j = (j-1)!.  The independent routes the tests hold the kernel against (the
+definition sum at a sequence, and a one-step recurrence in k) live in
+``tests/oracles.py``, outside the package.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import mul
-from typing import Callable
 
 from .partitions import enumerate_pi, strip_trailing_zeros
 from .reports import InputError
 from .sequences import SequenceSpec, factorials, ones
 from .sparsepoly import SparsePoly
-
-#: ``bell(n, k)`` -> B(n, k)(x), as returned by ``bell_table``
-BellTable = Callable[[int, int], Fraction]
 
 
 def _term_coefficient(n: int, i) -> int:
@@ -81,33 +78,29 @@ def bell_columns(x: SequenceSpec, n_max: int) -> tuple[list[list[int]], list[int
     return num, q
 
 
-def bell_table(x: SequenceSpec, n_max: int) -> BellTable:
-    """``bell(n, k)`` -> B(n, k)(x) for n <= n_max, read from ``bell_columns``.
+def bell_value(x: SequenceSpec, n: int, k: int) -> Fraction:
+    """B(n, k)(x), one entry read from ``bell_columns(x, n)``.
 
     Conventions: B(0, 0) = 1, B(n, 0) = 0 for n > 0 and B(n, k) = 0 for k > n.
-    x may be shorter than n_max; an entry out of its reach raises ``SequenceTooShort``.
+    An entry out of the reach of x (n - k + 1 > len(x)) raises ``SequenceTooShort``.
+
+    >>> bell_value(ones(4), 4, 2)
+    Fraction(7, 1)
     """
-    num, q = bell_columns(x, n_max)
-    rows = [[Fraction(num[k][n], q[k]) for k in range(n + 1)] for n in range(n_max + 1)]
-
-    def bell(n: int, k: int) -> Fraction:
-        if n < 0 or k < 0:
-            raise InputError(f"indices must be nonnegative, got n={n}, k={k}")
-        if n > n_max:
-            raise InputError(f"table holds n <= {n_max}, got n={n}")
-        if k > n:
-            return Fraction(0)
-        if k and n - k >= len(x):
-            x.require(n - k + 1)
-        return rows[n][k]
-
-    return bell
+    if n < 0 or k < 0:
+        raise InputError(f"indices must be nonnegative, got n={n}, k={k}")
+    if k > n:
+        return Fraction(0)
+    if k:
+        x.require(n - k + 1)
+    num, q = bell_columns(x, n)
+    return Fraction(num[k][n], q[k])
 
 
 def bell_symbolic(n: int, k: int) -> SparsePoly:
     """The polynomial B(n, k), with positive integer coefficients.
 
-    Requires 1 <= k <= n; ``bell_table`` holds the boundary cases.
+    Requires 1 <= k <= n; ``bell_value`` holds the boundary cases.
 
     >>> bell_symbolic(4, 2)
     3*x2^2 + 4*x1*x3
@@ -121,7 +114,7 @@ def bell_symbolic(n: int, k: int) -> SparsePoly:
 
 
 def _integral_entry(n: int, k: int, x: SequenceSpec) -> int:
-    value = bell_table(x, n)(n, k)
+    value = bell_value(x, n, k)
     if value.denominator != 1:
         raise ArithmeticError(f"B({n}, {k}) = {value} is not an integer at {x!r}")
     return value.numerator

@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bell import bell_symbolic, bell_table, stirling1_unsigned, stirling2
+from .bell import bell_symbolic, bell_value, stirling1_unsigned, stirling2
 from .egf import TruncatedEGF, egf_apply_poly, egf_log, egf_pow
 from .identities import (
     CONVOLUTION_VARIANTS,
@@ -197,7 +197,7 @@ def cmd_bell(args):
             "pretty": repr(poly),
         }, False
     x = _sequence_for(args, max(n - k + 1, 1))
-    value = bell_table(x, n)(n, k)
+    value = bell_value(x, n, k)
     return {"command": "bell", "n": n, "k": k, "value": rat_str(value)}, False
 
 

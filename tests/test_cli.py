@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import bellkit
 from bellkit import cli, identities, transforms
-from bellkit.bell import bell_columns, bell_table
+from bellkit.bell import bell_columns
 from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main
 from bellkit.reports import InputError
 from bellkit.sequences import named_sequence
@@ -270,6 +270,20 @@ class TestErrorHandling:
         )
         assert code == 2 and "tau" in err
 
+    @pytest.mark.parametrize("tau", ["1e5000", "-1e-5000"])
+    def test_exponent_notation_is_refused(self, capsys, tau):
+        code, out, err = run(capsys, "verify", "th1a", "--v", "2,1", f"--tau={tau}")
+        assert code == 2 and out == ""
+        assert err == f"bellkit: --tau expects a rational like 5 or -7/3, got '{tau}'\n"
+
+    def test_exponent_notation_in_a_sequence_file_is_refused(self, capsys, tmp_path):
+        f = tmp_path / "exp.json"
+        f.write_text('["1", "1e5000", "3"]')
+        code, out, err = run(capsys, "bell", "--n", "3", "--k", "2", "--x", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"bellkit: malformed entry in {f}: ")
+        assert "exponent notation in '1e5000'" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bell", "--n", "3", "--k", "2", "--x", "/nope/missing.json")
         assert code == 2 and "missing.json" in err
@@ -287,7 +301,7 @@ class TestErrorHandling:
         def bug(*args):
             raise ValueError("bug")
 
-        monkeypatch.setattr(cli, "bell_table", bug)
+        monkeypatch.setattr(cli, "bell_value", bug)
         with pytest.raises(ValueError, match="bug"):
             main(["bell", "--n", "3", "--k", "2"])
 

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from bellkit.bell import bell_table, stirling1_unsigned, stirling2
+from bellkit.bell import stirling1_unsigned, stirling2
 from bellkit.identities import (
     CONVOLUTION_VARIANTS,
     DEFAULT_ALPHAS,
@@ -36,10 +36,10 @@ from bellkit.output import dumps
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat, rat_str
 from bellkit.reports import InputError, PoleError
-from bellkit.sequences import SequenceSpec, ones, naturals, random_rationals
+from bellkit.sequences import SequenceSpec, factorials, naturals, ones, random_rationals
 from bellkit.sparsepoly import SparsePoly
 
-from oracles import certify_th1_grid, w_coefficient
+from oracles import bell_eval, bell_triangle, certify_th1_grid, w_coefficient
 
 
 class TestAffineForm:
@@ -304,6 +304,28 @@ class TestAlphaConstant:
     def test_range_violation(self):
         with pytest.raises(ValueError):
             check_alpha_constant(4, 2, 3, ones(4))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            random_rationals(7, seed=5),
+            random_rationals(7, seed=23),
+            SequenceSpec.from_values(["-3/2", 0, "5/7", 0, -4, "1/3", 2]),
+        ],
+        ids=["seed5", "seed23", "zeros"],
+    )
+    def test_sides_equal_the_definition_sum(self, x):
+        # both sides read Bell convolution weights; bell_eval shares no code with them
+        for n in range(1, 8):
+            for k in range(1, n + 1):
+                value = bell_eval(n, k, x)
+                # c(n, k) and S(n, k): the definition sum at x_j = (j-1)! and at x_j = 1
+                stirling = {"first": bell_eval(n, k, factorials(7)), "second": bell_eval(n, k, ones(7))}
+                for r in range(1, k + 1):
+                    rep = check_alpha_constant(n, k, r, x)
+                    assert rep.lhs == rep.rhs == comb(k, r) * value
+                    for kind, s in stirling.items():
+                        assert check_stirling_recurrence(n, k, r, kind).lhs == comb(k, r) * s
 
 
 class TestZerosum:
@@ -673,7 +695,7 @@ def oracle_bell_convolution(variant, n, k, alpha, tau, x):
     plans, is checked against; returns (lhs, rhs) and raises the PoleError
     the checker should raise, with the same message.
     """
-    bell = bell_table(x, n)
+    bell = bell_triangle(x, n)
     a00, akn = alpha(0, 0), alpha(k, n)
     if variant == "cor34":
         if akn == 0:

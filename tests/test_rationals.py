@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellkit.rationals import binomial_general, falling, rat, rat_str
+from bellkit.reports import InputError
 
 
 small_rationals = st.fractions(
@@ -100,6 +101,7 @@ class TestRatParsing:
             ("−2/5", Fraction(-2, 5)),  # unicode minus
             ("7", Fraction(7)),
             (" 5/10 ", Fraction(1, 2)),
+            ("1.5", Fraction(3, 2)),
         ],
     )
     def test_parse(self, text, value):
@@ -108,6 +110,12 @@ class TestRatParsing:
     def test_rejects_float(self):
         with pytest.raises(ValueError):
             rat(0.5)
+
+    @pytest.mark.parametrize("text", ["1e5000", "-1E-5000", "2.5e5000"])
+    def test_rejects_exponent_notation(self, text):
+        # Fraction("1e99999999") would build 10**99999999 before returning
+        with pytest.raises(InputError, match=f"exponent notation in '{text}'"):
+            rat(text)
 
     def test_rejects_bool(self):
         # bool is an int subclass, so Fraction(True) would silently give 1
