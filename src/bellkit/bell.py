@@ -11,8 +11,8 @@ B(n, k)(x), 0 <= k <= n <= n_max, in one pass of the row recurrence
     B(n, k) = sum_{m=1}^{n-k+1} C(n-1, m-1) x_m B(n-m, k-1)
 
 (Comtet, *Advanced Combinatorics*, ch. 3), in integer arithmetic, and
-returns each column k as integer numerators over one denominator Q_k.  Every
-consumer reads these columns: the weighted sums of :mod:`bellkit.transforms`,
+returns integer numerators num[k][n] over one denominator h_n per row.  Every
+consumer reads this triangle: the weighted sums of :mod:`bellkit.transforms`,
 the Bell convolutions and the splitting identity of :mod:`bellkit.identities`,
 and ``bell_value``, which returns one entry.  ``bell_symbolic`` expands the
 definition sum above into a polynomial.  ``stirling2`` and
@@ -25,7 +25,7 @@ definition sum at a sequence, and a one-step recurrence in k) live in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from operator import mul
 
 from .partitions import enumerate_pi, strip_trailing_zeros
@@ -47,35 +47,39 @@ def _term_coefficient(n: int, i) -> int:
 
 
 def bell_columns(x: SequenceSpec, n_max: int) -> tuple[list[list[int]], list[int]]:
-    """``(num, q)`` with B(n, k)(x) = num[k][n] / q[k], 0 <= k <= n <= n_max, in one pass.
+    """``(num, h)`` with B(n, k)(x) = num[k][n] / h[n], 0 <= k <= n <= n_max, in one pass.
 
-    All arithmetic is in ints.  With D the lcm of the denominators of x, the
-    entries a_m = D x_m are integers.  A step of the recurrence puts column k
-    over D Q_{k-1}, and the gcd of that and the column's numerators is
-    divided out, so Q_k does not grow like D^k.  Entries out of the reach of
-    x (n - k + 1 > len(x)) are held as 0.
+    All arithmetic is in ints.  With d_n the denominator of x_n (1 beyond
+    len(x)), h_0 = 1 and h_n = lcm(d_n, h_m h_{n-m} for 1 <= m <= n/2): h_n
+    is the lcm over the partitions of n of the product of their parts' d_j,
+    so it clears every monomial of row n.  As d_m h_{n-m} divides h_n, the
+    weights C(n-1, m-1) x_m h_n / h_{n-m} of the recurrence are integers
+    that do not depend on k.  Entries out of the reach of x (n - k + 1 >
+    len(x)) are held as 0.
+
+    >>> bell_columns(SequenceSpec.from_values(["1/2", "1/3", "1/4"]), 3)
+    ([[1, 0, 0, 0], [0, 1, 4, 6], [0, 0, 3, 12], [0, 0, 0, 3]], [1, 2, 12, 24])
     """
     length = min(len(x), max(n_max, 0))
     xs = x.values[:length]
-    d = lcm(*(v.denominator for v in xs))
-    a = [v.numerator * (d // v.denominator) for v in xs]
-    # weights[n][m-1] = C(n-1, m-1) a_m, the factors that do not depend on k
+    h = [1]
+    for n in range(1, n_max + 1):
+        d = xs[n - 1].denominator if n <= length else 1
+        h.append(lcm(d, *(h[m] * h[n - m] for m in range(1, n // 2 + 1))))
+    # weights[n][m-1] = C(n-1, m-1) x_m h_n / h_{n-m}
     weights = [
-        [comb(n - 1, m) * am for m, am in enumerate(a[:n])] for n in range(n_max + 1)
+        [comb(n - 1, m) * v.numerator * (h[n] // (v.denominator * h[n - 1 - m]))
+         for m, v in enumerate(xs[:n])]
+        for n in range(n_max + 1)
     ]
-    prev = [1] + [0] * n_max  # numerators of column k-1, indexed by n
-    num, q = [prev], [1]
+    num = [[1] + [0] * n_max]
     for k in range(1, n_max + 1):
-        top = min(n_max, length + k - 1)  # last row in reach of x
-        col = [0] * (n_max + 1)
-        for n in range(k, top + 1):
+        prev, col = num[-1], [0] * (n_max + 1)
+        for n in range(k, min(n_max, length + k - 1) + 1):  # the rows in reach of x
             # m = 1..n-k+1 pairs weights[n][m-1] with prev[n-m]
             col[n] = sum(map(mul, weights[n], reversed(prev[k - 1 : n])))
-        g = gcd(d * q[-1], *col[k : top + 1])
-        prev = [c // g for c in col]
-        num.append(prev)
-        q.append(d * q[-1] // g)
-    return num, q
+        num.append(col)
+    return num, h
 
 
 def bell_value(x: SequenceSpec, n: int, k: int) -> Fraction:
@@ -93,8 +97,8 @@ def bell_value(x: SequenceSpec, n: int, k: int) -> Fraction:
         return Fraction(0)
     if k:
         x.require(n - k + 1)
-    num, q = bell_columns(x, n)
-    return Fraction(num[k][n], q[k])
+    num, h = bell_columns(x, n)
+    return Fraction(num[k][n], h[n])
 
 
 def bell_symbolic(n: int, k: int) -> SparsePoly:

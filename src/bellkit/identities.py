@@ -532,13 +532,13 @@ def th1a_weight(v, alpha: AffineForm) -> Callable:
 CONVOLUTION_VARIANTS = {"cor33_first": "A", "cor33_second": "B", "cor34": "C"}
 
 
-def _bell_weights(n: int, k: int, ls, x: SequenceSpec) -> tuple:
-    """The nonzero weights (l, m, C(n, m) B(m, l) B(n-m, k-l)) at x for l in ``ls``."""
+def _bell_weights(n: int, k: int, ls, x: SequenceSpec) -> tuple[int, tuple]:
+    """h_n and each nonzero (l, m, t), l in ``ls``: C(n, m) B(m, l) B(n-m, k-l) = t / h_n at x."""
     x.require(n)
-    # B(m, l) = num[l][m] / q[l], so each weight is one integer over q[l] q[k-l]
-    num, q = bell_columns(x, n)
-    return tuple(
-        (l, m, Fraction(comb(n, m) * top, q[l] * q[k - l]))
+    # B(m, l) = num[l][m] / h[m], and h[m] h[n-m] divides h[n]
+    num, h = bell_columns(x, n)
+    return h[n], tuple(
+        (l, m, comb(n, m) * (h[n] // (h[m] * h[n - m])) * top)
         for l in ls
         for m in range(l, n + 1)
         if (top := num[l][m] * num[k - l][n - m])
@@ -549,7 +549,8 @@ def bell_convolution_plan(n: int, k: int, alpha: AffineForm, x: SequenceSpec) ->
     """The plan of the Bell convolutions at (n, k, alpha, x); reuse it for every variant."""
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return Th1Plan((None, n, k, _bell_weights(n, k, range(k + 1), x)), alpha)
+    h, weights = _bell_weights(n, k, range(k + 1), x)
+    return Th1Plan((None, n, k, tuple((l, m, Fraction(t, h)) for l, m, t in weights)), alpha)
 
 
 def check_bell_convolution(
@@ -582,9 +583,9 @@ def _splitting(n: int, k: int, r: int, x: SequenceSpec) -> tuple[Fraction, Fract
     Each side adds the Bell convolution weights at one l; at l = k only
     m = n has weight, and it is B(n, k).
     """
-    weights = _bell_weights(n, k, (k - r, k), x)
-    lhs = comb(k, r) * sum((w for l, _, w in weights if l == k), Fraction(0))
-    return lhs, sum((w for l, _, w in weights if l < k), Fraction(0))
+    h, weights = _bell_weights(n, k, (k - r, k), x)
+    lhs = comb(k, r) * sum(t for l, _, t in weights if l == k)
+    return Fraction(lhs, h), Fraction(sum(t for l, _, t in weights if l < k), h)
 
 
 def check_alpha_constant(n: int, k: int, r: int, x: SequenceSpec) -> IdentityReport:
@@ -604,11 +605,11 @@ def check_zerosum(n: int, k: int, x: SequenceSpec) -> IdentityReport:
     if not 1 <= k <= n or n < 2:
         raise InputError(f"need 1 <= k <= n and n >= 2, got k={k}, n={n}")
     x.require(n - k + 1)
-    # B(m, k-1) = col[m] / q[k-1], so the sum is taken over k q[k-1]
-    num, q = bell_columns(x, n - 1)
-    col = num[k - 1]
-    top = sum((comb(n, m) - k * comb(n - 1, m)) * x[n - m] * col[m] for m in range(k - 1, n))
-    return IdentityReport("zerosum", {"n": n, "k": k, "x": x}, Fraction(top, k * q[k - 1]), 0)
+    # x_{n-m} B(m, k-1) = x_{n-m} num[k-1][m] / h[m], and d_{n-m} h[m] divides h[n]
+    num, h = bell_columns(x, n)
+    top = sum((comb(n, m) - k * comb(n - 1, m)) * x[n - m].numerator * num[k - 1][m]
+              * (h[n] // (x[n - m].denominator * h[m])) for m in range(k - 1, n))
+    return IdentityReport("zerosum", {"n": n, "k": k, "x": x}, Fraction(top, k * h[n]), 0)
 
 
 def check_stirling_recurrence(n: int, k: int, r: int, kind: str) -> IdentityReport:

@@ -14,21 +14,21 @@ binomial weights; composed in either order they give back the input,
 exactly, whenever a*n + b stays away from 0.  ``lambda_identity_check``
 certifies the composition identity that makes the inversion work.
 
-Every function here reads the Bell triangle of a sequence as the integer
-columns of ``bell_columns``, one build per sequence per call.  Row n is put
-over one denominator L_n = lcm(Q_1, ..., Q_n) of the column denominators,
-and each weighted sum is one integer sum over L_n (times the weights' own
-denominator), with one ``Fraction`` per result.
+Every function here reads the Bell triangle of a sequence from
+``bell_columns``, one build per sequence per call, as integer rows: row n is
+over the kernel's row denominator h_n, and each weighted sum is one integer
+sum over h_n (times the weights' own denominator), with one ``Fraction`` per
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, perm
 
 from .bell import bell_columns
-from .rationals import binomial_general, falling, rat
+from .rationals import falling, rat
 from .reports import IdentityReport, InputError, PoleError
 from .sequences import SequenceSpec
 
@@ -57,20 +57,16 @@ Row = tuple[list[int], int]
 
 
 def _rows(z: SequenceSpec, n_max: int) -> list[Row]:
-    """Row n of the Bell triangle of z as integers r over one denominator L_n:
-    B(n, k)(z) = r[k] / L_n, with L_n = lcm(Q_1, ..., Q_n) from ``bell_columns``."""
-    num, q = bell_columns(z, n_max)
-    rows, l = [], 1
-    for n in range(n_max + 1):
-        l = lcm(l, q[n])
-        rows.append(([num[k][n] * (l // q[k]) for k in range(n + 1)], l))
-    return rows
+    """Row n of the Bell triangle of z as integers r over the row denominator
+    h_n of ``bell_columns``: B(n, k)(z) = r[k] / h_n."""
+    num, h = bell_columns(z, n_max)
+    return [([col[n] for col in num[: n + 1]], h[n]) for n in range(n_max + 1)]
 
 
 def _q_sum(row: Row, b: int, lam, k0: int = 1) -> Fraction:
     """sum_{k=k0}^{n} C(lam + b*k, k-k0) (k-1)! B(n, k)(z) from row n of ``_rows(z, .)``,
     q_function(n, b, lam, z) at k0 = 1.  With lam = p/s each weight is an
-    integer over s^(k-k0), so the sum is one integer over L_n s^(n-k0)."""
+    integer over s^(k-k0), so the sum is one integer over h_n s^(n-k0)."""
     r, l = row
     n = len(r) - 1
     p, s = lam.numerator, lam.denominator
@@ -93,13 +89,16 @@ def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
         raise InputError(f"lam must be a nonnegative integer, got {lam!r}")
     z.require(n)
     rows = _rows(z, n)
-    lhs = _q_sum(rows[n], 0, lam)
-    rhs = z[n]
+    lhs, h = _q_sum(rows[n], 0, lam), rows[n][1]
+    # the right side times (lam + 1) h_n is an integer: i - 1 is an integer, so the
+    # denominator of Q(m, i-1) divides h_m, and d_{n-m} h_m divides h_n
+    total = (lam + 1) * z[n].numerator * (h // z[n].denominator)
     for i in range(1, lam + 1):
-        inner = Fraction(0)
         for m in range(1, n):
-            inner += comb(n, m) * z[n - m] * _q_sum(rows[m], 0, i - 1)
-        rhs += Fraction(i, lam + 1) * inner
+            q, zj = _q_sum(rows[m], 0, i - 1), z[n - m]
+            total += (i * comb(n, m) * zj.numerator * q.numerator
+                      * (h // (zj.denominator * q.denominator)))
+    rhs = Fraction(total, (lam + 1) * h)
     return IdentityReport("q-recurrence", {"n": n, "lambda": lam, "z": z}, lhs, rhs)
 
 
@@ -113,33 +112,28 @@ def q_product_check(
     vanish there.  With j = k - l and den = lam + b*j + 1, k!/C(k, l) =
     j! l! and C(den, j) j!/den = C(lam + b*j, j-1) (j-1)!, so the right side
     is the two left factors expanded term by term: the check can fail only
-    at a pole, never on a value.
+    at a pole, never on a value.  Each term's coefficient is thus
+    falling(lam1 + b1*j, j-1) falling(lam2 + b2*l, l-1), an integer over
+    s1^(j-1) s2^(l-1) for lam1 = p1/s1 and lam2 = p2/s2, and the right side
+    is one integer double sum over h_{n1} h_{n2} s1^(n1-1) s2^(n2-1).
     """
     if n1 < 1 or n2 < 1:
         raise InputError(f"orders must be positive, got n1={n1}, n2={n2}")
     z.require(max(n1, n2))
     lam1, lam2 = rat(lam1), rat(lam2)
     rows = _rows(z, max(n1, n2))
-    (r1, l1), (r2, l2) = rows[n1], rows[n2]
+    (r1, h1), (r2, h2) = rows[n1], rows[n2]
+    (p1, s1), (p2, s2) = (lam1.numerator, lam1.denominator), (lam2.numerator, lam2.denominator)
     lhs = _q_sum(rows[n1], b1, lam1) * _q_sum(rows[n2], b2, lam2)
-    rhs = Fraction(0)
+    rhs = 0
     for l in range(1, n2 + 1):
-        den2 = lam2 + b2 * l + 1
-        if den2 == 0:
+        if p2 + (b2 * l + 1) * s2 == 0:
             raise PoleError(f"lam2 + {b2}*{l} + 1 = 0", where=("l", l))
+        c2 = falling(p2 + b2 * l * s2, l - 1, s2) * s2 ** (n2 - l) * r2[l]
         for j in range(1, n1 + 1):  # j = k - l
-            k = j + l
-            den1 = lam1 + b1 * j + 1
-            if den1 == 0:
+            if p1 + (b1 * j + 1) * s1 == 0:
                 raise PoleError(f"lam1 + {b1}*{j} + 1 = 0", where=("k-l", j))
-            rhs += (
-                factorial(k)
-                * binomial_general(den1, j)
-                * binomial_general(den2, l)
-                / (den1 * den2 * comb(k, l))
-                * r1[j]
-                * r2[l]
-            )
+            rhs += falling(p1 + b1 * j * s1, j - 1, s1) * s1 ** (n1 - j) * r1[j] * c2
     return IdentityReport(
         "q-product",
         {
@@ -152,7 +146,7 @@ def q_product_check(
             "z": z,
         },
         lhs,
-        rhs / (l1 * l2),
+        Fraction(rhs, h1 * h2 * s1 ** (n1 - 1) * s2 ** (n2 - 1)),
     )
 
 
@@ -172,7 +166,7 @@ def _forward(params: TransformParams, rows: list[Row]) -> SequenceSpec:
 
 
 def _inverse_entry(params: TransformParams, n: int, row: Row) -> Fraction:
-    """x_n from row n of ``_rows(y, .)``: one integer sum over L_n (a*n + b)."""
+    """x_n from row n of ``_rows(y, .)``: one integer sum over h_n (a*n + b)."""
     a, b = params.a, params.b
     den = a * n + b
     if den == 0:

@@ -9,8 +9,9 @@ W(m, l; v), checked against the generating-function product of
 weighted sum through ``certify_double_sums``.
 
 ``bell_triangle`` is not an independent route: it is the ``Fraction``
-triangle of one ``bell_columns`` call, for tests that read many entries of
-one sequence without rebuilding the columns per entry.  The weighted Bell
+triangle of one ``bell_columns`` call, each entry num[k][n] over its row
+denominator h[n], for tests that read many entries of one sequence without
+rebuilding the triangle per entry.  The weighted Bell
 sums of ``bellkit.transforms`` (``q_function``, the transform pair, the two
 sides of the lambda identity, the logarithmic and potential polynomials) are
 held against ``Fraction`` loops over its entries: one ``Fraction`` product
@@ -39,8 +40,8 @@ def bell_triangle(x: SequenceSpec, n_max: int):
 
     Same conventions and errors as ``bellkit.bell.bell_value``.
     """
-    num, q = bell_columns(x, n_max)
-    rows = [[Fraction(num[k][n], q[k]) for k in range(n + 1)] for n in range(n_max + 1)]
+    num, h = bell_columns(x, n_max)
+    rows = [[Fraction(num[k][n], h[n]) for k in range(n + 1)] for n in range(n_max + 1)]
 
     def bell(n: int, k: int) -> Fraction:
         if n < 0 or k < 0:

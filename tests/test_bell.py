@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -12,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 import bellkit.bell
 import bellkit.partitions
-from bellkit.bell import bell_symbolic, bell_value, stirling1_unsigned, stirling2
+from bellkit.bell import bell_columns, bell_symbolic, bell_value, stirling1_unsigned, stirling2
+from bellkit.partitions import enumerate_pi
 from bellkit.reports import InputError
 from bellkit.sequences import SequenceSpec, SequenceTooShort, ones, random_rationals
 from bellkit.sparsepoly import SparsePoly
+from bellkit.transforms import TransformParams, forward_transform
 
 import oracles
-from oracles import bell_eval, bell_recursive
+from oracles import bell_eval, bell_recursive, bell_triangle
 from test_partitions import partitions_into_exact_parts
 
 
@@ -218,6 +221,71 @@ class TestBellTable:
             bell_eval(5, 2, x)
         with pytest.raises(AssertionError):
             bell_recursive(5, 2, x)
+
+
+KERNEL_N = 12
+KERNEL_SEQUENCES = {
+    "heights-1e6": seeded_sequence(KERNEL_N, 31, 10**6),
+    "forward-image": forward_transform(
+        seeded_sequence(KERNEL_N, 32, 10**6), TransformParams(1, 1), KERNEL_N
+    ),
+    "zeros": SequenceSpec(
+        tuple(
+            Fraction(0) if j % 3 == 1 else v
+            for j, v in enumerate(seeded_sequence(KERNEL_N, 33, 10**6).values, start=1)
+        )
+    ),
+    "huge-x1": SequenceSpec(
+        (Fraction(-7, 10**40 + 1),) + tuple(Fraction(v) for v in range(-5, KERNEL_N - 6))
+    ),
+    "short": seeded_sequence(5, 34, 10**6),
+}
+
+
+def divides(a: int, b: int, what: str) -> None:
+    # an explicit raise: the check must not vanish under ``python -O``
+    if b % a:
+        raise AssertionError(f"{what}: {a} does not divide {b}")
+
+
+class TestBellColumns:
+    """``bell_columns`` puts row n over h_n, the lcm over the partitions of n
+    of the products of their parts' denominators."""
+
+    @pytest.mark.parametrize("x", KERNEL_SEQUENCES.values(), ids=KERNEL_SEQUENCES.keys())
+    def test_entries_match_both_oracles(self, x):
+        num, h = bell_columns(x, KERNEL_N)
+        bell = bell_triangle(x, KERNEL_N)
+        for n in range(KERNEL_N + 1):
+            for k in range(n + 1):
+                if k == 0 or n - k + 1 <= len(x):
+                    assert Fraction(num[k][n], h[n]) == bell_eval(n, k, x)
+                    if k >= 1:
+                        assert Fraction(num[k][n], h[n]) == bell_recursive(n, k, x)
+                else:  # out of reach: held as 0, and every reader refuses it
+                    assert num[k][n] == 0
+                    with pytest.raises(SequenceTooShort):
+                        bell_value(x, n, k)
+                    with pytest.raises(SequenceTooShort):
+                        bell(n, k)
+
+    @pytest.mark.parametrize("x", KERNEL_SEQUENCES.values(), ids=KERNEL_SEQUENCES.keys())
+    def test_row_denominators(self, x):
+        _, h = bell_columns(x, KERNEL_N)
+        d = [1] + [v.denominator for v in x.values] + [1] * KERNEL_N
+        if h[0] != 1 or len(h) != KERNEL_N + 1:
+            raise AssertionError(f"h_0 = {h[0]}, {len(h)} rows")
+        for n in range(1, KERNEL_N + 1):
+            divides(d[n], h[n], f"d_{n} | h_{n}")
+            for m in range(1, n):
+                divides(h[m] * h[n - m], h[n], f"h_{m} h_{n - m} | h_{n}")
+            # the least such scale: the lcm over the index vectors of weighted sum n
+            hull = 1
+            for k in range(1, n + 1):
+                for i in enumerate_pi(n, k, n - k + 1):
+                    hull = math.lcm(hull, math.prod(d[j] ** ij for j, ij in enumerate(i, 1)))
+            if h[n] != hull:
+                raise AssertionError(f"h_{n} = {h[n]}, the partition hull is {hull}")
 
 
 class TestIntegralityGuards:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -89,6 +90,20 @@ class TestQProduct:
         with pytest.raises(PoleError):
             q_product_check(2, 2, 0, 1, 0, -2, Z)
 
+    @pytest.mark.parametrize(
+        "lam1, lam2, message, where",
+        [
+            # l = 1 is checked before any k - l, and every k - l before l = 2
+            (-3, -2, "lam2 + 1*1 + 1 = 0", ("l", 1)),
+            (-3, -4, "lam1 + 1*2 + 1 = 0", ("k-l", 2)),
+            (-5, -4, "lam2 + 1*3 + 1 = 0", ("l", 3)),
+        ],
+    )
+    def test_first_pole_in_term_order(self, lam1, lam2, message, where):
+        with pytest.raises(PoleError, match=rf"^{re.escape(message)}$") as err:
+            q_product_check(3, 3, 1, 1, lam1, lam2, Z)
+        assert err.value.where == where
+
 
 class TestForward:
     def test_first_entry_unchanged(self):
@@ -137,11 +152,24 @@ class TestInverse:
             inverse_transform(Z, TransformParams(1, -2), 4)
         assert "n = 2" in str(err.value)
 
-    @pytest.mark.parametrize("a, b", [(2, 3), (0, 1)])
-    def test_exact_roundtrip_at_sixty(self, a, b):
+    @pytest.mark.parametrize(
+        "a, b, height",
+        [pytest.param(2, 3, 9, id="2-3"), pytest.param(0, 1, 9, id="0-1")]
+        + [
+            pytest.param(a, b, 10**6, id=f"{a}-{b}-1e6")
+            for a, b in [(0, 1), (1, 1), (2, 3), (1, 0)]
+        ],
+    )
+    def test_exact_roundtrip_at_sixty(self, a, b, height):
         # p(60) = 966,467 partitions: out of reach of the definition sum
         params = TransformParams(a, b)
-        x = random_rationals(60, seed=60 + a)
+        if height == 9:
+            x = random_rationals(60, seed=60 + a)
+        else:  # numerators up to 9 over denominators up to 10^6
+            rng = random.Random(60 + a + b)
+            x = SequenceSpec(
+                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, height)) for _ in range(60))
+            )
         y = forward_transform(x, params, 60)
         assert inverse_transform(y, params, 60).values == x.values
 
