@@ -6,20 +6,20 @@ derivative-quotient recurrences and deliberately share no code with the
 Bell-polynomial route in :mod:`bellkit.transforms`; the agreement of the two
 routes is itself one of the certified identities.
 
-Both recurrences run on plain integers.  With z_j = a_j/d_j in lowest
-terms, the k-th coefficient is kept as an integer numerator over the scale
-S_k = prod_{j<=k} d_j^floor(k/j) (times q^k for a power r = p/q): every term
-of the recurrence at order k has a denominator dividing that scale, so each
-step is integer multiply-adds, and one ``Fraction`` is built per output
-coefficient.  The plain ``Fraction`` recurrences they replace are kept in
-``tests/test_egf.py`` as their oracle.
+Both recurrences run on plain integers.  With z_j = a_j/d_j in lowest terms,
+every coefficient is kept as an integer numerator over one final scale
+T_N = prod_{j<=N} d_j^floor(N/j) (times q^N for a power r = p/q), so a term
+is a small integer times one numerator; the terms of an order are summed per
+distinct d_j, each sum is divided once, exactly, and one ``Fraction`` is
+built per output coefficient.  The plain ``Fraction`` recurrences they
+replace are kept in ``tests/test_egf.py`` as their oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .rationals import rat, rat_str
 from .reports import InputError
@@ -36,7 +36,8 @@ class TruncatedEGF:
     def __post_init__(self):
         if not self.coeffs:
             raise InputError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(rat(c) for c in self.coeffs))
+        coeffs = tuple(c if type(c) is Fraction else rat(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, items) -> "TruncatedEGF":
@@ -60,11 +61,8 @@ class TruncatedEGF:
         return SequenceSpec(self.coeffs[1:])
 
     def __add__(self, other) -> "TruncatedEGF":
-        if isinstance(other, TruncatedEGF):
-            order = min(self.order, other.order)
-            return TruncatedEGF(
-                tuple(a + b for a, b in zip(self.coeffs, other.coeffs))[: order + 1]
-            )
+        if isinstance(other, TruncatedEGF):  # zip stops at the lower order
+            return TruncatedEGF(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
         c = rat(other)
         return TruncatedEGF((self.coeffs[0] + c,) + self.coeffs[1:])
 
@@ -72,19 +70,10 @@ class TruncatedEGF:
 
     def __mul__(self, other) -> "TruncatedEGF":
         if isinstance(other, TruncatedEGF):
-            order = min(self.order, other.order)
-            out = []
-            for n in range(order + 1):
-                out.append(
-                    sum(
-                        (
-                            comb(n, m) * self.coeffs[m] * other.coeffs[n - m]
-                            for m in range(n + 1)
-                        ),
-                        Fraction(0),
-                    )
-                )
-            return TruncatedEGF(tuple(out))
+            a, b = self.coeffs, other.coeffs
+            return TruncatedEGF(tuple(
+                sum((comb(n, m) * a[m] * b[n - m] for m in range(n + 1)), Fraction(0))
+                for n in range(min(self.order, other.order) + 1)))
         c = rat(other)
         return TruncatedEGF(tuple(c * v for v in self.coeffs))
 
@@ -102,41 +91,46 @@ def _require_unit_constant(z: TruncatedEGF) -> None:
         raise InputError(f"constant coefficient must be 1, got {rat_str(z.coeffs[0])}")
 
 
-def _scaled_terms(z: TruncatedEGF, q: int = 1):
-    """Integer scales for the log and power recurrences of ``z``.
-
-    Write z_j = a_j/d_j in lowest terms, S_0 = 1 and, for k >= 1,
-    S_k = prod_{j<=k} d_j^floor(k/j), so that S_k = S_{k-1} D_k with
-    D_k = prod_{j | k} d_j.  For k = 1..N this yields (T_k, terms), where
-    T_k = q^k S_k and ``terms`` maps each j <= k with a_j != 0 to the integer
-    a_j T_k / (q d_j T_{k-j}) = a_j q^(j-1) S_k / (d_j S_{k-j}).  It is an
-    integer because S_k / S_{k-j} is the product of D_{k-j+1}..D_k, in
-    which d_j occurs once, for the one multiple of j in that window.
-
-    The yielded dict is updated in place for the next k.
-    """
+def _final_scale(z: TruncatedEGF, q: int) -> int:
+    """T_N, for T_n = q^n prod_{j<=n} d_j^floor(n/j) and z_j = a_j/d_j in lowest terms."""
     n_max = z.order
-    den = [c.denominator for c in z.coeffs]
-    step = [1] * (n_max + 1)  # D_k
-    for j in range(1, n_max + 1):
-        if den[j] != 1:
-            for k in range(j, n_max + 1, j):
-                step[k] *= den[j]
-    scale, q_power = 1, 1  # S_k, q^k
-    terms: dict[int, int] = {}
-    for k in range(1, n_max + 1):
-        for j, w in terms.items():
-            # S_k / S_{k-j} = (S_{k-1} / S_{k-1-j}) * D_k / D_{k-j}
-            w, rest = divmod(w * step[k], step[k - j])
+    return q**n_max * prod(c.denominator ** (n_max // j) for j, c in enumerate(z.coeffs[1:], 1))
+
+
+def _recurrence(z: TruncatedEGF, q: int, weights) -> list[Fraction]:
+    """c_0 = 1 and c_k = sum_{j<=k} w_j z_j c_{k-j} / q for k = 1..N, where
+    ``weights`` maps the row C(k-1, 0..k-1) to the integers w_0..w_k.
+
+    Each c_i is kept as the integer X_i = c_i T_N over the final scale T_N
+    (see ``_final_scale``), so a term is the small integer w_j a_j times
+    X_{k-j}.  The terms are summed per distinct d_j, and each sum is divided
+    once by q d_j.  The division is exact while each c_i has a denominator
+    dividing T_i: the window (k-j, N] holds a multiple of j, so q d_j divides
+    T_N / T_{k-j}, which divides X_{k-j}.  A remainder raises ArithmeticError.
+    """
+    scale = _final_scale(z, q)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for j, c in enumerate(z.coeffs[1:], start=1):
+        if c:
+            groups.setdefault(q * c.denominator, []).append((j, c.numerator))
+    scaled, row = [scale], [1]
+    for k in range(1, z.order + 1):
+        w, acc = weights(row), 0
+        for qd, members in groups.items():
+            if members[0][0] > k:
+                break  # the groups come in the order of their first j
+            total = 0
+            for j, a in members:
+                if j > k:
+                    break
+                total += w[j] * a * scaled[k - j]
+            total, rest = divmod(total, qd)
             if rest:
-                raise ArithmeticError(f"S_{k} / (d_{j} S_{k - j}) is not an integer")
-            terms[j] = w
-        scale *= step[k]
-        a = z.coeffs[k].numerator
-        if a:
-            terms[k] = a * q_power * (scale // den[k])
-        q_power *= q
-        yield q_power * scale, terms
+                raise ArithmeticError(f"{qd} does not divide a term sum at order {k}")
+            acc += total
+        scaled.append(acc)
+        row = [1, *map(int.__add__, row, row[1:]), 1]
+    return [Fraction(x, scale) for x in scaled]
 
 
 def egf_log(z: TruncatedEGF) -> TruncatedEGF:
@@ -144,37 +138,31 @@ def egf_log(z: TruncatedEGF) -> TruncatedEGF:
 
     Uses the recurrence from Z * (log Z)' = Z', term by term:
     l_k = z_k - sum_{j<k} C(k-1, j) z_j l_{k-j}, run on the integers
-    L_k = l_k S_k (see ``_scaled_terms``).
+    l_k T_N (see ``_recurrence``, where the z_k term reads c_0 = 1).
+
+    >>> egf_log(TruncatedEGF.from_coeffs([1, 1, 0, 0, 0]))
+    TruncatedEGF(order=4, coeffs=[0, 1, -1, 2, -6])
     """
     _require_unit_constant(z)
-    out, scaled = [Fraction(0)], [0]
-    for k, (scale, terms) in enumerate(_scaled_terms(z), start=1):
-        acc = 0
-        for j, w in terms.items():
-            acc += w if j == k else -comb(k - 1, j) * w * scaled[k - j]
-        scaled.append(acc)
-        out.append(Fraction(acc, scale))
-    return TruncatedEGF(tuple(out))
+    logs = _recurrence(z, 1, lambda row: [*(-c for c in row), 1])
+    return TruncatedEGF((Fraction(0), *logs[1:]))
 
 
 def egf_pow(z: TruncatedEGF, r) -> TruncatedEGF:
     """Coefficients of Z(t)**r for any rational r and Z with constant 1.
 
     Uses the recurrence from (Z^r)' * Z = r * Z' * Z^r, term by term:
-    w_k = sum_{j<=k} (r C(k-1, j-1) - C(k-1, j)) z_j w_{k-j}, run on the
-    integers W_k = w_k q^k S_k for r = p/q (see ``_scaled_terms``).
+    w_k = sum_{j<=k} (r C(k-1, j-1) - C(k-1, j)) z_j w_{k-j}, run for r = p/q
+    on the integers w_k T_N, with q^N in T_N (see ``_recurrence``).
+
+    >>> egf_pow(TruncatedEGF.from_coeffs([1, 1, 0, 0]), "1/2")
+    TruncatedEGF(order=3, coeffs=[1, 1/2, -1/4, 3/8])
     """
     _require_unit_constant(z)
     r = rat(r)
     p, q = r.numerator, r.denominator
-    out, scaled = [Fraction(1)], [1]
-    for k, (scale, terms) in enumerate(_scaled_terms(z, q), start=1):
-        acc = 0
-        for j, w in terms.items():
-            acc += (p * comb(k - 1, j - 1) - q * comb(k - 1, j)) * w * scaled[k - j]
-        scaled.append(acc)
-        out.append(Fraction(acc, scale))
-    return TruncatedEGF(tuple(out))
+    return TruncatedEGF(tuple(_recurrence(
+        z, q, lambda row: [p * a - q * b for a, b in zip([0, *row], [*row, 0])])))
 
 
 def egf_polyval(f_coeffs, z: TruncatedEGF) -> TruncatedEGF:
@@ -203,9 +191,6 @@ def egf_apply_poly(
     coeffs = [rat(c) for c in f_coeffs]
     out = [sum(coeffs, Fraction(0))]
     for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for l, c in enumerate(coeffs):
-            if l >= 1 and c:
-                acc += c * l * _q_sum(rows[n], params.b, l - 1 + params.a * n)
-        out.append(acc)
+        out.append(sum((c * l * _q_sum(rows[n], params.b, l - 1 + params.a * n)
+                        for l, c in enumerate(coeffs) if l and c), Fraction(0)))
     return z, TruncatedEGF(tuple(out))

@@ -13,7 +13,8 @@ the writer renders the run's text once with holes for those values, and
 fills the holes for each report.  A run is recognised by the identity of
 its ``run`` object, never by equal values: ``(1,)``, ``(Fraction(1),)``
 and ``(True,)`` are equal but render differently.  A CSV row holds the
-cells of a report's JSON object, read back from its run's text.
+cells of a report's JSON object, as ``json.loads`` would read them back; the
+writer makes a run's fixed cells once and fills a row template per report.
 
 CPython encodes in C only when ``indent`` is None; with ``indent=2`` the
 pure-Python encoder was the largest single cost of a certify run's output.
@@ -121,6 +122,29 @@ def _run_text(run: list, depth: int) -> str:
     )
 
 
+def _loaded(value):
+    """``json.loads(dumps(value))``, made without the text."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        return [_loaded(item) for item in value]
+    if kind is dict and all(type(key) is str for key in value):
+        return {key: _loaded(item) for key, item in value.items()}
+    return value if kind in (str, int, bool) or value is None else _loaded(json_value(value))
+
+
+def _csv_rows(run: list):
+    """The CSV rows of a run of reports: the cells of their JSON objects, with
+    params as k=v;... and skipped poles as l,m,tau;...  The run's fixed cells
+    are made once, and each report fills in its ``Fraction`` params."""
+    first = run[0]
+    holes = [key for key, item in first.params.items() if type(item) is Fraction]
+    params = {key: f"{key}={item}" for key, item in _loaded(first.params).items()}
+    poles = ";".join(",".join(map(str, triple)) for triple in _loaded(first.skipped_poles))
+    for report in run:
+        params.update((key, f"{key}={report.params[key]!s}") for key in holes)
+        yield first.name, ";".join(params.values()), report.lhs, report.rhs, report.passed, poles
+
+
 def write_reports(name: str, reports, stream, fmt: str) -> bool:
     """Write the ``verify`` payload of identity ``name`` to ``stream`` as
     ``fmt``, "json" or "csv"; return whether a check failed.
@@ -139,8 +163,7 @@ def write_reports(name: str, reports, stream, fmt: str) -> bool:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(IdentityReport.KEYS)
         for run in runs:
-            for report in json.loads("[" + _run_text(run, 0) + "]"):
-                writer.writerow(map(_csv_cell, report.values()))
+            writer.writerows(_csv_rows(run))
     else:
         stream.write('{\n  "command": "verify",\n  "identity": '
                      f'{encode_basestring_ascii(name)},\n  "reports": ')
@@ -161,12 +184,3 @@ def csv_text(payload: dict) -> str:
     for key, value in payload.items():
         writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
     return out.getvalue()
-
-
-def _csv_cell(value):
-    """A report field as one CSV cell: params as k=v;..., skipped poles as l,m,tau;..."""
-    if isinstance(value, dict):
-        return ";".join(f"{k}={v}" for k, v in value.items())
-    if isinstance(value, list):
-        return ";".join(",".join(map(str, triple)) for triple in value)
-    return value

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from bellkit import egf
 from bellkit.egf import (
     TruncatedEGF,
     egf_apply_poly,
@@ -58,6 +59,16 @@ BELL_ROUTE_SEQUENCES = [
     random_rationals(BELL_ROUTE_ORDER, seed=8),
     seeded(BELL_ROUTE_ORDER, 5, 10**6, zeros=0.2),
 ]
+
+
+#: the benchmark's order: on heights <= 9, many j share each d_j, so each
+#: group sum of the kernels holds several terms
+FULL_ORDER = 120
+FULL_SEQUENCE = seeded(FULL_ORDER, 6, 9, zeros=0.2, first_zero=True)
+FULL_POWERS = [Fraction(-5, 2), Fraction(5, 3), 2, Fraction(999983, 1000003)]
+#: heights <= 10^6, at half that order to keep the Fraction oracles quick
+TALL_ORDER = 60
+TALL_SEQUENCE = seeded(TALL_ORDER, 7, 10**6, zeros=0.2)
 
 
 def oracle_egf_log(z):
@@ -152,6 +163,11 @@ class TestLog:
     def test_matches_fraction_recurrence_at_every_order(self, name):
         check_every_order(egf_log, oracle_egf_log, ORACLE_SEQUENCES[name])
 
+    def test_matches_fraction_recurrence_at_full_order(self):
+        for x in (FULL_SEQUENCE, TALL_SEQUENCE):
+            z = TruncatedEGF.from_sequence(x)
+            assert egf_log(z) == oracle_egf_log(z)
+
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
             egf_log(TruncatedEGF.from_coeffs([2, 1]))
@@ -182,9 +198,42 @@ class TestPow:
             lambda z: egf_pow(z, r), lambda z: oracle_egf_pow(z, r), ORACLE_SEQUENCES[name]
         )
 
+    @pytest.mark.parametrize("r", FULL_POWERS, ids=str)
+    def test_matches_fraction_recurrence_at_full_order(self, r):
+        z = TruncatedEGF.from_sequence(FULL_SEQUENCE)
+        assert egf_pow(z, r) == oracle_egf_pow(z, r)
+
+    def test_matches_fraction_recurrence_on_tall_heights(self):
+        z = TruncatedEGF.from_sequence(TALL_SEQUENCE)
+        r = Fraction(-5, 2)
+        assert egf_pow(z, r) == oracle_egf_pow(z, r)
+
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
             egf_pow(TruncatedEGF.from_coeffs([0, 1]), 2)
+
+
+class TestGroupDivision:
+    """A final scale without one of its factors leaves a group sum that is not
+    a multiple of its divisor: the kernels raise ``ArithmeticError``, which
+    ``python -O`` keeps, in place of returning a wrong coefficient."""
+
+    #: the only denominator 11 sits at j = 31, so T_31 holds one factor 11
+    X = SequenceSpec(seeded(30, 1, 9).values + (Fraction(1, 11),))
+
+    @pytest.fixture(autouse=True)
+    def short_scale(self, monkeypatch):
+        full = egf._final_scale
+        monkeypatch.setattr(egf, "_final_scale", lambda z, q: full(z, q) // 11)
+
+    def test_log_raises(self):
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            egf_log(TruncatedEGF.from_sequence(self.X))
+
+    @pytest.mark.parametrize("r", [2, Fraction(5, 3)], ids=str)
+    def test_pow_raises(self, r):
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            egf_pow(TruncatedEGF.from_sequence(self.X), r)
 
 
 class TestExpLogInverse:
