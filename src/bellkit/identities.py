@@ -25,7 +25,7 @@ Pole policy: a summation term is *absent* when its weight (the
 binomial-product coefficient, or the Bell-polynomial product) vanishes;
 a vanishing denominator at a term that is actually present raises
 :class:`~bellkit.reports.PoleError` rather than producing a bogus report.
-The grid certifier avoids and records pole parameter values instead of
+The grid certifier skips and records pole parameter values instead of
 erroring.
 
 The double sums and the negative-one sum are added up in integers.  Every
@@ -195,44 +195,41 @@ def _w_support(v: IndexVector) -> tuple[tuple[int, int, int], ...]:
 class Th1Plan:
     """The tau-independent part of the double sums at one (v, alpha).
 
-    ``support`` is (v, n, k, its (l, m, weight) triples of nonzero weight):
-    the weight is W(m, l; v) in :func:`th1_plan`, and C(n, m) B(m, l)
-    B(n-m, k-l) with v None in :func:`bell_convolution_plan`.  alpha is
-    evaluated in integers: alpha(l, m) = A / d, where d is the common
-    denominator of alpha's coefficients and A an integer numerator;
-    ``a00`` and ``akn`` are the A of alpha(0, 0) and alpha(k, n).
-    Summation terms with equal (l, alpha(l, m)) differ only in their weight,
-    so they are merged, in first-appearance order, into one term (l, A, w)
-    of ``merged`` carrying the summed weight w; the sums are exact, so
-    merging cannot change a value.  ``pole`` is the first (l, m), in
-    l-major, m-minor order, where alpha vanishes at nonzero weight (None if
-    there is none), and ``first`` maps each A that alpha takes on the
-    support to the first (l, m) taking it; ``avoid`` keys it by A / d.
-    Nothing derived from these is stored: ``avoid`` and :meth:`coefficients`
+    ``support`` is (v, n, k, h, its (l, m, t) triples of nonzero integer t):
+    the weight t / h is W(m, l; v) over h = 1 in :func:`th1_plan`, and
+    C(n, m) B(m, l) B(n-m, k-l) over the Bell row denominator h_n, with v
+    None, in :func:`bell_convolution_plan`.  alpha is evaluated in
+    integers: alpha(l, m) = A / d, where d is the common denominator of
+    alpha's coefficients and A an integer numerator; ``a00`` and ``akn`` are
+    the A of alpha(0, 0) and alpha(k, n).  Summation terms with equal
+    (l, alpha(l, m)) differ only in their weight, so they are merged, in
+    first-appearance order, into one term (l, A, t) of ``merged`` carrying
+    the summed t; the sums are exact, so merging cannot change a value.
+    ``first`` maps each A that alpha takes on the support to the first
+    (l, m), l-major and m-minor, taking it; ``pole`` is its (l, m) at A = 0,
+    where alpha vanishes at nonzero weight (None if there is none).
+    Nothing derived from these is stored: ``pole`` and :meth:`coefficients`
     are computed at each read, so an edited copy evaluates as edited.
     """
 
     def __init__(self, support, alpha: AffineForm):
-        self.v, self.n, self.k, terms = support
+        self.v, self.n, self.k, self.h, terms = support
         self.alpha = alpha
         coeffs = (alpha.c0, alpha.c1, alpha.c2)
         self.d = d = lcm(*(c.denominator for c in coeffs))
         c0, c1, c2 = (c.numerator * (d // c.denominator) for c in coeffs)
         self.a00, self.akn = c0, c0 + c1 * self.k + c2 * self.n
-        self.pole: tuple[int, int] | None = None
         self.first: dict[int, tuple[int, int]] = {}
-        merged: dict[tuple[int, int], int | Fraction] = {}
-        for l, m, w in terms:
+        merged: dict[tuple[int, int], int] = {}
+        for l, m, t in terms:
             a = c0 + c1 * l + c2 * m
-            if a == 0 and self.pole is None:
-                self.pole = (l, m)
             self.first.setdefault(a, (l, m))
-            merged[l, a] = merged.get((l, a), 0) + w
-        self.merged = tuple((l, a, w) for (l, a), w in merged.items())
+            merged[l, a] = merged.get((l, a), 0) + t
+        self.merged = tuple((l, a, t) for (l, a), t in merged.items())
 
     @property
-    def avoid(self) -> dict[Fraction, tuple[int, int]]:
-        return {Fraction(a, self.d): where for a, where in self.first.items()}
+    def pole(self) -> tuple[int, int] | None:
+        return self.first.get(0)
 
     def coefficients(self, variant: str) -> tuple[int, int, list, list]:
         """Variant A, B or C as integers: (L, J, terms, tails).
@@ -248,19 +245,20 @@ class Th1Plan:
 
         With C(a, r) = P / (d^r r!), where P = A (A - d) ... (A - (r-1)d),
         and r! C(k, l) j! = k! for r + j = k, each c / j! (c / l! for C) is
-        one quotient lead * P w / (A d^r k!), where lead is d * alpha(k, n)
-        for A, d * alpha(0, 0) for B (with r = l) and d for C (r = k - l);
-        each quotient is reduced by its gcd and L is the lcm of what is left.
+        one quotient lead * P t / (A d^r k! h) for a merged weight t / h,
+        where lead is d * alpha(k, n) for A, d * alpha(0, 0) for B (with
+        r = l) and d for C (r = k - l); each quotient is reduced by its gcd
+        and L is the lcm of what is left.
         """
-        k, d = self.k, self.d
+        k, d, fkh = self.k, self.d, factorial(self.k) * self.h
         lead = {"A": self.akn, "B": self.a00, "C": d}[variant]
         terms, tails = [], []
-        for l, num, w in self.merged:
+        for l, num, t in self.merged:
             r = l if variant == "B" else k - l
-            top = lead * falling(num, r, d) * w.numerator
+            top = lead * falling(num, r, d) * t
             if not top:
                 continue
-            bottom = num * d**r * factorial(k) * w.denominator
+            bottom = num * d**r * fkh
             c = (top // (g := gcd(top, bottom)), bottom // g)
             if variant != "C":
                 terms.append((num, k - r, c))
@@ -283,7 +281,7 @@ class Th1Plan:
 def th1_plan(v, alpha: AffineForm) -> Th1Plan:
     """The plan of one (v, alpha); reuse it for every tau and variant there."""
     v, n, k = _vnk(v)
-    return Th1Plan((v, n, k, _w_support(v)), alpha)
+    return Th1Plan((v, n, k, 1, _w_support(v)), alpha)
 
 
 def _raise_at_pole(plan: Th1Plan, variant: str | None = None, tau: Fraction | None = None) -> None:
@@ -318,17 +316,18 @@ def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=(
     of :func:`_raise_at_pole`.  The left side sums the terms of one call to
     ``plan.coefficients(variant)`` in integers: times q*d, tau - A/d - i is
     p*d - A*q - i*q*d at tau = p/q.  The right side is C(tau, k) =
-    falling(p, k, q) / (q^k k!) times the weight at l = k; for C, times
-    d (x + akn q) / (akn x), with x = p d - a00 q.  The sides are compared
-    by cross-multiplying; when equal, one reduced ``Fraction`` is both
-    ``lhs`` and ``rhs``.  The reports share one ``run`` object, so the
-    writer renders their fixed text once.
+    falling(p, k, q) / (q^k k!) times the weight at l = k, an integer over
+    ``plan.h``; for C, times d (x + akn q) / (akn x), with x = p d - a00 q.
+    The sides are compared by cross-multiplying; when equal, one reduced
+    ``Fraction`` is both ``lhs`` and ``rhs``.  The reports share one ``run``
+    object, so the writer renders their fixed text once.
     """
-    k, d, fk = plan.k, plan.d, factorial(plan.k)
+    k, d, fkh = plan.k, plan.d, factorial(plan.k) * plan.h
     if plan.pole is None:  # with an alpha pole there are none, and the first tau raises
         scale, j_max, terms, tails = plan.coefficients(variant)
     run = object()
-    # at l = k only m = n has weight: W(n, k; v) = 1, C(n, n) B(n, k) B(0, 0) = B(n, k)
+    # at l = k only m = n has weight: W(n, k; v) = 1, C(n, n) B(n, k) B(0, 0) = B(n, k),
+    # each an integer over plan.h
     top = sum(w for l, _, w in plan.merged if l == k)
     for tau in taus:
         _raise_at_pole(plan, variant, tau)
@@ -346,7 +345,7 @@ def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=(
         for num, w in tails:
             x = pd - num * q
             ln, ld = ln * scale * x + w * step * ld, ld * scale * x
-        rn, rd = falling(p, k, q) * top.numerator, q**k * fk * top.denominator
+        rn, rd = falling(p, k, q) * top, q**k * fkh
         if variant == "C":
             ln, ld = p * ln, q * ld
             x = pd - plan.a00 * q
@@ -549,8 +548,7 @@ def bell_convolution_plan(n: int, k: int, alpha: AffineForm, x: SequenceSpec) ->
     """The plan of the Bell convolutions at (n, k, alpha, x); reuse it for every variant."""
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    h, weights = _bell_weights(n, k, range(k + 1), x)
-    return Th1Plan((None, n, k, tuple((l, m, Fraction(t, h)) for l, m, t in weights)), alpha)
+    return Th1Plan((None, n, k, *_bell_weights(n, k, range(k + 1), x)), alpha)
 
 
 def check_bell_convolution(
@@ -631,30 +629,21 @@ def check_stirling_recurrence(n: int, k: int, r: int, kind: str) -> IdentityRepo
 TH1_VARIANTS = ("A", "B", "C")
 
 
-def support_alpha_pole(v, alpha: AffineForm, *, plan: Th1Plan | None = None):
-    """First (l, m) with nonzero weight where alpha vanishes, or None.
+def tau_samples(count: int, first: dict, d: int) -> tuple[list[Fraction], list[tuple]]:
+    """First ``count`` values of 0, 1/2, 1, 3/2, ... that are no pole A / d.
 
-    ``plan``, if given, is ``th1_plan(v, alpha)``.
+    ``first`` maps the integer numerator A of each pole value A / d to the
+    (l, m) witnessing it, as :attr:`Th1Plan.first` does; skipped candidates
+    are reported as (l, m, tau) triples.  The candidate i/2 equals A / d
+    exactly when 2A = i*d, so it is matched by the integer i = 2A / d.
     """
-    return (plan or th1_plan(v, alpha)).pole
-
-
-def tau_samples(count: int, avoid: dict) -> tuple[list[Fraction], list[tuple]]:
-    """First ``count`` values of 0, 1/2, 1, 3/2, ... outside ``avoid``.
-
-    ``avoid`` maps pole values to the (l, m) witnessing them; skipped
-    candidates are reported as (l, m, tau) triples, with tau the key of
-    ``avoid``.  The candidate i/2 is matched by the integer i, which a key
-    of denominator 1 or 2 doubles to; no other key is a candidate.
-    """
-    halves = {a.numerator * (2 // a.denominator): (*where, a)
-              for a, where in avoid.items() if a.denominator <= 2}
+    halves = {2 * a // d: where for a, where in first.items() if 2 * a % d == 0}
     chosen: list[Fraction] = []
     skipped: list[tuple] = []
     i = 0
     while len(chosen) < count:
         if i in halves:
-            skipped.append(halves[i])
+            skipped.append((*halves[i], Fraction(i, 2)))
         else:
             chosen.append(Fraction(i, 2))
         i += 1
@@ -693,7 +682,7 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
         vnks.append(_vnk(v))
         if tau is not None:
             # the sweep builds these plans again: keeping them would hold them all at once
-            support = (*vnks[-1], _w_support(vnks[-1][0]))
+            support = (*vnks[-1], 1, _w_support(vnks[-1][0]))
             for alpha in alphas:
                 plan = Th1Plan(support, alpha)
                 for variant in variants:
@@ -707,16 +696,15 @@ def _sweep(vnks, alphas, variants, tau, skipped_pairs):
     sampled = tau is None and any(variant in TH1_VARIANTS for variant in variants)
     taus, skipped = [tau], ()
     for v, n, k in vnks:
-        support = (v, n, k, _w_support(v))
+        support = (v, n, k, 1, _w_support(v))
         for alpha in alphas:
             plan = Th1Plan(support, alpha)
-            if tau is None:
-                pole = support_alpha_pole(v, alpha, plan=plan)
-                if pole is not None:
-                    skipped_pairs.append((v, alpha, pole))
-                    continue
+            if tau is None and plan.pole is not None:
+                skipped_pairs.append((v, alpha, plan.pole))
+                continue
             if sampled:
-                taus, skipped = tau_samples(2 * k + 2, plan.avoid if "C" in variants else {})
+                first = plan.first if "C" in variants else {}
+                taus, skipped = tau_samples(2 * k + 2, first, plan.d)
                 skipped = tuple(skipped)
             for variant in variants:
                 if variant == "negative-one":

@@ -59,8 +59,5 @@ def binomial_general(t, j: int):
         raise InputError(f"lower index must be nonnegative, got {j}")
     p, q = t.numerator, t.denominator
     if q == 1:
-        if p >= 0:
-            return math.comb(p, j)
-        # falling factorial of a negative integer, flipped upward
-        return (-1) ** j * math.comb(-p + j - 1, j)
+        return falling(p, j) // math.factorial(j)
     return Fraction(falling(p, j, q), q**j * math.factorial(j))

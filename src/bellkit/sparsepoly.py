@@ -3,15 +3,17 @@
 A polynomial in variables x_1, x_2, ... is stored as a mapping from
 canonical exponent tuples (no trailing zeros) to nonzero Fraction
 coefficients, so structural equality of the term maps is polynomial
-equality.
+equality.  The constructor is the one accumulator: sums and products list
+their terms and let it merge equal exponents and drop zero coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 from .partitions import IndexVector, strip_trailing_zeros
-from .rationals import rat_str
+from .rationals import rat, rat_str
 from .reports import InputError
 
 
@@ -21,22 +23,17 @@ class SparsePoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
+        """Sum the (exponents, coefficient) items of ``terms``, a mapping or
+        an iterable of pairs; each is checked before zeros are dropped:
+        exponents must be nonnegative ``int``s, coefficients pass ``rat``."""
         data: dict[IndexVector, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exps, coeff in items:
-                coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                if any(e < 0 for e in exps):
-                    raise InputError(f"exponents must be nonnegative, got {tuple(exps)}")
-                key = strip_trailing_zeros(exps)
-                acc = data.get(key, Fraction(0)) + coeff
-                if acc == 0:
-                    data.pop(key, None)
-                else:
-                    data[key] = acc
-        self._terms = data
+        for exps, coeff in terms.items() if isinstance(terms, dict) else terms or ():
+            exps, coeff = tuple(exps), rat(coeff)
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise InputError(f"exponents must be nonnegative ints, got {exps}")
+            key = strip_trailing_zeros(exps)
+            data[key] = data.get(key, 0) + coeff
+        self._terms = {e: c for e, c in data.items() if c}
 
     @classmethod
     def zero(cls) -> "SparsePoly":
@@ -44,18 +41,18 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, c) -> "SparsePoly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def monomial(cls, exps, coeff=1) -> "SparsePoly":
-        return cls({tuple(exps): Fraction(coeff)})
+        return cls({tuple(exps): coeff})
 
     @classmethod
     def variable(cls, j: int) -> "SparsePoly":
         """The single variable x_j (j >= 1)."""
         if j < 1:
             raise InputError(f"variable index must be >= 1, got {j}")
-        return cls({(0,) * (j - 1) + (1,): Fraction(1)})
+        return cls({(0,) * (j - 1) + (1,): 1})
 
     @property
     def terms(self) -> dict[IndexVector, Fraction]:
@@ -85,50 +82,26 @@ class SparsePoly:
             other = SparsePoly.constant(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = out.get(e, Fraction(0)) + c
-            if acc == 0:
-                out.pop(e, None)
-            else:
-                out[e] = acc
-        result = SparsePoly()
-        result._terms = out
-        return result
+        return SparsePoly([*self._terms.items(), *other._terms.items()])
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "SparsePoly":
-        return self + (-other if isinstance(other, SparsePoly) else SparsePoly.constant(-Fraction(other)))
+        return self + (-other)
 
     def __rsub__(self, other) -> "SparsePoly":
         return (-self) + other
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return SparsePoly()
-            return SparsePoly({e: c * v for e, v in self._terms.items()})
+            other = SparsePoly.constant(other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        out: dict[IndexVector, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                if len(e1) < len(e2):
-                    e1p = e1 + (0,) * (len(e2) - len(e1))
-                    key = tuple(a + b for a, b in zip(e1p, e2))
-                else:
-                    e2p = e2 + (0,) * (len(e1) - len(e2))
-                    key = tuple(a + b for a, b in zip(e1, e2p))
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        result = SparsePoly()
-        result._terms = out
-        return result
+        return SparsePoly(
+            (tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0)), c1 * c2)
+            for e1, c1 in self._terms.items()
+            for e2, c2 in other._terms.items()
+        )
 
     __rmul__ = __mul__
 

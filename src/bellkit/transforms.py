@@ -40,6 +40,11 @@ class TransformParams:
     a: int
     b: int
 
+    def __post_init__(self):
+        for name in ("a", "b"):
+            if type(getattr(self, name)) is not int:
+                raise InputError(f"{name} must be an int, got {getattr(self, name)!r}")
+
     def require_invertible(self) -> None:
         if self.a == 0 and self.b == 0:
             raise InputError("(a, b) = (0, 0) has no inverse transform")

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from bellkit.bell import stirling1_unsigned, stirling2
+from bellkit.bell import bell_columns, stirling1_unsigned, stirling2
 from bellkit.identities import (
     CONVOLUTION_VARIANTS,
     DEFAULT_ALPHAS,
@@ -26,7 +26,6 @@ from bellkit.identities import (
     check_vanishing_sum,
     check_zerosum,
     grid_vs,
-    support_alpha_pole,
     tau_samples,
     th1_plan,
     th1a_weight,
@@ -391,29 +390,27 @@ class TestGrid:
 
     def test_support_pole_detection(self):
         # the only weighted-sum-7 vector hitting alpha = 5 + 2l - m
-        assert support_alpha_pole((0,) * 6 + (1,), AffineForm(5, 2, -1)) == (1, 7)
-        assert support_alpha_pole((2, 1), AffineForm(5, 2, -1)) is None
+        assert th1_plan((0,) * 6 + (1,), AffineForm(5, 2, -1)).pole == (1, 7)
+        assert th1_plan((2, 1), AffineForm(5, 2, -1)).pole is None
 
     def test_tau_samples_avoid_and_record(self):
-        avoid = {Fraction(1): (0, 1), Fraction(3, 2): (1, 2)}
-        taus, skipped = tau_samples(4, avoid)
+        # the poles 1 and 3/2 as numerators over d = 2
+        taus, skipped = tau_samples(4, {2: (0, 1), 3: (1, 2)}, 2)
         assert taus == [Fraction(0), Fraction(1, 2), Fraction(2), Fraction(5, 2)]
         assert skipped == [(0, 1, Fraction(1)), (1, 2, Fraction(3, 2))]
 
     def test_tau_samples_skip_only_candidates(self):
-        # negative values and denominators other than 1 and 2 are never candidates
-        avoid = {
-            Fraction(-1): (0, 0), Fraction(-1, 2): (0, 1), Fraction(1, 3): (1, 1),
-            Fraction(5, 3): (1, 2), Fraction(2): (2, 2), Fraction(1, 2): (1, 3),
-            Fraction(7, 4): (2, 3),
+        # negative values and denominators other than 1 and 2 are never
+        # candidates: over d = 12 the keys are -1, -1/2, 1/3, 5/3, 2, 1/2, 7/4
+        first = {
+            -12: (0, 0), -6: (0, 1), 4: (1, 1), 20: (1, 2), 24: (2, 2), 6: (1, 3), 21: (2, 3),
         }
-        taus, skipped = tau_samples(5, avoid)
+        taus, skipped = tau_samples(5, first, 12)
         assert taus == [Fraction(i, 2) for i in (0, 2, 3, 5, 6)]
         assert skipped == [(1, 3, Fraction(1, 2)), (2, 2, Fraction(2))]
-        keys = {id(a) for a in avoid}
-        assert all(id(tau) in keys for _, _, tau in skipped)
-        assert tau_samples(3, {}) == ([Fraction(0), Fraction(1, 2), Fraction(1)], [])
-        assert tau_samples(0, {Fraction(0): (0, 0)}) == ([], [])
+        assert all(isinstance(tau, Fraction) for _, _, tau in skipped)
+        assert tau_samples(3, {}, 1) == ([Fraction(0), Fraction(1, 2), Fraction(1)], [])
+        assert tau_samples(0, {0: (0, 0)}, 1) == ([], [])
 
 
 def oracle_double_sum(variant, v, alpha, tau=None):
@@ -530,7 +527,7 @@ class TestPlanAgainstOracle:
                     "B": functools.partial(check_th1, "B", plan=plan),
                     "C": functools.partial(check_th1c, plan=plan),
                 }
-                taus, _ = tau_samples(2 * k + 2, plan.avoid)
+                taus, _ = tau_samples(2 * k + 2, plan.first, plan.d)
                 for tau in taus + [*WIDE_TAUS, alpha(0, 0), alpha(1, 1)]:
                     for variant, check in checks.items():
                         assert _outcome(check, v, alpha, tau) == _outcome(
@@ -551,7 +548,7 @@ class TestPlanAgainstOracle:
         for v in _vectors_up_to(5):
             for alpha in DEFAULT_ALPHAS + POLE_ALPHAS:
                 pole = _pole_at(oracle_double_sum, "negative-one", v, alpha)
-                assert support_alpha_pole(v, alpha) == pole
+                assert th1_plan(v, alpha).pole == pole
                 assert _pole_at(check_th1, "A", v, alpha, 5) == pole
                 for tau in (Fraction(0), Fraction(1), Fraction(2), Fraction(5, 2)):
                     assert _pole_at(check_th1c, v, alpha, tau) == _pole_at(
@@ -643,7 +640,7 @@ class TestCertifierAgainstOracle:
         mutant = copy.copy(plan)
         l, a, w = plan.merged[0]
         mutant.merged = ((l, a, w + 1),) + plan.merged[1:]
-        taus, _ = tau_samples(2 * plan.k + 2, plan.avoid)
+        taus, _ = tau_samples(2 * plan.k + 2, plan.first, plan.d)
         checks = {
             "A": functools.partial(check_th1, "A"),
             "B": functools.partial(check_th1, "B"),
@@ -771,6 +768,30 @@ class TestBellConvolutionAgainstOracle:
                                     lambda *a: check_bell_convolution(*a, plan=plan), *args
                                 )
                                 assert shared == _outcome(check_bell_convolution, *args)
+
+    def test_weights_are_integers_over_the_row_denominator(self):
+        for x in self.SEQUENCES:
+            _, h = bell_columns(x, 6)
+            for n in range(1, 7):
+                for k in range(1, n + 1):
+                    plan = bell_convolution_plan(n, k, AffineForm(Fraction(1, 2), 1), x)
+                    assert plan.h == h[n]
+                    assert all(type(t) is int for _, _, t in plan.merged)
+        plan = th1_plan((2, 1, 1), AffineForm(Fraction(1, 2), 1))
+        assert plan.h == 1 and all(type(t) is int for _, _, t in plan.merged)
+
+    def test_a_copy_with_another_h_misstates_both_sides(self):
+        # every weight is read over plan.h, on the left and on the right side
+        x, alpha, tau = self.SEQUENCES[0], AffineForm(1, 1), Fraction(5, 2)
+        plan, (_, h) = bell_convolution_plan(5, 3, alpha, x), bell_columns(x, 5)
+        mutant = copy.copy(plan)
+        mutant.h = 2 * h[5]
+        for variant in CONVOLUTION_VARIANTS:
+            args = (variant, 5, 3, alpha, tau, x)
+            good = check_bell_convolution(*args, plan=plan)
+            bad = check_bell_convolution(*args, plan=mutant)
+            assert (good.lhs, good.rhs) == oracle_bell_convolution(*args) and good.rhs
+            assert (bad.lhs, bad.rhs) == (good.lhs / 2, good.rhs / 2)
 
 
 class TestVanishingSumMonomials:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from bellkit.reports import InputError
 from bellkit.sparsepoly import SparsePoly
 
 
@@ -37,6 +38,20 @@ class TestConstruction:
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             SparsePoly({(-1,): 1})
+
+    @pytest.mark.parametrize("make", [
+        lambda: SparsePoly.monomial((1.5,)),
+        lambda: SparsePoly({(1,): 0.5}),
+        lambda: SparsePoly({(-1,): 0}),
+        lambda: SparsePoly({(1, 2.0): 1}),
+        lambda: SparsePoly({(True,): 1}),
+        lambda: SparsePoly.monomial((1,), True),
+        lambda: SparsePoly.constant(0.0),
+    ], ids=["float-exponent", "float-coefficient", "negative-exponent-zero-coefficient",
+            "float-exponent-later", "bool-exponent", "bool-coefficient", "float-constant"])
+    def test_each_term_is_checked_before_zeros_are_dropped(self, make):
+        with pytest.raises(InputError):
+            make()
 
     def test_variable(self):
         assert SparsePoly.variable(3) == SparsePoly({(0, 0, 1): 1})

@@ -8,7 +8,7 @@ import pytest
 import oracles
 
 from bellkit.rationals import binomial_general
-from bellkit.reports import PoleError
+from bellkit.reports import InputError, PoleError
 from bellkit.sequences import SequenceSpec, SequenceTooShort, ones, random_rationals
 from bellkit.transforms import (
     TransformParams,
@@ -293,6 +293,16 @@ class TestNegativeLengths:
     def test_transforms_refuse_negative_n_max(self, transform):
         with pytest.raises(ValueError, match="nonnegative"):
             transform(Z, TransformParams(1, 1), -1)
+
+
+class TestParams:
+    @pytest.mark.parametrize("a, b", [
+        (Fraction(1, 2), 1), (1.5, 1), (True, 1), (1, Fraction(2)), (1, 2.0), (0, False),
+    ])
+    def test_refuses_non_int_parameters(self, a, b):
+        # a = 1/2 used to give a forward transform and a TypeError on inversion
+        with pytest.raises(InputError, match="must be an int"):
+            TransformParams(a, b)
 
 
 def _seq(length, seed, height, zeros=()):
