@@ -90,6 +90,8 @@ def load_sequence(path_or_keyword: str, n_max: int | None = None, seed: int | No
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"sequence file {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal beyond int's digit limit (4300 by default)
+        raise InputError(f"malformed entry in {path}: {exc}") from exc
     if isinstance(data, list) and len(data) == 1 and isinstance(data[0], list):
         data = data[0]
     if not isinstance(data, list):

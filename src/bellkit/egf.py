@@ -80,7 +80,7 @@ class TruncatedEGF:
     __rmul__ = __mul__
 
     def to_json_obj(self) -> dict:
-        return {"order": self.order, "coeffs": [rat_str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": list(map(str, self.coeffs))}
 
     def __repr__(self) -> str:
         return f"TruncatedEGF(order={self.order}, coeffs=[{', '.join(rat_str(c) for c in self.coeffs)}])"

@@ -3,22 +3,33 @@
 Every scalar in this package is an exact rational (``fractions.Fraction``)
 or an arbitrary-precision ``int``.  There is no floating point anywhere, so
 every identity check downstream is an exact equality with zero tolerance.
+Text in ``rat_str``'s form, ASCII ``p`` or ``p/q``, is parsed with ``int``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .reports import InputError
+
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value) -> Fraction:
     """Parse a rational from "p/q" or "p" strings, ints, or Fractions.
 
-    Tolerates a unicode minus sign in string input.  Floats, booleans and
-    exponent notation ("1e99999999" would build 10^99999999) are refused.
+    A str that is exactly ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+`` is read with
+    ``int``; other text (spaces, "+", a unicode minus, "_", decimals, non-ASCII
+    digits) goes to ``Fraction``.  Floats, booleans and exponent notation
+    ("1e99999999" would build 10^99999999) are refused.
+
+    >>> rat("-7/3"), rat(" 1.5 ")
+    (Fraction(-7, 3), Fraction(3, 2))
     """
+    if type(value) is str and (m := _PLAIN.fullmatch(value)):
+        return Fraction(int(m[1]), int(m[2] or 1))
     if isinstance(value, str):
         value = value.replace("−", "-").strip()
         if "e" in value or "E" in value:
@@ -30,11 +41,8 @@ def rat(value) -> Fraction:
 
 
 def rat_str(value) -> str:
-    """Serialize as "p/q", or just "p" when the denominator is 1."""
-    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """Serialize as "p/q", or just "p" when the denominator is 1 (``Fraction.__str__``)."""
+    return str(value if type(value) in (int, Fraction) else Fraction(value))
 
 
 def falling(p: int, j: int, q: int = 1) -> int:

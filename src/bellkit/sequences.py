@@ -56,7 +56,7 @@ class SequenceSpec:
         return SequenceSpec(self.values[:n])
 
     def to_json_obj(self) -> list[str]:
-        return [rat_str(v) for v in self.values]
+        return list(map(str, self.values))
 
     def __repr__(self) -> str:
         return f"SequenceSpec(({', '.join(rat_str(v) for v in self.values)}))"

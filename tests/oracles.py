@@ -17,6 +17,14 @@ sides of the lambda identity, the logarithmic and potential polynomials) are
 held against ``Fraction`` loops over its entries: one ``Fraction`` product
 and sum per (n, k), where the package adds integers over one denominator.
 
+``rat_reference`` and ``rat_str_reference`` are the parser and writer of
+``bellkit.rationals`` from before ``rat`` read plain ``p`` and ``p/q`` with
+``int``: every string through ``Fraction(str)``.  ``rat_mismatches`` lists
+the inputs on which ``rat`` differs from it in value, exception type or
+message.  It needs neither pytest nor hypothesis, so any interpreter can run
+it over ``short_strings(RAT_ALPHABET, 4)`` with ``src`` and ``tests`` on
+``sys.path``.
+
 Checks raise explicitly instead of using ``assert``: pytest rewrites
 asserts only in test modules, and ``python -O`` strips the rest.  This
 module is not collected as a test module.
@@ -25,6 +33,7 @@ module is not collected as a test module.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 from bellkit.bell import bell_columns
@@ -214,3 +223,54 @@ def potential_polynomials(r, z: SequenceSpec, n_max: int) -> SequenceSpec:
     r = rat(r)
     bell = bell_triangle(z, n_max)
     return SequenceSpec(tuple(r * q_sum(n, 0, r - 1, bell) for n in range(1, n_max + 1)))
+
+
+#: characters that reach every branch of ``rat`` on strings: digits, both
+#: signs, the unicode minus, "/", space, ".", "_", "e" and an Arabic-Indic one
+RAT_ALPHABET = "0129-+/ ._e\u2212\u0661"
+
+
+def rat_reference(value) -> Fraction:
+    """``rat`` with no ``int`` path: strings go through ``Fraction(str)``."""
+    if isinstance(value, str):
+        value = value.replace("−", "-").strip()
+        if "e" in value or "E" in value:
+            raise InputError(f"refusing exponent notation in {value!r}; write p/q")
+    if isinstance(value, (float, bool)):
+        kind = type(value).__name__
+        raise InputError(f"refusing {kind} input {value!r}; pass a string or int")
+    return Fraction(value)
+
+
+def rat_str_reference(value) -> str:
+    """``rat_str`` written out from the numerator and denominator."""
+    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def outcome(fn, value):
+    """``("value", type, result)`` of ``fn(value)``, or ``("raises", type, message)``."""
+    try:
+        got = fn(value)
+    except Exception as exc:  # the type and message are what is compared
+        return ("raises", type(exc), str(exc))
+    return ("value", type(got), got)
+
+
+def short_strings(alphabet: str, max_len: int):
+    """Every string over ``alphabet`` of length 0 to ``max_len``."""
+    for size in range(max_len + 1):
+        for chars in product(alphabet, repeat=size):
+            yield "".join(chars)
+
+
+def rat_mismatches(strings) -> list:
+    """``(text, rat's outcome, rat_reference's outcome)`` where the two differ."""
+    out = []
+    for text in strings:
+        got, want = outcome(rat, text), outcome(rat_reference, text)
+        if got != want:
+            out.append((text, got, want))
+    return out

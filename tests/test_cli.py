@@ -284,6 +284,17 @@ class TestErrorHandling:
         assert err.startswith(f"bellkit: malformed entry in {f}: ")
         assert "exponent notation in '1e5000'" in err
 
+    @pytest.mark.parametrize("entry", ["1" * 5000, '"' + "1" * 5000 + '"'], ids=["bare", "string"])
+    def test_integer_over_the_digit_limit_in_a_sequence_file(self, capsys, tmp_path, entry):
+        # json.loads refuses a bare integer of over 4,300 digits with a plain
+        # ValueError; as a string, int() refuses it inside rat
+        f = tmp_path / "long.json"
+        f.write_text(f"[{entry}]")
+        code, out, err = run(capsys, "bell", "--n", "1", "--k", "1", "--x", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"bellkit: malformed entry in {f}: Exceeds the limit (")
+        assert err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bell", "--n", "3", "--k", "2", "--x", "/nope/missing.json")
         assert code == 2 and "missing.json" in err

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from bellkit.rationals import binomial_general, falling, rat, rat_str
 from bellkit.reports import InputError
+from oracles import RAT_ALPHABET, outcome, rat_mismatches, rat_str_reference, short_strings
 
 
 small_rationals = st.fractions(
@@ -130,3 +131,55 @@ class TestRatParsing:
     def test_str_format(self):
         assert rat_str(Fraction(10, 2)) == "5"
         assert rat_str(Fraction(-3, 9)) == "-1/3"
+
+
+class TestRatAgainstReference:
+    """``rat`` reads plain p and p/q with ``int``; it must agree with ``Fraction(str)``."""
+
+    def test_every_short_string(self):
+        strings = list(short_strings(RAT_ALPHABET, 4))
+        assert len(strings) == sum(13**size for size in range(5))
+        assert rat_mismatches(strings) == []
+
+    @given(
+        text=st.one_of(
+            st.text(alphabet=RAT_ALPHABET, min_size=5, max_size=40),
+            st.from_regex(r"-?[0-9]{1,40}(/-?[0-9]{0,40})?", fullmatch=True),
+        )
+    )
+    def test_longer_strings(self, text):
+        assert rat_mismatches([text]) == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" * 5000,
+            "-" + "1" * 5000,
+            "1/" + "1" * 5000,
+            "1" * 4301 + "/" + "1" * 4301,
+            "-" + "9" * 4300 + "/7",
+            "1/0",
+            "-3/0",
+            "-0/0",
+            "007/014",
+            "1\n",
+        ],
+        ids=["long", "long-negative", "long-denominator", "both-long", "at-the-limit",
+             "1/0", "-3/0", "-0/0", "leading-zeros", "newline"],
+    )
+    def test_edge_strings(self, text):
+        assert rat_mismatches([text]) == []
+
+    def test_int_digit_limit_and_zero_denominator_errors(self):
+        assert outcome(rat, "1/0") == ("raises", ZeroDivisionError, "Fraction(1, 0)")
+        kind, exc_type, message = outcome(rat, "-" + "1" * 5000)
+        assert (kind, exc_type) == ("raises", ValueError)
+        assert message.startswith("Exceeds the limit (")
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -5, 10**30, True, False, Fraction(6, 4), Fraction(-3, 9), 0.5, -2.0, 1e300,
+         float("nan"), float("inf"), "3/6", " 4 ", "1.25", "-0"],
+    )
+    def test_rat_str_matches_numerator_and_denominator(self, value):
+        assert outcome(rat_str, value) == outcome(rat_str_reference, value)
