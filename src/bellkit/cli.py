@@ -92,6 +92,8 @@ def load_sequence(path_or_keyword: str, n_max: int | None = None, seed: int | No
         raise InputError(f"sequence file {path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer literal beyond int's digit limit (4300 by default)
         raise InputError(f"malformed entry in {path}: {exc}") from exc
+    except RecursionError as exc:  # arrays nested beyond the interpreter's recursion limit
+        raise InputError(f"sequence file {path} is nested too deeply: {exc}") from exc
     if isinstance(data, list) and len(data) == 1 and isinstance(data[0], list):
         data = data[0]
     if not isinstance(data, list):
@@ -312,27 +314,23 @@ def _double_sums(variant: str, alphas=DEFAULT_ALPHAS):
     return verify
 
 
-def _verify_hagen_rothe(args, variants=None):
-    zp = args.zp if variants is None else None  # chu-vandermonde's z is 0
-    if variants is None:
-        variants = [args.variant] if args.variant is not None else ["symmetric", "asymmetric"]
-    ks = [args.k] if args.k is not None else [1, 2, 3, 4]
+def _verify_hagen_rothe(args):
+    """hagen-rothe at --variant or both, or chu-vandermonde: its z = 0 case, with no --zp."""
+    if args.identity == "chu-vandermonde":
+        variants, zp, zs = ["chu_vandermonde"], None, [Fraction(0)]
+    elif args.variant == "chu_vandermonde":
+        raise InputError("--variant is symmetric or asymmetric here; use verify chu-vandermonde")
+    else:
+        variants = ["symmetric", "asymmetric"] if args.variant is None else [args.variant]
+        zp, zs = args.zp, [Fraction(0), Fraction(1), Fraction(1, 3)]
+    xs, ys = [Fraction(1), Fraction(2), Fraction(5, 2)], [Fraction(1), Fraction(3), Fraction(1, 2)]
     if args.xp is not None or args.yp is not None or zp is not None:
         xs = [_parse_rat(_need(args, "xp"), "--xp")]
         ys = [_parse_rat(_need(args, "yp"), "--yp")]
         zs = [_opt_rat(zp, "--zp", Fraction(0))]
-    else:
-        xs = [Fraction(1), Fraction(2), Fraction(5, 2)]
-        ys = [Fraction(1), Fraction(3), Fraction(1, 2)]
-        zs = [Fraction(0), Fraction(1), Fraction(1, 3)]
-    reports = []
-    for variant in variants:
-        for k in ks:
-            for x in xs:
-                for y in ys:
-                    for z in zs if variant != "chu_vandermonde" else [Fraction(0)]:
-                        reports.append(check_hagen_rothe(variant, x, y, z, k))
-    return reports
+    ks = [1, 2, 3, 4] if args.k is None else [args.k]
+    grid = itertools.product(variants, ks, xs, ys, zs)
+    return [check_hagen_rothe(variant, x, y, z, k) for variant, k, x, y, z in grid]
 
 
 def _verify_vanishing_sum(args):
@@ -421,8 +419,7 @@ VERIFY = {
     "th1b": (_double_sums("B"), (*GRID_FLAGS, "--tau")),
     "th1c": (_double_sums("C"), (*GRID_FLAGS, "--tau")),
     "hagen-rothe": (_verify_hagen_rothe, ("--k", "--variant", "--xp", "--yp", "--zp")),
-    "chu-vandermonde": (lambda args: _verify_hagen_rothe(args, ["chu_vandermonde"]),
-                        ("--k", "--xp", "--yp")),
+    "chu-vandermonde": (_verify_hagen_rothe, ("--k", "--xp", "--yp")),
     # the shifted-by-l form 2 + l triggers the reciprocal check
     "negative-one": (_double_sums("negative-one", (*DEFAULT_ALPHAS, AffineForm(2, 1))), GRID_FLAGS),
     "vanishing-sum": (_verify_vanishing_sum, ("--v",)),

@@ -4,7 +4,9 @@ A series of order N stores c_0, ..., c_N for sum c_n t^n / n!, so the
 product rule is the binomial convolution.  ``egf_log`` and ``egf_pow`` run
 derivative-quotient recurrences and deliberately share no code with the
 Bell-polynomial route in :mod:`bellkit.transforms`; the agreement of the two
-routes is itself one of the certified identities.
+routes is itself one of the certified identities.  ``egf_apply_poly`` is not
+independent of that route: it reads the Bell table and weighted sums of
+:mod:`bellkit.transforms` (``_rows``, ``_q_sum`` and ``_forward``).
 
 Both recurrences run on plain integers.  With z_j = a_j/d_j in lowest terms,
 every coefficient is kept as an integer numerator over one final scale

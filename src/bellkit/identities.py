@@ -387,52 +387,37 @@ def check_th1c(
 
 
 def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
-    """Hagen-Rothe convolution identities and their z = 0 Chu-Vandermonde case."""
+    """Hagen-Rothe identities and their z = 0 Chu-Vandermonde case: sums over l
+    of C(x + l*z, l) C(y + (k-l)*z, k-l), each term weighted by x/(x + l*z)
+    (asymmetric), by that and y/(y + (k-l)*z) (symmetric), or by neither."""
     x, y, z = rat(xp), rat(yp), rat(zp)
     if k < 0:
         raise InputError(f"k must be nonnegative, got {k}")
-    params = {"variant": variant, "x": x, "y": y, "z": z, "k": k}
-
-    if variant == "chu_vandermonde":
-        lhs = sum(
-            (binomial_general(x, l) * binomial_general(y, k - l) for l in range(k + 1)),
-            Fraction(0),
-        )
-        return IdentityReport("chu-vandermonde", params, lhs, binomial_general(x + y, k))
-
-    if variant == "symmetric":
-        total = x + y + k * z
-        if total == 0:
-            raise PoleError("x + y + k*z = 0", where=("rhs",))
-        lhs = Fraction(0)
-        for l in range(k + 1):
-            xl, yl = x + l * z, y + (k - l) * z
+    if variant not in ("symmetric", "asymmetric", "chu_vandermonde"):
+        raise InputError(f"unknown variant {variant!r}")
+    chu, symmetric = variant == "chu_vandermonde", variant == "symmetric"
+    if chu and z:
+        raise InputError(f"chu_vandermonde is the z = 0 case, got z = {rat_str(z)}")
+    total = x + y + k * z
+    if symmetric and total == 0:
+        raise PoleError("x + y + k*z = 0", where=("rhs",))
+    lhs = Fraction(0)
+    for l in range(k + 1):
+        xl, yl = x + l * z, y + (k - l) * z
+        term = binomial_general(xl, l) * binomial_general(yl, k - l)
+        if not chu:
             if xl == 0:
                 raise PoleError(f"x + {l}*z = 0", where=(l,))
+            term *= x / xl
+        if symmetric:
             if yl == 0:
                 raise PoleError(f"y + {k - l}*z = 0", where=(l,))
-            lhs += (
-                (x / xl)
-                * binomial_general(xl, l)
-                * (y / yl)
-                * binomial_general(yl, k - l)
-            )
-        rhs = (x + y) / total * binomial_general(total, k)
-        return IdentityReport("hagen-rothe-symmetric", params, lhs, rhs)
-
-    if variant == "asymmetric":
-        lhs = Fraction(0)
-        for l in range(k + 1):
-            xl = x + l * z
-            if xl == 0:
-                raise PoleError(f"x + {l}*z = 0", where=(l,))
-            lhs += (x / xl) * binomial_general(xl, l) * binomial_general(
-                y + (k - l) * z, k - l
-            )
-        rhs = binomial_general(x + y + k * z, k)
-        return IdentityReport("hagen-rothe-asymmetric", params, lhs, rhs)
-
-    raise InputError(f"unknown variant {variant!r}")
+            term *= y / yl
+        lhs += term
+    rhs = binomial_general(total, k) * ((x + y) / total if symmetric else 1)
+    name = "chu-vandermonde" if chu else f"hagen-rothe-{variant}"
+    params = {"variant": variant, "x": x, "y": y, "z": z, "k": k}
+    return IdentityReport(name, params, lhs, rhs)
 
 
 def check_negative_one(

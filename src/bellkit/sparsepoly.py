@@ -67,11 +67,14 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsePoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             return self == SparsePoly.constant(other)
         return NotImplemented
 
     def __hash__(self):
+        """A constant hashes like the number it equals."""
+        if self._terms.keys() <= {()}:
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "SparsePoly":

@@ -90,7 +90,7 @@ def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
     """
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    if lam < 0 or not isinstance(lam, int):
+    if type(lam) is not int or lam < 0:
         raise InputError(f"lam must be a nonnegative integer, got {lam!r}")
     z.require(n)
     rows = _rows(z, n)

@@ -6,7 +6,10 @@ recurrence, both checked against ``bell_columns`` and ``bell_value`` and
 sharing no code with them; ``w_coefficient`` is the definition sum of
 W(m, l; v), checked against the generating-function product of
 ``identities._w_support``; ``certify_th1_grid`` sweeps every v up to a
-weighted sum through ``certify_double_sums``.
+weighted sum through ``certify_double_sums``.  ``hagen_rothe_reference``
+is the Hagen-Rothe and Chu-Vandermonde checker as one loop per variant,
+with the pole order, messages and ``where`` that ``check_hagen_rothe``
+keeps in its one loop.
 
 ``bell_triangle`` is not an independent route: it is the ``Fraction``
 triangle of one ``bell_columns`` call, each entry num[k][n] over its row
@@ -223,6 +226,59 @@ def potential_polynomials(r, z: SequenceSpec, n_max: int) -> SequenceSpec:
     r = rat(r)
     bell = bell_triangle(z, n_max)
     return SequenceSpec(tuple(r * q_sum(n, 0, r - 1, bell) for n in range(1, n_max + 1)))
+
+
+def hagen_rothe_reference(variant: str, xp, yp, zp, k: int) -> IdentityReport:
+    """``check_hagen_rothe`` as three loops, one per variant, in ``Fraction``s.
+
+    Chu-Vandermonde here ignores z and reports it; the package refuses a
+    nonzero z there.
+    """
+    x, y, z = rat(xp), rat(yp), rat(zp)
+    if k < 0:
+        raise InputError(f"k must be nonnegative, got {k}")
+    params = {"variant": variant, "x": x, "y": y, "z": z, "k": k}
+
+    if variant == "chu_vandermonde":
+        lhs = sum(
+            (binomial_general(x, l) * binomial_general(y, k - l) for l in range(k + 1)),
+            Fraction(0),
+        )
+        return IdentityReport("chu-vandermonde", params, lhs, binomial_general(x + y, k))
+
+    if variant == "symmetric":
+        total = x + y + k * z
+        if total == 0:
+            raise PoleError("x + y + k*z = 0", where=("rhs",))
+        lhs = Fraction(0)
+        for l in range(k + 1):
+            xl, yl = x + l * z, y + (k - l) * z
+            if xl == 0:
+                raise PoleError(f"x + {l}*z = 0", where=(l,))
+            if yl == 0:
+                raise PoleError(f"y + {k - l}*z = 0", where=(l,))
+            lhs += (
+                (x / xl)
+                * binomial_general(xl, l)
+                * (y / yl)
+                * binomial_general(yl, k - l)
+            )
+        rhs = (x + y) / total * binomial_general(total, k)
+        return IdentityReport("hagen-rothe-symmetric", params, lhs, rhs)
+
+    if variant == "asymmetric":
+        lhs = Fraction(0)
+        for l in range(k + 1):
+            xl = x + l * z
+            if xl == 0:
+                raise PoleError(f"x + {l}*z = 0", where=(l,))
+            lhs += (x / xl) * binomial_general(xl, l) * binomial_general(
+                y + (k - l) * z, k - l
+            )
+        rhs = binomial_general(x + y + k * z, k)
+        return IdentityReport("hagen-rothe-asymmetric", params, lhs, rhs)
+
+    raise InputError(f"unknown variant {variant!r}")
 
 
 #: characters that reach every branch of ``rat`` on strings: digits, both

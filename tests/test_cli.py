@@ -295,6 +295,15 @@ class TestErrorHandling:
         assert err.startswith(f"bellkit: malformed entry in {f}: Exceeds the limit (")
         assert err.count("\n") == 1
 
+    def test_a_file_nested_too_deeply(self, capsys, tmp_path):
+        # json.loads raises RecursionError, which is not a ValueError
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "bell", "--n", "1", "--k", "1", "--x", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"bellkit: sequence file {f} is nested too deeply: ")
+        assert err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bell", "--n", "3", "--k", "2", "--x", "/nope/missing.json")
         assert code == 2 and "missing.json" in err
@@ -462,6 +471,13 @@ class TestErrorHandling:
         # each flag is valid alone, so argparse cannot refuse the pair
         code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == "" and err == f"bellkit: {message}\n"
+
+    @pytest.mark.parametrize("point", [[], ["--xp", "1", "--yp", "2", "--zp", "5", "--k", "2"]])
+    def test_hagen_rothe_refuses_the_chu_vandermonde_variant(self, capsys, point):
+        # Chu-Vandermonde is verify chu-vandermonde, whose z is always 0
+        code, out, err = run(capsys, "verify", "hagen-rothe", "--variant", "chu_vandermonde", *point)
+        assert code == 2 and out == ""
+        assert err == "bellkit: --variant is symmetric or asymmetric here; use verify chu-vandermonde\n"
 
     def test_hagen_rothe_zp_alone_asks_for_xp(self, capsys):
         code, out, err = run(capsys, "verify", "hagen-rothe", "--zp", "1")

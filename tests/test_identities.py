@@ -1,7 +1,9 @@
+import collections
 import copy
 import functools
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -38,7 +40,7 @@ from bellkit.reports import InputError, PoleError
 from bellkit.sequences import SequenceSpec, factorials, naturals, ones, random_rationals
 from bellkit.sparsepoly import SparsePoly
 
-from oracles import bell_eval, bell_triangle, certify_th1_grid, w_coefficient
+from oracles import bell_eval, bell_triangle, certify_th1_grid, hagen_rothe_reference, w_coefficient
 
 
 class TestAffineForm:
@@ -200,6 +202,62 @@ class TestHagenRothe:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             check_hagen_rothe("nope", 1, 1, 1, 1)
+
+    def test_chu_vandermonde_refuses_a_nonzero_z(self):
+        with pytest.raises(InputError, match="chu_vandermonde is the z = 0 case, got z = 5"):
+            check_hagen_rothe("chu_vandermonde", 1, 2, 5, 2)
+
+    #: small rationals of both signs, so that x + l*z, y + j*z and x + y + k*z vanish
+    GRID_VALUES = sorted({Fraction(p, q) for p in range(-3, 4) for q in (1, 2)})
+
+    @staticmethod
+    def _outcome(check, *args):
+        try:
+            return check(*args)
+        except PoleError as exc:
+            return (str(exc), exc.where)
+
+    def test_matches_the_three_loop_reference_poles_included(self):
+        rng = random.Random(2215)
+        poles = collections.Counter()
+        for _ in range(3000):
+            variant = rng.choice(["symmetric", "asymmetric", "chu_vandermonde"])
+            x, y, z = (rng.choice(self.GRID_VALUES) for _ in range(3))
+            z = 0 if variant == "chu_vandermonde" else z
+            k = rng.randrange(6)
+            got = self._outcome(check_hagen_rothe, variant, x, y, z, k)
+            assert got == self._outcome(hagen_rothe_reference, variant, x, y, z, k)
+            if isinstance(got, tuple):
+                poles[variant, got[0].split(" + ")[0], got[1] == ("rhs",)] += 1
+        # every pole of each variant is reached: x + l*z, y + j*z and the right side
+        assert set(poles) == {
+            ("symmetric", "x", True), ("symmetric", "x", False),
+            ("symmetric", "y", False), ("asymmetric", "x", False),
+        }
+
+    def test_the_paper_specialisations(self):
+        # with v = (k,), W(m, l; v) is C(k, l) at m = l and 0 elsewhere, so
+        # variant A at alpha = x + (k - l)*z and tau = x + y + k*z is the
+        # asymmetric sum, th1c there is tau/(x*y) times the symmetric one,
+        # and variant A at alpha = x and tau = x + y is Chu-Vandermonde
+        compared = 0
+        values = self.GRID_VALUES
+        for x, y, z, k in itertools.product(values, values, values, range(1, 4)):
+            tau, alpha = x + y + k * z, AffineForm(x + k * z, -z)
+            pairs = [
+                ("asymmetric", 1, functools.partial(check_th1, "A", (k,), alpha, tau)),
+                ("symmetric", tau and x * y / tau, functools.partial(check_th1c, (k,), alpha, tau)),
+            ]
+            if z == 0 and x:
+                chu = functools.partial(check_th1, "A", (k,), AffineForm(x), x + y)
+                pairs.append(("chu_vandermonde", 1, chu))
+            for variant, scale, paper in pairs:
+                rep, twin = self._outcome(check_hagen_rothe, variant, x, y, z, k), self._outcome(paper)
+                if isinstance(rep, tuple) or isinstance(twin, tuple):
+                    continue
+                assert (rep.lhs, rep.rhs) == (scale * twin.lhs, scale * twin.rhs)
+                compared += 1
+        assert compared > 5000
 
 
 class TestNegativeOne:

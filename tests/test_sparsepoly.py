@@ -57,6 +57,25 @@ class TestConstruction:
         assert SparsePoly.variable(3) == SparsePoly({(0, 0, 1): 1})
 
 
+class TestEqualityAndHash:
+    @pytest.mark.parametrize("c", [0, 2, -3, Fraction(5, 7)])
+    def test_a_constant_equals_and_hashes_like_its_number(self, c):
+        poly = SparsePoly.constant(c)
+        assert poly == c and hash(poly) == hash(c)
+        assert len({poly, c}) == 1
+
+    @given(polys, polys)
+    def test_equal_polynomials_hash_alike(self, p, q):
+        r = (p + q) - q
+        assert r == p and hash(r) == hash(p)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_bool_is_never_equal(self, flag):
+        # rat refuses bools, so comparing must not pass one to it
+        for poly in (SparsePoly.constant(1), SparsePoly.zero(), SparsePoly.variable(1)):
+            assert not poly == flag and poly != flag
+
+
 class TestArithmetic:
     def test_add_sub(self):
         x1, x2 = SparsePoly.variable(1), SparsePoly.variable(2)

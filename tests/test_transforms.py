@@ -70,6 +70,13 @@ class TestQRecurrence:
         with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
             q_recurrence_check(n, 2, Z)
 
+    @pytest.mark.parametrize("lam", ["2", True, 2.0])
+    def test_rejects_lambda_of_another_type(self, lam):
+        # the type is checked before the sign: "2" < 0 would raise TypeError,
+        # and True < 0 would let a bool through as 1
+        with pytest.raises(InputError, match="^lam must be a nonnegative integer, got "):
+            q_recurrence_check(3, lam, Z)
+
 
 class TestQProduct:
     def test_order_one_squares(self):
