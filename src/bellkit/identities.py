@@ -391,8 +391,8 @@ def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
     of C(x + l*z, l) C(y + (k-l)*z, k-l), each term weighted by x/(x + l*z)
     (asymmetric), by that and y/(y + (k-l)*z) (symmetric), or by neither."""
     x, y, z = rat(xp), rat(yp), rat(zp)
-    if k < 0:
-        raise InputError(f"k must be nonnegative, got {k}")
+    if type(k) is not int or k < 0:
+        raise InputError(f"k must be {'nonnegative' if type(k) is int else 'an int'}, got {k!r}")
     if variant not in ("symmetric", "asymmetric", "chu_vandermonde"):
         raise InputError(f"unknown variant {variant!r}")
     chu, symmetric = variant == "chu_vandermonde", variant == "symmetric"

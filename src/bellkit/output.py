@@ -13,8 +13,9 @@ the writer renders the run's text once with holes for those values, and
 fills the holes for each report.  A run is recognised by the identity of
 its ``run`` object, never by equal values: ``(1,)``, ``(Fraction(1),)``
 and ``(True,)`` are equal but render differently.  A CSV row holds the
-cells of a report's JSON object, as ``json.loads`` would read them back; the
-writer makes a run's fixed cells once and fills a row template per report.
+cells of a report's JSON object as ``json.loads`` reads them back from the
+run's JSON text, so one function decides how a report is written in both
+formats.
 
 CPython encodes in C only when ``indent`` is None; with ``indent=2`` the
 pure-Python encoder was the largest single cost of a certify run's output.
@@ -122,27 +123,13 @@ def _run_text(run: list, depth: int) -> str:
     )
 
 
-def _loaded(value):
-    """``json.loads(dumps(value))``, made without the text."""
-    kind = type(value)
-    if kind is list or kind is tuple:
-        return [_loaded(item) for item in value]
-    if kind is dict and all(type(key) is str for key in value):
-        return {key: _loaded(item) for key, item in value.items()}
-    return value if kind in (str, int, bool) or value is None else _loaded(json_value(value))
-
-
 def _csv_rows(run: list):
-    """The CSV rows of a run of reports: the cells of their JSON objects, with
-    params as k=v;... and skipped poles as l,m,tau;...  The run's fixed cells
-    are made once, and each report fills in its ``Fraction`` params."""
-    first = run[0]
-    holes = [key for key, item in first.params.items() if type(item) is Fraction]
-    params = {key: f"{key}={item}" for key, item in _loaded(first.params).items()}
-    poles = ";".join(",".join(map(str, triple)) for triple in _loaded(first.skipped_poles))
-    for report in run:
-        params.update((key, f"{key}={report.params[key]!s}") for key in holes)
-        yield first.name, ";".join(params.values()), report.lhs, report.rhs, report.passed, poles
+    """The CSV rows of a run: each report's JSON object as ``json.loads`` reads
+    it back, with params as k=v;... and skipped poles as l,m,tau;..."""
+    for report in json.loads("[" + _run_text(run, 0) + "]"):
+        name, params, lhs, rhs, passed, poles = (report[key] for key in IdentityReport.KEYS)
+        yield (name, ";".join(f"{key}={item}" for key, item in params.items()), lhs, rhs,
+               passed, ";".join(",".join(map(str, triple)) for triple in poles))
 
 
 def write_reports(name: str, reports, stream, fmt: str) -> bool:

@@ -83,7 +83,7 @@ def _q_sum(row: Row, b: int, lam, k0: int = 1) -> Fraction:
 
 
 def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
-    """For integer lam >= 0, the b = 0 sum satisfies
+    """For integer lam >= 0 the b = 0 sum satisfies, with the right side in ``Fraction``s,
 
         Q(n, lam) = z_n + sum_{i=1}^{lam} i/(lam+1)
                           sum_{m=1}^{n-1} C(n, m) z_{n-m} Q(m, i-1).
@@ -94,16 +94,9 @@ def q_recurrence_check(n: int, lam: int, z: SequenceSpec) -> IdentityReport:
         raise InputError(f"lam must be a nonnegative integer, got {lam!r}")
     z.require(n)
     rows = _rows(z, n)
-    lhs, h = _q_sum(rows[n], 0, lam), rows[n][1]
-    # the right side times (lam + 1) h_n is an integer: i - 1 is an integer, so the
-    # denominator of Q(m, i-1) divides h_m, and d_{n-m} h_m divides h_n
-    total = (lam + 1) * z[n].numerator * (h // z[n].denominator)
-    for i in range(1, lam + 1):
-        for m in range(1, n):
-            q, zj = _q_sum(rows[m], 0, i - 1), z[n - m]
-            total += (i * comb(n, m) * zj.numerator * q.numerator
-                      * (h // (zj.denominator * q.denominator)))
-    rhs = Fraction(total, (lam + 1) * h)
+    rhs = z[n] + sum(Fraction(i, lam + 1) * comb(n, m) * z[n - m] * _q_sum(rows[m], 0, i - 1)
+                     for i in range(1, lam + 1) for m in range(1, n))
+    lhs = _q_sum(rows[n], 0, lam)
     return IdentityReport("q-recurrence", {"n": n, "lambda": lam, "z": z}, lhs, rhs)
 
 

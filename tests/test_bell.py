@@ -287,6 +287,11 @@ class TestBellColumns:
             if h[n] != hull:
                 raise AssertionError(f"h_{n} = {h[n]}, the partition hull is {hull}")
 
+    def test_rows_past_the_sequence_take_a_denominator_of_one(self):
+        # x_3, x_4 and x_5 add no denominator: h_3 = h_1 h_2 = 135, where 2 would give 270
+        _, h = bell_columns(SequenceSpec.from_values(["1/3", "1/5"]), 5)
+        assert h == [1, 3, 45, 135, 2025, 6075]
+
 
 class TestIntegralityGuards:
     """The guards raise explicit errors, so they survive ``python -O``."""

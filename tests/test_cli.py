@@ -17,7 +17,7 @@ from bellkit import cli, identities, transforms
 from bellkit.bell import bell_columns
 from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main
 from bellkit.reports import InputError
-from bellkit.sequences import named_sequence
+from bellkit.sequences import SequenceTooShort, named_sequence
 
 
 SYMBOLIC_ALONE = "give --symbolic or --x/--seed/--n-max, not both"
@@ -722,6 +722,23 @@ class TestLoadSequence:
         seed = 1 if keyword == "random" else None
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             named_sequence(keyword, -1, seed)
+
+    def test_keyword_needs_a_length(self):
+        with pytest.raises(InputError, match="sequence 'ones' requires --n-max \\(or --n\\)"):
+            load_sequence("ones")
+
+    def test_named_sequence_refusals(self):
+        with pytest.raises(InputError, match="named sequence 'random' requires a seed"):
+            named_sequence("random", 3)
+        with pytest.raises(InputError, match="unknown sequence keyword 'bogus'"):
+            named_sequence("bogus", 3)
+
+    def test_index_out_of_range(self):
+        x = named_sequence("ones", 3)
+        with pytest.raises(InputError, match="sequence index must be >= 1, got 0"):
+            x[0]
+        with pytest.raises(SequenceTooShort, match="sequence has 3 entries, x_4 requested"):
+            x[len(x) + 1]
 
     def test_negative_length_refused_before_reading_a_file(self, tmp_path):
         with pytest.raises(ValueError, match="nonnegative, got -2"):

@@ -12,6 +12,7 @@ from bellkit.egf import (
     egf_polyval,
     egf_pow,
 )
+from bellkit.reports import InputError
 from bellkit.sequences import SequenceSpec, random_rationals
 from bellkit.transforms import (
     TransformParams,
@@ -133,6 +134,10 @@ class TestSeriesArithmetic:
         assert (a + 1).coeffs == (Fraction(2), Fraction(2))
         assert (3 * a).coeffs == (Fraction(3), Fraction(6))
 
+    def test_needs_a_constant_coefficient(self):
+        with pytest.raises(InputError, match="a series needs at least the constant coefficient"):
+            TruncatedEGF(())
+
     def test_from_sequence(self):
         assert Z.order == 10
         assert Z.coeffs[0] == 1 and Z.coeffs[1:] == X.values
@@ -169,7 +174,7 @@ class TestLog:
             assert egf_log(z) == oracle_egf_log(z)
 
     def test_requires_unit_constant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="constant coefficient must be 1, got 2$"):
             egf_log(TruncatedEGF.from_coeffs([2, 1]))
 
 
@@ -209,7 +214,7 @@ class TestPow:
         assert egf_pow(z, r) == oracle_egf_pow(z, r)
 
     def test_requires_unit_constant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="constant coefficient must be 1, got 0$"):
             egf_pow(TruncatedEGF.from_coeffs([0, 1]), 2)
 
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -138,6 +139,12 @@ class TestTh1:
         with pytest.raises(ValueError):
             check_th1("X", (1,), AffineForm(1), 1)
 
+    @pytest.mark.parametrize("v, shown", [((0, 0), "()"), ((1, -1), "(1, -1)")])
+    def test_rejects_a_zero_or_negative_v(self, v, shown):
+        message = f"v must be nonzero with nonnegative entries, got {shown}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            th1_plan(v, AffineForm(1))
+
     def test_b_from_a_by_alpha_reflection(self):
         # replacing alpha by tau - alpha swaps the two summand shapes
         tau = Fraction(13, 3)
@@ -202,6 +209,15 @@ class TestHagenRothe:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             check_hagen_rothe("nope", 1, 1, 1, 1)
+
+    def test_negative_k_refused(self):
+        with pytest.raises(InputError, match="k must be nonnegative, got -1$"):
+            check_hagen_rothe("asymmetric", 1, 2, 1, -1)
+
+    @pytest.mark.parametrize("k", [Fraction(2), True], ids=["fraction", "bool"])
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(InputError, match=re.escape(f"k must be an int, got {k!r}")):
+            check_hagen_rothe("asymmetric", 1, 2, 1, k)
 
     def test_chu_vandermonde_refuses_a_nonzero_z(self):
         with pytest.raises(InputError, match="chu_vandermonde is the z = 0 case, got z = 5"):
@@ -281,6 +297,24 @@ class TestNegativeOne:
         with pytest.raises(PoleError):
             check_negative_one((2, 1), AffineForm(0, 1))
 
+    def test_is_variant_b_at_tau_minus_one(self):
+        # term by term, (-1)^k times variant B's left side at tau = -1:
+        # C(a, l) C(a+k-l, k-l) / C(k, l) = C(a+k-l, k), C(-1-a, j) = (-1)^j C(a+j, j)
+        rng = random.Random(2605)
+        seeded = [AffineForm(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)))
+                  for _ in range(4)]
+        compared = 0
+        for alpha in (*DEFAULT_ALPHAS, AffineForm(2, 1), *seeded):
+            for n in range(1, 9):
+                for v in grid_vs(n):
+                    try:
+                        rep, twin = check_negative_one(v, alpha), check_th1("B", v, alpha, -1)
+                    except PoleError:
+                        continue
+                    assert rep.lhs == (-1) ** sum(v) * twin.lhs, (v, alpha)
+                    compared += 1
+        assert compared > 600
+
 
 class TestGeneralBinomial:
     def test_reproduces_variant_a(self):
@@ -340,6 +374,11 @@ class TestBellConvolution:
     def test_pole(self):
         with pytest.raises(PoleError):
             check_bell_convolution("cor34", 3, 2, AffineForm(1, 1), 1, ones(3))
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_plan_needs_k_in_one_to_n(self, k):
+        with pytest.raises(InputError, match=f"need 1 <= k <= n, got k={k}, n=3"):
+            bell_convolution_plan(3, k, AffineForm(1), ones(3))
 
 
 class TestAlphaConstant:
@@ -417,6 +456,10 @@ class TestStirlingRecurrence:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             check_stirling_recurrence(4, 2, 1, "third")
+
+    def test_indices_out_of_order(self):
+        with pytest.raises(InputError, match="need 0 < r <= k <= n, got r=1, k=5, n=4"):
+            check_stirling_recurrence(4, 5, 1, "second")
 
     def test_sides_are_the_stirling_sums(self):
         for kind, s in (("first", stirling1_unsigned), ("second", stirling2)):

@@ -56,6 +56,14 @@ class TestConstruction:
     def test_variable(self):
         assert SparsePoly.variable(3) == SparsePoly({(0, 0, 1): 1})
 
+    def test_variable_index_starts_at_one(self):
+        with pytest.raises(InputError, match="variable index must be >= 1, got 0"):
+            SparsePoly.variable(0)
+
+    def test_negative_power_refused(self):
+        with pytest.raises(InputError, match="exponent must be a nonnegative int, got -1"):
+            SparsePoly.variable(1) ** -1
+
 
 class TestEqualityAndHash:
     @pytest.mark.parametrize("c", [0, 2, -3, Fraction(5, 7)])
