@@ -61,15 +61,15 @@ def bell_columns(x: SequenceSpec, n_max: int) -> tuple[list[list[int]], list[int
     ([[1, 0, 0, 0], [0, 1, 4, 6], [0, 0, 3, 12], [0, 0, 0, 3]], [1, 2, 12, 24])
     """
     length = min(len(x), max(n_max, 0))
-    xs = x.values[:length]
+    nums, dens = x.numerators[:length], x.denominators[:length]
     h = [1]
     for n in range(1, n_max + 1):
-        d = xs[n - 1].denominator if n <= length else 1
+        d = dens[n - 1] if n <= length else 1
         h.append(lcm(d, *(h[m] * h[n - m] for m in range(1, n // 2 + 1))))
-    # weights[n][m-1] = C(n-1, m-1) x_m h_n / h_{n-m}
+    # weights[n][m-1] = C(n-1, m-1) x_m h_n / h_{n-m}, x_m = nums[m-1] / dens[m-1]
     weights = [
-        [comb(n - 1, m) * v.numerator * (h[n] // (v.denominator * h[n - 1 - m]))
-         for m, v in enumerate(xs[:n])]
+        [comb(n - 1, m) * p * (h[n] // (d * h[n - 1 - m]))
+         for m, (p, d) in enumerate(zip(nums[:n], dens))]
         for n in range(n_max + 1)
     ]
     num = [[1] + [0] * n_max]

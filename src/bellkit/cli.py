@@ -70,7 +70,11 @@ from .transforms import (
 
 
 def load_sequence(path_or_keyword: str, n_max: int | None = None, seed: int | None = None) -> SequenceSpec:
-    """Resolve a --x argument: a named sequence or a JSON file of rationals."""
+    """Resolve a --x argument: a named sequence or a JSON file of rationals.
+
+    A file entry that ``rat`` refuses is named by its 1-based index, as in
+    "malformed entry in x.json: Fraction(1, 0) (entry 2)".
+    """
     if seed is not None and path_or_keyword != "random":
         raise InputError("--seed is read only with --x random")
     if n_max is not None:
@@ -98,10 +102,16 @@ def load_sequence(path_or_keyword: str, n_max: int | None = None, seed: int | No
         data = data[0]
     if not isinstance(data, list):
         raise InputError(f"sequence file {path} must hold a JSON array")
+    refusals = (ValueError, TypeError, ZeroDivisionError)
     try:
         seq = SequenceSpec.from_values(data)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed entry in {path}: {exc}") from exc
+    except refusals as exc:
+        for j, value in enumerate(data, start=1):  # find the entry rat refused
+            try:
+                rat(value)
+            except refusals:
+                raise InputError(f"malformed entry in {path}: {exc} (entry {j})") from exc
+        raise
     if n_max is not None and len(seq) < n_max:
         raise InputError(f"sequence file {path} has {len(seq)} entries, {n_max} required")
     return seq
@@ -253,7 +263,7 @@ def cmd_transform(args):
     y = forward_transform(x, params, n_max)
     x = x.prefix(n_max)
     back = inverse_transform(y, params, n_max)
-    recovered = back.values == x.values
+    recovered = back == x
     return {
         "command": "transform-roundtrip",
         "a": params.a,

@@ -590,8 +590,9 @@ def check_zerosum(n: int, k: int, x: SequenceSpec) -> IdentityReport:
     x.require(n - k + 1)
     # x_{n-m} B(m, k-1) = x_{n-m} num[k-1][m] / h[m], and d_{n-m} h[m] divides h[n]
     num, h = bell_columns(x, n)
-    top = sum((comb(n, m) - k * comb(n - 1, m)) * x[n - m].numerator * num[k - 1][m]
-              * (h[n] // (x[n - m].denominator * h[m])) for m in range(k - 1, n))
+    p, d = x.numerators, x.denominators  # x_j = p[j-1] / d[j-1]
+    top = sum((comb(n, m) - k * comb(n - 1, m)) * p[n - m - 1] * num[k - 1][m]
+              * (h[n] // (d[n - m - 1] * h[m])) for m in range(k - 1, n))
     return IdentityReport("zerosum", {"n": n, "k": k, "x": x}, Fraction(top, k * h[n]), 0)
 
 

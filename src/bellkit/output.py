@@ -92,7 +92,8 @@ def _render(value, depth: int) -> str:
         if not value:
             return "[]"
         inner = "\n" + "  " * (depth + 1)
-        items = [_render(item, depth + 1) for item in value]
+        items = [encode_basestring_ascii(item) if type(item) is str else _render(item, depth + 1)
+                 for item in value]
         return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
     if value is None or kind is bool:
         return "null" if value is None else "true" if value else "false"

@@ -294,6 +294,8 @@ class TestErrorHandling:
         assert code == 2 and out == ""
         assert err.startswith(f"bellkit: malformed entry in {f}: Exceeds the limit (")
         assert err.count("\n") == 1
+        # json.loads refuses the bare integer itself, so no entry index is known
+        assert err.endswith("(entry 1)\n") == (entry[0] == '"')
 
     def test_a_file_nested_too_deeply(self, capsys, tmp_path):
         # json.loads raises RecursionError, which is not a ValueError
@@ -302,7 +304,24 @@ class TestErrorHandling:
         code, out, err = run(capsys, "bell", "--n", "1", "--k", "1", "--x", str(f))
         assert code == 2 and out == ""
         assert err.startswith(f"bellkit: sequence file {f} is nested too deeply: ")
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and "(entry" not in err
+
+    @pytest.mark.parametrize(
+        "entries, reason, j",
+        [
+            ('["1", "2", "x/y"]', "Invalid literal for Fraction: 'x/y'", 3),
+            ('["1", "1/0", "1e5"]', "Fraction(1, 0)", 2),
+            ('[true, "1/2"]', "refusing bool input True; pass a string or int", 1),
+            ('["1/2", "3", 0.5]', "refusing float input 0.5; pass a string or int", 3),
+        ],
+        ids=["text", "zero-denominator", "bool", "float"],
+    )
+    def test_a_malformed_entry_is_named_by_its_index(self, capsys, tmp_path, entries, reason, j):
+        f = tmp_path / "bad.json"
+        f.write_text(entries)
+        code, out, err = run(capsys, "bell", "--n", "1", "--k", "1", "--x", str(f))
+        assert code == 2 and out == ""
+        assert err == f"bellkit: malformed entry in {f}: {reason} (entry {j})\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bell", "--n", "3", "--k", "2", "--x", "/nope/missing.json")
