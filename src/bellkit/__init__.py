@@ -5,7 +5,7 @@ check is an exact equality.  See the README for a tour.
 """
 
 from .bell import bell_symbolic, bell_value, stirling1_unsigned, stirling2
-from .egf import TruncatedEGF, egf_apply_poly, egf_log, egf_polyval, egf_pow
+from .egf import TruncatedEGF, egf_log, egf_polyval, egf_pow
 from .identities import (
     DEFAULT_ALPHAS,
     AffineForm,
@@ -38,6 +38,7 @@ from .sequences import (
 from .sparsepoly import SparsePoly
 from .transforms import (
     TransformParams,
+    egf_apply_poly,
     forward_transform,
     inverse_transform,
     lambda_identity_check,

@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bell import bell_symbolic, bell_value, stirling1_unsigned, stirling2
-from .egf import TruncatedEGF, egf_apply_poly, egf_log, egf_pow
+from .egf import TruncatedEGF, egf_log, egf_pow
 from .identities import (
     CONVOLUTION_VARIANTS,
     DEFAULT_ALPHAS,
@@ -60,6 +60,7 @@ from .sequences import NAMED_SEQUENCES, SequenceSpec, named_sequence, require_le
 from .sparsepoly import SparsePoly
 from .transforms import (
     TransformParams,
+    egf_apply_poly,
     forward_transform,
     inverse_transform,
     lambda_identity_check,

@@ -2,11 +2,11 @@
 
 A series of order N stores c_0, ..., c_N for sum c_n t^n / n!, so the
 product rule is the binomial convolution.  ``egf_log`` and ``egf_pow`` run
-derivative-quotient recurrences and deliberately share no code with the
-Bell-polynomial route in :mod:`bellkit.transforms`; the agreement of the two
-routes is itself one of the certified identities.  ``egf_apply_poly`` is not
-independent of that route: it reads the Bell table and weighted sums of
-:mod:`bellkit.transforms` (``_rows``, ``_q_sum`` and ``_forward``).
+derivative-quotient recurrences.  The module shares no code with the
+Bell-polynomial route (it imports nothing from :mod:`bellkit.bell` or
+:mod:`bellkit.transforms`), so the agreement of the two routes is itself one
+of the certified identities; ``egf_apply_poly``, which reads the Bell
+triangle, is in :mod:`bellkit.transforms`.
 
 Both recurrences run on plain integers.  With z_j = a_j/d_j in lowest terms,
 every coefficient is kept as an integer numerator over one final scale
@@ -26,7 +26,6 @@ from math import comb, prod
 from .rationals import rat, rat_str
 from .reports import InputError
 from .sequences import SequenceSpec
-from .transforms import TransformParams, _forward, _q_sum, _rows
 
 
 @dataclass(frozen=True)
@@ -177,22 +176,3 @@ def egf_polyval(f_coeffs, z: TruncatedEGF) -> TruncatedEGF:
         acc = acc * z + c
     return acc
 
-
-def egf_apply_poly(
-    f_coeffs, params: TransformParams, x: SequenceSpec
-) -> tuple[TruncatedEGF, TruncatedEGF]:
-    """The series Z = 1 + sum y_n t^n / n! of y = forward_transform(x) and F(Z).
-
-    Both are of order len(x) and read one Bell table of x.  The n-th
-    coefficient of F(Z) (n >= 1) is sum_l c_l * l * q_function(n, b,
-    l-1+a*n, x) and the constant one is F(1).
-    """
-    n_max = len(x)
-    rows = _rows(x, n_max)
-    z = TruncatedEGF.from_sequence(_forward(params, rows))
-    coeffs = [rat(c) for c in f_coeffs]
-    out = [sum(coeffs, Fraction(0))]
-    for n in range(1, n_max + 1):
-        out.append(sum((c * l * _q_sum(rows[n], params.b, l - 1 + params.a * n)
-                        for l, c in enumerate(coeffs) if l and c), Fraction(0)))
-    return z, TruncatedEGF(tuple(out))

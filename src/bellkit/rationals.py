@@ -3,33 +3,26 @@
 Every scalar in this package is an exact rational (``fractions.Fraction``)
 or an arbitrary-precision ``int``.  There is no floating point anywhere, so
 every identity check downstream is an exact equality with zero tolerance.
-Text in ``rat_str``'s form, ASCII ``p`` or ``p/q``, is parsed with ``int``.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 from .reports import InputError
-
-_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value) -> Fraction:
     """Parse a rational from "p/q" or "p" strings, ints, or Fractions.
 
-    A str that is exactly ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+`` is read with
-    ``int``; other text (spaces, "+", a unicode minus, "_", decimals, non-ASCII
-    digits) goes to ``Fraction``.  Floats, booleans and exponent notation
-    ("1e99999999" would build 10^99999999) are refused.
+    Text goes to ``Fraction`` after a unicode minus becomes "-" and the ends
+    are stripped.  Floats, booleans and exponent notation ("1e99999999" would
+    build 10^99999999) are refused.
 
     >>> rat("-7/3"), rat(" 1.5 ")
     (Fraction(-7, 3), Fraction(3, 2))
     """
-    if type(value) is str and (m := _PLAIN.fullmatch(value)):
-        return Fraction(int(m[1]), int(m[2] or 1))
     if isinstance(value, str):
         value = value.replace("−", "-").strip()
         if "e" in value or "E" in value:

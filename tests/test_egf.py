@@ -7,7 +7,6 @@ import pytest
 from bellkit import egf
 from bellkit.egf import (
     TruncatedEGF,
-    egf_apply_poly,
     egf_log,
     egf_polyval,
     egf_pow,
@@ -16,6 +15,7 @@ from bellkit.reports import InputError
 from bellkit.sequences import SequenceSpec, random_rationals
 from bellkit.transforms import (
     TransformParams,
+    egf_apply_poly,
     forward_transform,
     log_polynomials,
     potential_polynomials,

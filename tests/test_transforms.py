@@ -7,13 +7,14 @@ import pytest
 
 import oracles
 
+from bellkit import transforms
+from bellkit.bell import bell_columns
 from bellkit.rationals import binomial_general
 from bellkit.reports import InputError, PoleError
 from bellkit.sequences import SequenceSpec, SequenceTooShort, ones, random_rationals
 from bellkit.transforms import (
     TransformParams,
     _inverse_entry,
-    _rows,
     forward_transform,
     inverse_transform,
     lambda_identity_check,
@@ -184,9 +185,9 @@ class TestInverse:
         params = TransformParams(1, -2)
         x = random_rationals(5, seed=13)
         y = forward_transform(x, params, 5)
-        rows_y = _rows(y, 5)
+        table_y = bell_columns(y, 5)
         for n in (1, 3, 4, 5):
-            assert _inverse_entry(params, n, rows_y[n]) == x[n]
+            assert _inverse_entry(params, n, table_y) == x[n]
 
 
 class TestBEqualsOneSpecialization:
@@ -310,6 +311,59 @@ class TestParams:
         # a = 1/2 used to give a forward transform and a TypeError on inversion
         with pytest.raises(InputError, match="must be an int"):
             TransformParams(a, b)
+
+
+PARAMS = TransformParams(1, 1)
+
+#: (argument name, call taking its value) for each integer argument of the
+#: public functions of ``transforms``
+INT_ARGUMENTS = [
+    ("n", lambda v: q_function(v, 1, 1, Z)),
+    ("b", lambda v: q_function(3, v, 1, Z)),
+    ("n", lambda v: q_recurrence_check(v, 1, Z)),
+    ("n1", lambda v: q_product_check(v, 2, 1, 1, 1, 1, Z)),
+    ("n2", lambda v: q_product_check(2, v, 1, 1, 1, 1, Z)),
+    ("b1", lambda v: q_product_check(2, 2, v, 1, 1, 1, Z)),
+    ("b2", lambda v: q_product_check(2, 2, 1, v, 1, 1, Z)),
+    ("n_max", lambda v: forward_transform(Z, PARAMS, v)),
+    ("n_max", lambda v: inverse_transform(Z, PARAMS, v)),
+    ("n", lambda v: lambda_identity_check(Z, PARAMS, v, 1)),
+    ("k0", lambda v: lambda_identity_check(Z, PARAMS, 3, 1, v)),
+    ("n_max", lambda v: log_polynomials(Z, v)),
+    ("n_max", lambda v: potential_polynomials(2, Z, v)),
+]
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", [Fraction(2), Fraction(1, 2), 2.0, True])
+    @pytest.mark.parametrize("name, call", INT_ARGUMENTS)
+    def test_refuses_non_int(self, name, call, value):
+        # True used to run as 1, and 2.0 or 1/2 to end in a TypeError
+        with pytest.raises(InputError, match=re.escape(f"{name} must be an int, got {value!r}")):
+            call(value)
+
+
+class TestOneBellTablePerSequence:
+    @pytest.mark.parametrize("call, tables", [
+        (lambda: q_function(5, 1, 2, Z), [5]),
+        (lambda: q_recurrence_check(5, 2, Z), [5]),
+        (lambda: q_product_check(3, 5, 1, 2, 1, 2, Z), [5]),
+        (lambda: forward_transform(Z, PARAMS, 6), [6]),
+        (lambda: inverse_transform(Z, PARAMS, 6), [6]),
+        (lambda: lambda_identity_check(Z, PARAMS, 5, 2), [5, 5]),  # one for x, one for y
+        (lambda: log_polynomials(Z, 6), [6]),
+        (lambda: potential_polynomials(3, Z, 6), [6]),
+    ])
+    def test_bell_table_count(self, monkeypatch, call, tables):
+        calls = []
+
+        def counted(x, n_max):
+            calls.append(n_max)
+            return bell_columns(x, n_max)
+
+        monkeypatch.setattr(transforms, "bell_columns", counted)
+        call()
+        assert calls == tables
 
 
 def _seq(length, seed, height, zeros=()):
