@@ -5,7 +5,7 @@ check is an exact equality.  See the README for a tour.
 """
 
 from .bell import bell_symbolic, bell_value, stirling1_unsigned, stirling2
-from .egf import TruncatedEGF, egf_log, egf_polyval, egf_pow
+from .egf import TruncatedEGF, egf_log, egf_pow
 from .identities import (
     DEFAULT_ALPHAS,
     AffineForm,
@@ -17,7 +17,6 @@ from .identities import (
     check_negative_one,
     check_stirling_recurrence,
     check_th1,
-    check_th1c,
     check_vanishing_sum,
     check_zerosum,
     th1_plan,
@@ -42,8 +41,6 @@ from .transforms import (
     forward_transform,
     inverse_transform,
     lambda_identity_check,
-    log_polynomials,
-    potential_polynomials,
     q_function,
     q_product_check,
     q_recurrence_check,

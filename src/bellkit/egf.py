@@ -1,12 +1,13 @@
 """Truncated exponential generating functions with exact coefficients.
 
-A series of order N stores c_0, ..., c_N for sum c_n t^n / n!, so the
-product rule is the binomial convolution.  ``egf_log`` and ``egf_pow`` run
-derivative-quotient recurrences.  The module shares no code with the
-Bell-polynomial route (it imports nothing from :mod:`bellkit.bell` or
-:mod:`bellkit.transforms`), so the agreement of the two routes is itself one
-of the certified identities; ``egf_apply_poly``, which reads the Bell
-triangle, is in :mod:`bellkit.transforms`.
+A series of order N stores c_0, ..., c_N for sum c_n t^n / n!.
+``egf_log`` and ``egf_pow`` run derivative-quotient recurrences.  The
+module shares no code with the Bell-polynomial route (it imports nothing
+from :mod:`bellkit.bell` or :mod:`bellkit.transforms`), so the agreement of
+the two routes is itself one of the certified identities;
+``egf_apply_poly``, which reads the Bell triangle, is in
+:mod:`bellkit.transforms`, and the series product and Horner's rule it is
+held against are in ``tests/oracles.py``.
 
 Both recurrences run on plain integers.  With z_j = a_j/d_j in lowest terms,
 every coefficient is kept as an integer numerator over one final scale
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 
 from .rationals import rat, rat_str
 from .reports import InputError
@@ -41,44 +42,13 @@ class TruncatedEGF:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def from_coeffs(cls, items) -> "TruncatedEGF":
-        return cls(tuple(items))
-
-    @classmethod
     def from_sequence(cls, x: SequenceSpec) -> "TruncatedEGF":
         """The series 1 + sum_{n>=1} x_n t^n / n! of order len(x)."""
         return cls((Fraction(1),) + x.values)
 
-    @classmethod
-    def constant(cls, value, order: int) -> "TruncatedEGF":
-        return cls((rat(value),) + (Fraction(0),) * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def tail_sequence(self) -> SequenceSpec:
-        """The coefficients c_1..c_N as a sequence (drops the constant)."""
-        return SequenceSpec(self.coeffs[1:])
-
-    def __add__(self, other) -> "TruncatedEGF":
-        if isinstance(other, TruncatedEGF):  # zip stops at the lower order
-            return TruncatedEGF(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        c = rat(other)
-        return TruncatedEGF((self.coeffs[0] + c,) + self.coeffs[1:])
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "TruncatedEGF":
-        if isinstance(other, TruncatedEGF):
-            a, b = self.coeffs, other.coeffs
-            return TruncatedEGF(tuple(
-                sum((comb(n, m) * a[m] * b[n - m] for m in range(n + 1)), Fraction(0))
-                for n in range(min(self.order, other.order) + 1)))
-        c = rat(other)
-        return TruncatedEGF(tuple(c * v for v in self.coeffs))
-
-    __rmul__ = __mul__
 
     def to_json_obj(self) -> dict:
         return {"order": self.order, "coeffs": list(map(str, self.coeffs))}
@@ -141,7 +111,7 @@ def egf_log(z: TruncatedEGF) -> TruncatedEGF:
     l_k = z_k - sum_{j<k} C(k-1, j) z_j l_{k-j}, run on the integers
     l_k T_N (see ``_recurrence``, where the z_k term reads c_0 = 1).
 
-    >>> egf_log(TruncatedEGF.from_coeffs([1, 1, 0, 0, 0]))
+    >>> egf_log(TruncatedEGF((1, 1, 0, 0, 0)))
     TruncatedEGF(order=4, coeffs=[0, 1, -1, 2, -6])
     """
     _require_unit_constant(z)
@@ -156,7 +126,7 @@ def egf_pow(z: TruncatedEGF, r) -> TruncatedEGF:
     w_k = sum_{j<=k} (r C(k-1, j-1) - C(k-1, j)) z_j w_{k-j}, run for r = p/q
     on the integers w_k T_N, with q^N in T_N (see ``_recurrence``).
 
-    >>> egf_pow(TruncatedEGF.from_coeffs([1, 1, 0, 0]), "1/2")
+    >>> egf_pow(TruncatedEGF((1, 1, 0, 0)), "1/2")
     TruncatedEGF(order=3, coeffs=[1, 1/2, -1/4, 3/8])
     """
     _require_unit_constant(z)
@@ -164,15 +134,3 @@ def egf_pow(z: TruncatedEGF, r) -> TruncatedEGF:
     p, q = r.numerator, r.denominator
     return TruncatedEGF(tuple(_recurrence(
         z, q, lambda row: [p * a - q * b for a, b in zip([0, *row], [*row, 0])])))
-
-
-def egf_polyval(f_coeffs, z: TruncatedEGF) -> TruncatedEGF:
-    """Horner evaluation of the polynomial F(w) = sum c_l w^l at the series z."""
-    coeffs = [rat(c) for c in f_coeffs]
-    if not coeffs:
-        return TruncatedEGF.constant(0, z.order)
-    acc = TruncatedEGF.constant(coeffs[-1], z.order)
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
-

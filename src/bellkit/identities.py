@@ -363,27 +363,17 @@ def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=(
 def check_th1(
     variant: str, v, alpha: AffineForm, tau, *, plan: Th1Plan | None = None
 ) -> IdentityReport:
-    """Variant A or B of the parametrized binomial double sum.
+    """Variant A, B or C of the parametrized binomial double sum.
 
-    Both variants equal the generalized binomial C(tau, k), where
-    k = sum(v).  Raises :class:`PoleError` when alpha vanishes at a
-    contributing (l, m).  ``plan``, if given, is ``th1_plan(v, alpha)``.
+    A and B equal the generalized binomial C(tau, k), where k = sum(v); C is
+    their partial-fraction combination.  Raises :class:`PoleError` at the
+    first pole, in the order of :func:`_raise_at_pole`.  ``plan``, if given,
+    is ``th1_plan(v, alpha)``.
     """
-    if variant not in ("A", "B"):
-        raise InputError(f"variant must be 'A' or 'B', got {variant!r}")
+    if variant not in TH1_VARIANTS:
+        raise InputError(f"variant must be 'A', 'B' or 'C', got {variant!r}")
     plan = plan or th1_plan(v, alpha)
     return next(_th1_reports(plan, variant, [rat(tau)], f"th1{variant.lower()}", plan.params))
-
-
-def check_th1c(
-    v, alpha: AffineForm, tau, *, plan: Th1Plan | None = None
-) -> IdentityReport:
-    """Partial-fraction combination of the two double-sum variants.
-
-    ``plan``, if given, is ``th1_plan(v, alpha)``.
-    """
-    plan = plan or th1_plan(v, alpha)
-    return next(_th1_reports(plan, "C", [rat(tau)], "th1c", plan.params))
 
 
 def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
@@ -644,8 +634,8 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
     support of one v and the :class:`Th1Plan` of one (v, alpha) are built
     when the sweep reaches them and dropped when it moves on, and each th1
     variant of a plan runs at all its taus through the evaluator that
-    ``check_th1`` and ``check_th1c`` use.  Its counts and ``skipped_pairs``
-    grow as it is read.
+    ``check_th1`` uses.  Its counts and ``skipped_pairs`` grow as it is
+    read.
 
     With ``tau`` None, each th1 variant is checked at 2k+2 pole-free tau
     values from :func:`tau_samples`; variant C's tau poles are skipped and

@@ -217,25 +217,6 @@ def lambda_identity_check(
     )
 
 
-def log_polynomials(z: SequenceSpec, n_max: int) -> SequenceSpec:
-    """Logarithmic polynomials: the b = 0 weighted sum at lam = -1."""
-    _require_ints(n_max=n_max)
-    z.require(n_max)
-    table = bell_columns(z, n_max)
-    return SequenceSpec(tuple(_q_sum(table, n, 0, -1) for n in range(1, n_max + 1)))
-
-
-def potential_polynomials(r, z: SequenceSpec, n_max: int) -> SequenceSpec:
-    """Potential polynomials: r times the b = 0 weighted sum at lam = r - 1."""
-    _require_ints(n_max=n_max)
-    z.require(n_max)
-    r = rat(r)
-    table = bell_columns(z, n_max)
-    return SequenceSpec(
-        tuple(r * _q_sum(table, n, 0, r - 1) for n in range(1, n_max + 1))
-    )
-
-
 def egf_apply_poly(
     f_coeffs, params: TransformParams, x: SequenceSpec
 ) -> tuple[TruncatedEGF, TruncatedEGF]:

@@ -16,14 +16,24 @@ triangle of one ``bell_columns`` call, each entry num[k][n] over its row
 denominator h[n], for tests that read many entries of one sequence without
 rebuilding the triangle per entry.  The weighted Bell
 sums of ``bellkit.transforms`` (``q_function``, the transform pair, the two
-sides of the lambda identity, the logarithmic and potential polynomials) are
-held against ``Fraction`` loops over its entries: one ``Fraction`` product
-and sum per (n, k), where the package adds integers over one denominator.
+sides of the lambda identity) are held against ``Fraction`` loops over its
+entries: one ``Fraction`` product and sum per (n, k), where the package adds
+integers over one denominator.  ``log_polynomials`` and
+``potential_polynomials`` are the same loops at b = 0, lam = -1 and at
+lam = r - 1 times r, the Bell side of the log and power series.
+
+``egf_product`` is the binomial convolution of two truncated series and
+``egf_polyval`` Horner's rule on it: F(Z) for a polynomial F, the reference
+for ``transforms.egf_apply_poly``.  ``poly_value`` evaluates a
+``SparsePoly`` term by term.
 
 ``rat_reference`` and ``rat_str_reference`` are the parser and writer of
-``bellkit.rationals`` from before ``rat`` read plain ``p`` and ``p/q`` with
-``int``: every string through ``Fraction(str)``.  ``rat_mismatches`` lists
-the inputs on which ``rat`` differs from it in value, exception type or
+``bellkit.rationals`` as a specification: a string goes through
+``Fraction(str)`` after the unicode minus, stripping and the refusal of
+exponent notation, and floats and bools are refused.  ``rat`` is that
+function today; the comparison pins it, so any fast path added to ``rat``
+later must match it on every short string.  ``rat_mismatches`` lists the
+inputs on which ``rat`` differs from it in value, exception type or
 message.  It needs neither pytest nor hypothesis, so any interpreter can run
 it over ``short_strings(RAT_ALPHABET, 4)`` with ``src`` and ``tests`` on
 ``sys.path``.
@@ -40,6 +50,7 @@ from itertools import product
 from math import comb, factorial
 
 from bellkit.bell import bell_columns
+from bellkit.egf import TruncatedEGF
 from bellkit.identities import DEFAULT_ALPHAS, certify_double_sums, grid_vs
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat
@@ -228,6 +239,36 @@ def potential_polynomials(r, z: SequenceSpec, n_max: int) -> SequenceSpec:
     return SequenceSpec(tuple(r * q_sum(n, 0, r - 1, bell) for n in range(1, n_max + 1)))
 
 
+def egf_product(a: TruncatedEGF, b: TruncatedEGF) -> TruncatedEGF:
+    """The binomial convolution sum_m C(n, m) a_m b_{n-m}, at the lower order."""
+    return TruncatedEGF(tuple(
+        sum((comb(n, m) * a.coeffs[m] * b.coeffs[n - m] for m in range(n + 1)), Fraction(0))
+        for n in range(min(a.order, b.order) + 1)
+    ))
+
+
+def egf_polyval(f_coeffs, z: TruncatedEGF) -> TruncatedEGF:
+    """F(Z) for F(w) = sum c_l w^l by Horner's rule; no c_l gives the zero series."""
+    coeffs = [rat(c) for c in f_coeffs] or [Fraction(0)]
+    acc = TruncatedEGF((coeffs[-1],) + (Fraction(0),) * z.order)
+    for c in reversed(coeffs[:-1]):
+        acc = egf_product(acc, z)
+        acc = TruncatedEGF((acc.coeffs[0] + c,) + acc.coeffs[1:])
+    return acc
+
+
+def poly_value(poly, values) -> Fraction:
+    """The value of a ``SparsePoly`` at x_j = values[j-1], term by term."""
+    if poly.max_index() > len(values):
+        raise InputError(f"need {poly.max_index()} variable values, got {len(values)}")
+    total = Fraction(0)
+    for exps, coeff in poly.terms.items():
+        for value, e in zip(values, exps):
+            coeff *= Fraction(value) ** e
+        total += coeff
+    return total
+
+
 def hagen_rothe_reference(variant: str, xp, yp, zp, k: int) -> IdentityReport:
     """``check_hagen_rothe`` as three loops, one per variant, in ``Fraction``s.
 
@@ -287,7 +328,7 @@ RAT_ALPHABET = "0129-+/ ._e\u2212\u0661"
 
 
 def rat_reference(value) -> Fraction:
-    """``rat`` with no ``int`` path: strings go through ``Fraction(str)``."""
+    """``rat``'s specification: after its two refusals, ``Fraction(value)``."""
     if isinstance(value, str):
         value = value.replace("−", "-").strip()
         if "e" in value or "E" in value:

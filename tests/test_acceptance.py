@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 from bellkit.bell import bell_columns, stirling1_unsigned, stirling2
-from bellkit.egf import TruncatedEGF, egf_log, egf_polyval, egf_pow
+from bellkit.egf import TruncatedEGF, egf_log, egf_pow
 from bellkit.identities import (
     AffineForm,
     check_alpha_constant,
@@ -30,10 +30,12 @@ from bellkit.transforms import (
     forward_transform,
     inverse_transform,
     lambda_identity_check,
+    q_function,
     q_product_check,
     q_recurrence_check,
 )
 
+import oracles
 from oracles import bell_eval, bell_recursive, bell_triangle, certify_th1_grid
 from test_bell import count_permutations_with_cycles, count_set_partitions
 
@@ -200,14 +202,17 @@ def test_criterion_7_inverse_pair_roundtrip():
 
 def test_criterion_8_series_duality():
     started = time.perf_counter()
-    from bellkit.transforms import log_polynomials, potential_polynomials
-
+    # each EGF route against the package's weighted Bell sum and the oracle's
     for seed in range(10):
         x = random_rationals(10, seed=400 + seed)
         z = TruncatedEGF.from_sequence(x)
-        assert egf_log(z).coeffs[1:] == log_polynomials(x, 10).values
+        logs = egf_log(z).coeffs[1:]
+        assert logs == tuple(q_function(n, 0, -1, x) for n in range(1, 11))
+        assert logs == oracles.log_polynomials(x, 10).values
         for r in (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(5, 3)):
-            assert egf_pow(z, r).coeffs[1:] == potential_polynomials(r, x, 10).values
+            powers = egf_pow(z, r).coeffs[1:]
+            assert powers == tuple(r * q_function(n, 0, r - 1, x) for n in range(1, 11))
+            assert powers == oracles.potential_polynomials(r, x, 10).values
     params = TransformParams(1, 1)
     quadratic = [Fraction(1), Fraction(-2), Fraction(1, 2)]
     cubic = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 3)]
@@ -217,7 +222,7 @@ def test_criterion_8_series_duality():
         for f_coeffs in (quadratic, cubic):
             z, fz = egf_apply_poly(f_coeffs, params, x)
             assert z == TruncatedEGF.from_sequence(y)
-            assert fz == egf_polyval(f_coeffs, z)
+            assert fz == oracles.egf_polyval(f_coeffs, z)
     _announce(8, "series log/pow duality + polynomial application", started)
 
 

@@ -134,7 +134,9 @@ class TestRatParsing:
 
 
 class TestRatAgainstReference:
-    """``rat`` reads plain p and p/q with ``int``; it must agree with ``Fraction(str)``."""
+    """``rat`` is pinned to ``Fraction(str)`` after its two refusals (exponent
+    notation; floats and bools): today it is that function, and any fast path
+    added to it must match it on every short string."""
 
     def test_every_short_string(self):
         strings = list(short_strings(RAT_ALPHABET, 4))

@@ -15,11 +15,10 @@ from bellkit.sequences import SequenceSpec, SequenceTooShort, ones, random_ratio
 from bellkit.transforms import (
     TransformParams,
     _inverse_entry,
+    egf_apply_poly,
     forward_transform,
     inverse_transform,
     lambda_identity_check,
-    log_polynomials,
-    potential_polynomials,
     q_function,
     q_product_check,
     q_recurrence_check,
@@ -269,23 +268,20 @@ class TestLambdaIdentity:
 
 
 class TestLogPotential:
+    """The logarithmic and potential polynomials by the package's route:
+    q_function at b = 0 and lam = -1, and r times q_function at lam = r - 1."""
+
     def test_log_first_three(self):
-        L = log_polynomials(Z, 3)
-        assert L[1] == Z[1]
-        assert L[2] == Z[2] - Z[1] ** 2
-        assert L[3] == Z[3] - 3 * Z[1] * Z[2] + 2 * Z[1] ** 3
+        L = [q_function(n, 0, -1, Z) for n in (1, 2, 3)]
+        assert L[0] == Z[1]
+        assert L[1] == Z[2] - Z[1] ** 2
+        assert L[2] == Z[3] - 3 * Z[1] * Z[2] + 2 * Z[1] ** 3
 
     def test_potential_r_one_is_identity(self):
-        P = potential_polynomials(1, Z, 6)
-        assert P.values == Z.values[:6]
+        assert tuple(q_function(n, 0, 0, Z) for n in range(1, 7)) == Z.values[:6]
 
     def test_potential_square(self):
-        P = potential_polynomials(2, Z, 2)
-        assert P[2] == 2 * Z[2] + 2 * Z[1] ** 2
-
-    def test_potential_r_zero(self):
-        P = potential_polynomials(0, Z, 5)
-        assert all(v == 0 for v in P.values)
+        assert 2 * q_function(2, 0, 1, Z) == 2 * Z[2] + 2 * Z[1] ** 2
 
 
 class TestNegativeLengths:
@@ -329,8 +325,6 @@ INT_ARGUMENTS = [
     ("n_max", lambda v: inverse_transform(Z, PARAMS, v)),
     ("n", lambda v: lambda_identity_check(Z, PARAMS, v, 1)),
     ("k0", lambda v: lambda_identity_check(Z, PARAMS, 3, 1, v)),
-    ("n_max", lambda v: log_polynomials(Z, v)),
-    ("n_max", lambda v: potential_polynomials(2, Z, v)),
 ]
 
 
@@ -351,8 +345,7 @@ class TestOneBellTablePerSequence:
         (lambda: forward_transform(Z, PARAMS, 6), [6]),
         (lambda: inverse_transform(Z, PARAMS, 6), [6]),
         (lambda: lambda_identity_check(Z, PARAMS, 5, 2), [5, 5]),  # one for x, one for y
-        (lambda: log_polynomials(Z, 6), [6]),
-        (lambda: potential_polynomials(3, Z, 6), [6]),
+        (lambda: egf_apply_poly([1, 2, 3], PARAMS, Z.prefix(6)), [6]),
     ])
     def test_bell_table_count(self, monkeypatch, call, tables):
         calls = []
@@ -459,12 +452,15 @@ class TestAgainstFractionOracle:
         )
 
     def test_log_and_potential_polynomials(self):
+        # the oracles' log and power sums, which the EGF tests read, against
+        # the package's route to them
         for x in ORACLE_SEQUENCES:
-            for n_max in (0, 1, 5, 12):
-                assert outcome(log_polynomials, x, n_max) == outcome(
-                    oracles.log_polynomials, x, n_max
+            for n_max in (1, 5, len(x)):
+                orders = range(1, n_max + 1)
+                assert oracles.log_polynomials(x, n_max).values == tuple(
+                    q_function(n, 0, -1, x) for n in orders
                 )
-                for r in ORACLE_LAMBDAS:
-                    assert outcome(potential_polynomials, r, x, n_max) == outcome(
-                        oracles.potential_polynomials, r, x, n_max
+                for r in map(Fraction, ORACLE_LAMBDAS):
+                    assert oracles.potential_polynomials(r, x, n_max).values == tuple(
+                        r * q_function(n, 0, r - 1, x) for n in orders
                     )
