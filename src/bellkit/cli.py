@@ -24,6 +24,7 @@ A list flag refuses an empty item, as in ``--v 2,,1``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -54,7 +55,7 @@ from .identities import (
 )
 from .output import csv_text, dumps, write_reports
 from .partitions import strip_trailing_zeros
-from .rationals import rat, rat_str
+from .rationals import rat
 from .reports import GridResult, InputError
 from .sequences import NAMED_SEQUENCES, SequenceSpec, named_sequence, require_length
 from .sparsepoly import SparsePoly
@@ -213,14 +214,15 @@ def cmd_bell(args):
         }, False
     x = _sequence_for(args, max(n - k + 1, 1))
     value = bell_value(x, n, k)
-    return {"command": "bell", "n": n, "k": k, "value": rat_str(value)}, False
+    return {"command": "bell", "n": n, "k": k, "value": value}, False
 
 
 def cmd_stirling(args):
     n, k = _need(args, "n"), _need(args, "k")
     kind = "second" if args.kind is None else args.kind
     fn = stirling1_unsigned if kind == "first" else stirling2
-    return {"command": "stirling", "kind": kind, "n": n, "k": k, "value": str(fn(n, k))}, False
+    value = Fraction(fn(n, k))  # written as a string, like every exact result
+    return {"command": "stirling", "kind": kind, "n": n, "k": k, "value": value}, False
 
 
 def cmd_q(args):
@@ -232,8 +234,8 @@ def cmd_q(args):
         "command": "q",
         "n": n,
         "b": args.b,
-        "lambda": rat_str(lam),
-        "value": rat_str(value),
+        "lambda": lam,
+        "value": value,
     }, False
 
 
@@ -258,8 +260,8 @@ def cmd_transform(args):
             "command": f"transform-{args.mode}",
             "a": params.a,
             "b": params.b,
-            "input": x.prefix(n_max).to_json_obj(),
-            "output": output.to_json_obj(),
+            "input": x.prefix(n_max),
+            "output": output,
         }, False
     y = forward_transform(x, params, n_max)
     x = x.prefix(n_max)
@@ -269,9 +271,9 @@ def cmd_transform(args):
         "command": "transform-roundtrip",
         "a": params.a,
         "b": params.b,
-        "x": x.to_json_obj(),
-        "forward": y.to_json_obj(),
-        "recovered": back.to_json_obj(),
+        "x": x,
+        "forward": y,
+        "recovered": back,
         "exact_match": recovered,
     }, not recovered
 
@@ -286,15 +288,15 @@ def cmd_series(args):
             "command": "series-apply-poly",
             "a": params.a,
             "b": params.b,
-            "f_coeffs": [rat_str(c) for c in coeffs],
-            "series": z.to_json_obj(),
-            "output": result.to_json_obj(),
+            "f_coeffs": coeffs,
+            "series": z,
+            "output": result,
         }, False
     r = _parse_rat(_need(args, "r"), "--r") if args.mode == "pow" else None
     z = TruncatedEGF.from_sequence(_sequence_for(args, n_max).prefix(n_max))
-    head = {"command": "series-log"} if r is None else {"command": "series-pow", "r": rat_str(r)}
+    head = {"command": "series-log"} if r is None else {"command": "series-pow", "r": r}
     output = egf_log(z) if r is None else egf_pow(z, r)
-    return {**head, "input": z.to_json_obj(), "output": output.to_json_obj()}, False
+    return {**head, "input": z, "output": output}, False
 
 
 # --- verify ------------------------------------------------------------------
@@ -561,6 +563,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _uncapped_digits():
+    """Lift the interpreter's cap on int-to-str digits (4300 by default) while
+    the output is written.  Every input has been read under the cap by then,
+    so an over-long input number is still refused, with exit status 2."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     if extra:
@@ -574,11 +591,12 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"bellkit: {exc}", file=sys.stderr)
         return 2
-    if isinstance(head, str):  # an identity's name and its reports
-        failed = write_reports(head, body, sys.stdout, args.format)
-    else:  # a payload and whether it failed
-        payload, failed = head, body
-        sys.stdout.write(csv_text(payload) if args.format == "csv" else dumps(payload))
+    with _uncapped_digits():
+        if isinstance(head, str):  # an identity's name and its reports
+            failed = write_reports(head, body, sys.stdout, args.format)
+        else:  # a payload and whether it failed
+            payload, failed = head, body
+            sys.stdout.write(csv_text(payload) if args.format == "csv" else dumps(payload))
     if args.format == "json":
         sys.stdout.write("\n")
     return 1 if failed else 0

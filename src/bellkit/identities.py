@@ -215,21 +215,28 @@ class Th1Plan:
     def __init__(self, support, alpha: AffineForm):
         self.v, self.n, self.k, self.h, terms = support
         self.alpha = alpha
-        coeffs = (alpha.c0, alpha.c1, alpha.c2)
-        self.d = d = lcm(*(c.denominator for c in coeffs))
-        c0, c1, c2 = (c.numerator * (d // c.denominator) for c in coeffs)
+        ratios = [c.as_integer_ratio() for c in (alpha.c0, alpha.c1, alpha.c2)]
+        (p0, q0), (p1, q1), (p2, q2) = ratios
+        self.d = d = lcm(q0, q1, q2)
+        c0, c1, c2 = p0 * (d // q0), p1 * (d // q1), p2 * (d // q2)
         self.a00, self.akn = c0, c0 + c1 * self.k + c2 * self.n
-        self.first: dict[int, tuple[int, int]] = {}
+        self.first = first = {}
         merged: dict[tuple[int, int], int] = {}
         for l, m, t in terms:
             a = c0 + c1 * l + c2 * m
-            self.first.setdefault(a, (l, m))
+            if a not in first:
+                first[a] = (l, m)
             merged[l, a] = merged.get((l, a), 0) + t
-        self.merged = tuple((l, a, t) for (l, a), t in merged.items())
+        self.merged = tuple([(l, a, t) for (l, a), t in merged.items()])
 
     @property
     def pole(self) -> tuple[int, int] | None:
         return self.first.get(0)
+
+    @property
+    def top(self) -> int:
+        """The weight at l = k, over ``h``: only m = n has weight there."""
+        return sum(t for l, _, t in self.merged if l == self.k)
 
     def coefficients(self, variant: str) -> tuple[int, int, list, list]:
         """Variant A, B or C as integers: (L, J, terms, tails).
@@ -274,6 +281,63 @@ class Th1Plan:
             [(num, top * (scale // bottom)) for num, (top, bottom) in tails],
         )
 
+    def difference(self, variant: str) -> list[int] | None:
+        """Variant A, B or C's lhs - rhs, cleared of denominators, as integer
+        coefficients of the falling factorials (tau)_0, (tau)_1, ...
+
+        The identity holds at every tau exactly when each coefficient is 0.
+        By the falling-factorial Vandermonde convolution, d^j (tau - S/d)_j is
+        sum_i C(j, i) d^i falling(-S, j - i, d) (tau)_i, so each term of
+        :meth:`coefficients` expands in integers once the identity is
+        multiplied by k! h d^k; the quotient falling(A, r, d) / A is
+        falling(A - d, r - 1, d) for r > 0, and at r = 0 alpha(l, m) / alpha
+        cancels to 1.  Variant C is first multiplied by d (tau - alpha(0, 0))
+        alpha(k, n), which clears its l = 0 tail and its right side's
+        prefactor, and then its degree is k + 1.  (tau)_i times tau - s is
+        (tau)_{i+1} + (i - s)(tau)_i.  Returns None when a term at r = 0 sits
+        at another alpha than alpha(k, n) (alpha(0, 0) for B and C's tail):
+        only an edited plan has one.  Needs ``pole`` to be None.
+        """
+        k, d, akn, a00 = self.k, self.d, self.akn, self.a00
+        lead = {"A": akn, "B": a00, "C": d * akn}[variant]
+        out, tail = [0] * (k + 1), 0
+        for l, num, t in self.merged:
+            r = l if variant == "B" else k - l
+            if r:
+                c = lead * t * falling(num - d, r - 1, d)
+            elif num == (a00 if variant == "B" else akn):
+                c = lead // num * t
+            else:
+                return None
+            if variant == "C":
+                if l == 0:
+                    if num != a00:
+                        return None
+                    tail += c
+                    continue
+                num, j = num + d, l - 1
+            else:
+                j = k - r
+            for e in range(j + 1):  # c is now t C(j, e) falling(-num, e, d) times lead's share
+                out[j - e] += c
+                c = c * (j - e) * (-num - e * d) // (e + 1)
+        if variant != "C":
+            out[k] -= self.top
+            return out
+        # u ((u - a00) P + tail) - d top [u]_k (u - a00 + akn), for P = out
+        cleared = [0] * (k + 1)
+        for i, c in enumerate(out[:k]):
+            cleared[i + 1] += c
+            cleared[i] += (d * i - a00) * c
+        cleared[0] += tail
+        diff = [0] * (k + 2)
+        for i, c in enumerate(cleared):
+            diff[i + 1] += c
+            diff[i] += d * i * c
+        diff[k + 1] -= d * self.top
+        diff[k] -= d * self.top * (d * k - a00 + akn)
+        return diff
+
     def params(self, tau: Fraction) -> dict:
         return {"v": self.v, "alpha": self.alpha, "tau": tau, "n": self.n, "k": self.k}
 
@@ -309,26 +373,36 @@ def _raise_at_pole(plan: Th1Plan, variant: str | None = None, tau: Fraction | No
         raise PoleError(f"alpha({l},{m}) = 0", where=plan.pole)
 
 
+def _right_side(plan: Th1Plan, variant: str, top: int, p: int, q: int) -> tuple[int, int]:
+    """The right side at tau = p/q as an unreduced integer pair.
+
+    It is C(tau, k) = falling(p, k, q) / (q^k k!) times the weight ``top``
+    over ``plan.h``; for C, times d (x + akn q) / (akn x), with x = p d -
+    a00 q.
+    """
+    rn, rd = falling(p, plan.k, q) * top, q**plan.k * factorial(plan.k) * plan.h
+    if variant == "C":
+        x = p * plan.d - plan.a00 * q
+        rn, rd = rn * plan.d * (x + plan.akn * q), rd * plan.akn * x
+    return rn, rd
+
+
 def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=()):
     """The report ``name`` with ``params(tau)`` of variant A, B or C at each tau.
 
     Each tau first raises :class:`PoleError` at its first pole, in the order
     of :func:`_raise_at_pole`.  The left side sums the terms of one call to
     ``plan.coefficients(variant)`` in integers: times q*d, tau - A/d - i is
-    p*d - A*q - i*q*d at tau = p/q.  The right side is C(tau, k) =
-    falling(p, k, q) / (q^k k!) times the weight at l = k, an integer over
-    ``plan.h``; for C, times d (x + akn q) / (akn x), with x = p d - a00 q.
+    p*d - A*q - i*q*d at tau = p/q.  The right side is :func:`_right_side`.
     The sides are compared by cross-multiplying; when equal, one reduced
     ``Fraction`` is both ``lhs`` and ``rhs``.  The reports share one ``run``
     object, so the writer renders their fixed text once.
     """
-    k, d, fkh = plan.k, plan.d, factorial(plan.k) * plan.h
+    d = plan.d
     if plan.pole is None:  # with an alpha pole there are none, and the first tau raises
         scale, j_max, terms, tails = plan.coefficients(variant)
     run = object()
-    # at l = k only m = n has weight: W(n, k; v) = 1, C(n, n) B(n, k) B(0, 0) = B(n, k),
-    # each an integer over plan.h
-    top = sum(w for l, _, w in plan.merged if l == k)
+    top = plan.top
     for tau in taus:
         _raise_at_pole(plan, variant, tau)
         p, q = tau.numerator, tau.denominator
@@ -345,16 +419,25 @@ def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=(
         for num, w in tails:
             x = pd - num * q
             ln, ld = ln * scale * x + w * step * ld, ld * scale * x
-        rn, rd = falling(p, k, q) * top, q**k * fkh
         if variant == "C":
             ln, ld = p * ln, q * ld
-            x = pd - plan.a00 * q
-            rn, rd = rn * d * (x + plan.akn * q), rd * plan.akn * x
+        rn, rd = _right_side(plan, variant, top, p, q)
         if ln * rd == rn * ld:
             lhs = rhs = Fraction(rn, rd)
         else:
             lhs, rhs = Fraction(ln, ld), Fraction(rn, rd)
         report = IdentityReport(name, params(tau), lhs, rhs)
+        report.skipped_poles = skipped
+        report.run = run
+        yield report
+
+
+def _certified_reports(plan: Th1Plan, variant: str, rights, skipped):
+    """The passing reports of a (plan, variant) whose ``difference`` is zero:
+    one per (tau, right side) of ``rights``, with that side as both sides."""
+    name, run = f"th1{variant.lower()}", object()
+    for tau, value in rights:
+        report = IdentityReport(name, plan.params(tau), value, value)
         report.skipped_poles = skipped
         report.run = run
         yield report
@@ -423,25 +506,27 @@ def check_negative_one(
     _raise_at_pole(plan)
     k, d = plan.k, plan.d
     # each term is (-1)^l d alpha(0,0) P w / (A d^k k!), with C(a + k - l, k) =
-    # P / (d^k k!) and P = (A + (k-l)d)(A + (k-l-1)d)...(A + (1-l)d)
+    # P / (d^k k!) and P = falling(A + (k-l)d, k, d)
     scale = lcm(*(a for _, a, _ in plan.merged))
     total = 0
     for l, a, w in plan.merged:
-        total += (-1) ** l * prod(a + (k - l - i) * d for i in range(k)) * w * (scale // a)
+        term = falling(a + (k - l) * d, k, d) * w * (scale // a)
+        total += -term if l % 2 else term
     lhs = Fraction(plan.a00 * total, scale * d**k * factorial(k))
     params = {"v": plan.v, "alpha": alpha, "n": plan.n, "k": k}
     passed_extra = True
     if alpha.c1 == 1 and alpha.c2 == 0:
         z = alpha.c0 + k
         if z.denominator == 1 and z > k:
-            recip = sum(
-                (
-                    Fraction((-1) ** (l - 1) * comb(k, l) * l, 1) / (z - k + l)
-                    for l in range(1, k + 1)
-                ),
-                Fraction(0),
+            # sum over l of (-1)^(l-1) C(k, l) l / (z - k + l), over the lcm of its denominators
+            low = z.numerator - k
+            common = lcm(*range(low + 1, low + k + 1))
+            recip = Fraction(
+                sum((-1) ** (l - 1) * comb(k, l) * l * (common // (low + l))
+                    for l in range(1, k + 1)),
+                common,
             )
-            expected = Fraction(1) / binomial_general(z.numerator, k)
+            expected = Fraction(1, comb(z.numerator, k))
             params["z"] = z
             params["reciprocal_lhs"] = recip
             params["reciprocal_rhs"] = expected
@@ -605,23 +690,30 @@ def check_stirling_recurrence(n: int, k: int, r: int, kind: str) -> IdentityRepo
 TH1_VARIANTS = ("A", "B", "C")
 
 
-def tau_samples(count: int, first: dict, d: int) -> tuple[list[Fraction], list[tuple]]:
+def tau_samples(
+    count: int, first: dict, d: int, grid: list[Fraction] | None = None
+) -> tuple[list[Fraction], list[tuple]]:
     """First ``count`` values of 0, 1/2, 1, 3/2, ... that are no pole A / d.
 
     ``first`` maps the integer numerator A of each pole value A / d to the
     (l, m) witnessing it, as :attr:`Th1Plan.first` does; skipped candidates
     are reported as (l, m, tau) triples.  The candidate i/2 equals A / d
     exactly when 2A = i*d, so it is matched by the integer i = 2A / d.
+    ``grid``, if given, holds the candidate i/2 at index i and is extended
+    as needed, so that a sweep makes each candidate once.
     """
+    grid = [] if grid is None else grid
     halves = {2 * a // d: where for a, where in first.items() if 2 * a % d == 0}
     chosen: list[Fraction] = []
     skipped: list[tuple] = []
     i = 0
     while len(chosen) < count:
+        if i == len(grid):
+            grid.append(Fraction(i, 2))
         if i in halves:
-            skipped.append((*halves[i], Fraction(i, 2)))
+            skipped.append((*halves[i], grid[i]))
         else:
-            chosen.append(Fraction(i, 2))
+            chosen.append(grid[i])
         i += 1
     return chosen, skipped
 
@@ -668,9 +760,22 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
 
 
 def _sweep(vnks, alphas, variants, tau, skipped_pairs):
-    """The reports of :func:`certify_double_sums`, over validated (v, n, k)."""
+    """The reports of :func:`certify_double_sums`, over validated (v, n, k).
+
+    At sampled taus a (plan, variant) whose :meth:`Th1Plan.difference` is
+    zero holds at every tau, so each of its reports is the right side
+    alone; any other runs the evaluator, which shows both sides.  The
+    sampled taus avoid every pole, so neither path meets one.  Without C
+    among the variants, every plan of one k samples the same taus, and the
+    right sides of A and B there depend only on (k, top, h): both are made
+    once per sweep.
+    """
     sampled = tau is None and any(variant in TH1_VARIANTS for variant in variants)
+    shared = "C" not in variants
     taus, skipped = [tau], ()
+    grid: list[Fraction] = []
+    samples: dict[int, list[Fraction]] = {}
+    sides: dict[tuple[int, int, int], list[tuple[Fraction, Fraction]]] = {}
     for v, n, k in vnks:
         support = (v, n, k, 1, _w_support(v))
         for alpha in alphas:
@@ -678,18 +783,30 @@ def _sweep(vnks, alphas, variants, tau, skipped_pairs):
             if tau is None and plan.pole is not None:
                 skipped_pairs.append((v, alpha, plan.pole))
                 continue
-            if sampled:
-                first = plan.first if "C" in variants else {}
-                taus, skipped = tau_samples(2 * k + 2, first, plan.d)
+            if sampled and shared:
+                taus = samples.get(k) or samples.setdefault(k, tau_samples(2 * k + 2, {}, 1)[0])
+            elif sampled:
+                taus, skipped = tau_samples(2 * k + 2, plan.first, plan.d, grid)
                 skipped = tuple(skipped)
             for variant in variants:
                 if variant == "negative-one":
                     yield check_negative_one(v, alpha, plan=plan)
-                else:
+                    continue
+                poles = skipped if variant == "C" else ()
+                diff = plan.difference(variant) if tau is None else None
+                if diff is None or any(diff):
                     yield from _th1_reports(
-                        plan, variant, taus, f"th1{variant.lower()}", plan.params,
-                        skipped if variant == "C" else (),
+                        plan, variant, taus, f"th1{variant.lower()}", plan.params, poles
                     )
+                    continue
+                key = (k, plan.top, plan.h)
+                rights = sides.get(key) if shared else None
+                if rights is None:
+                    rights = [(t, Fraction(*_right_side(plan, variant, key[1], t.numerator,
+                                                        t.denominator))) for t in taus]
+                    if shared:
+                        sides[key] = rights
+                yield from _certified_reports(plan, variant, rights, poles)
 
 
 def grid_vs(n: int, k: int | None = None) -> list[IndexVector]:

@@ -37,20 +37,24 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+from .egf import TruncatedEGF
 from .identities import AffineForm
 from .rationals import rat_str
 from .reports import GridResult, IdentityReport
 from .sequences import SequenceSpec
 from .sparsepoly import SparsePoly
 
-#: stand, while the text of a run of reports is made, for the values that vary
-#: within it: a ``Fraction``, whose text is its ``rat_str`` in quotes, and a bool
-_RATIONAL, _FLAG = object(), object()
+class _Hole:
+    """Marks, in the text of a report's fields, where a value's own text goes.
+    Rendered JSON text holds no raw control character."""
+
+
+_HOLE = "\x00"
 
 
 def json_value(value):
-    """The JSON form of a report or of a Fraction, AffineForm, SequenceSpec or
-    SparsePoly, one level deep.  A report becomes a dict of
+    """The JSON form of a report or of a Fraction, AffineForm, SequenceSpec,
+    TruncatedEGF or SparsePoly, one level deep.  A report becomes a dict of
     :attr:`IdentityReport.KEYS`."""
     if isinstance(value, Fraction):
         return rat_str(value)
@@ -60,7 +64,7 @@ def json_value(value):
         return dict(zip(IdentityReport.KEYS, fields))
     if isinstance(value, AffineForm):
         return value.describe()
-    if isinstance(value, SequenceSpec):
+    if isinstance(value, (SequenceSpec, TruncatedEGF)):
         return value.to_json_obj()
     if isinstance(value, SparsePoly):
         return repr(value)
@@ -72,62 +76,95 @@ def dumps(value) -> str:
     return _render(value, 0)
 
 
+#: the JSON text of a value of each of these exact types, made without recursion;
+#: a ``Fraction``'s is its ``rat_str``, "p/q" or "p", in quotes
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda flag: "true" if flag else "false",
+    type(None): lambda _: "null",
+    Fraction: '"%s"'.__mod__,
+    AffineForm: lambda alpha: encode_basestring_ascii(alpha.describe()),
+    _Hole: lambda hole: _HOLE,
+}
+
+
 def _render(value, depth: int) -> str:
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
     if kind is dict:
         if not value:
             return "{}"
-        inner = "\n" + "  " * (depth + 1)
         items = []
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{encode_basestring_ascii(key)}: {_render(item, depth + 1)}")
+            leaf = _LEAVES.get(type(item))
+            text = leaf(item) if leaf is not None else _render(item, depth + 1)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
+        inner = "\n" + "  " * (depth + 1)
         return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
+        items = []
+        for item in value:
+            leaf = _LEAVES.get(type(item))
+            items.append(leaf(item) if leaf is not None else _render(item, depth + 1))
         inner = "\n" + "  " * (depth + 1)
-        items = [encode_basestring_ascii(item) if type(item) is str else _render(item, depth + 1)
-                 for item in value]
         return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    if value is _RATIONAL or value is _FLAG:
-        # rendered JSON text holds no raw control character
-        return '"\x00"' if value is _RATIONAL else "\x00"
     return _render(json_value(value), depth)
 
 
-def _run_text(run: list, depth: int) -> str:
-    """The text of a run of reports at ``depth``, joined as list items."""
+def _skeleton(report: IdentityReport, depth: int) -> list[str]:
+    """The text at ``depth`` of a report with this name and these param keys,
+    split where each param value, lhs, rhs, pass and skipped_poles go."""
+    hole = _Hole()
+    fields = (report.name, dict.fromkeys(report.params, hole), hole, hole, hole, hole)
+    return _render(dict(zip(IdentityReport.KEYS, fields)), depth).split(_HOLE)
+
+
+def _run_text(run: list, depth: int, skeletons: dict) -> str:
+    """The text of a run of reports at ``depth``, joined as list items.
+
+    ``skeletons`` maps the name and param keys of each report written so far
+    to its :func:`_skeleton`.  A run's values fill its skeleton once; those
+    that vary within it (``Fraction`` params, lhs, rhs and pass) are left as
+    holes and filled for each report.  KEYS puts params before lhs, rhs and
+    pass, so the holes come in that order.
+    """
     first = run[0]
-    if len(run) == 1:
-        return _render(first, depth)
+    shape = (first.name, *first.params)
+    parts = skeletons.get(shape) or skeletons.setdefault(shape, _skeleton(first, depth))
+    shared = len(run) > 1
+    values = ['"' + _HOLE + '"' if shared and type(item) is Fraction else _render(item, depth + 2)
+              for item in first.params.values()]
+    if shared:
+        values += ['"' + _HOLE + '"', '"' + _HOLE + '"', _HOLE]
+    else:
+        values += [_render(first.lhs, 0), _render(first.rhs, 0), _render(first.passed, 0)]
+    values.append(_render(first.skipped_poles, depth + 1))
+    text = parts[0] + "".join(map(str.__add__, values, parts[1:]))
+    if not shared:
+        return text
     holes = [key for key, item in first.params.items() if type(item) is Fraction]
-    fields = json_value(first)
-    fields["params"] = {key: _RATIONAL if key in holes else item
-                        for key, item in first.params.items()}
-    fields["lhs"] = fields["rhs"] = _RATIONAL
-    fields["pass"] = _FLAG
-    # KEYS puts params before lhs, rhs and pass, so the holes come in that
-    # order; "%s" of a Fraction is its str, the "p/q" or "p" of rat_str
-    template = _render(fields, depth).replace("%", "%%").replace("\x00", "%s")
-    return (",\n" + "  " * depth).join(
-        template % (*[report.params[key] for key in holes], report.lhs, report.rhs,
+    # "%s" of a Fraction is its str, the "p/q" or "p" of rat_str, and a
+    # passing report's one Fraction for both sides is turned into text once
+    template = text.replace("%", "%%").replace(_HOLE, "%s")
+    return (",\n" + "  " * depth).join([
+        template % (*map(report.params.__getitem__, holes), (lhs := str(report.lhs)),
+                    lhs if report.rhs is report.lhs else report.rhs,
                     "true" if report.passed else "false")
         for report in run
-    )
+    ])
 
 
-def _csv_rows(run: list):
+def _csv_rows(run: list, skeletons: dict):
     """The CSV rows of a run: each report's JSON object as ``json.loads`` reads
     it back, with params as k=v;... and skipped poles as l,m,tau;..."""
-    for report in json.loads("[" + _run_text(run, 0) + "]"):
+    for report in json.loads("[" + _run_text(run, 0, skeletons) + "]"):
         name, params, lhs, rhs, passed, poles = (report[key] for key in IdentityReport.KEYS)
         yield (name, ";".join(f"{key}={item}" for key, item in params.items()), lhs, rhs,
                passed, ";".join(",".join(map(str, triple)) for triple in poles))
@@ -147,17 +184,18 @@ def write_reports(name: str, reports, stream, fmt: str) -> bool:
     # consecutive reports that share a run object; a fresh object() for a
     # report without one compares unequal to any other key, so it runs alone
     runs = (list(run) for _, run in itertools.groupby(grid, lambda r: r.run or object()))
+    skeletons: dict[tuple, list[str]] = {}
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(IdentityReport.KEYS)
         for run in runs:
-            writer.writerows(_csv_rows(run))
+            writer.writerows(_csv_rows(run, skeletons))
     else:
         stream.write('{\n  "command": "verify",\n  "identity": '
                      f'{encode_basestring_ascii(name)},\n  "reports": ')
         opening = "[\n    "
         for run in runs:
-            stream.write(opening + _run_text(run, 2))
+            stream.write(opening + _run_text(run, 2, skeletons))
             opening = ",\n    "
         closing = "[]" if opening[0] == "[" else "\n  ]"
         stream.write(f'{closing},\n  "summary": {_render(grid.summary(), 1)}\n}}')
@@ -170,5 +208,6 @@ def csv_text(payload: dict) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["key", "value"])
     for key, value in payload.items():
-        writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
+        structured = isinstance(value, (list, dict, SequenceSpec, TruncatedEGF))
+        writer.writerow([key, json.dumps(value, default=json_value) if structured else value])
     return out.getvalue()

@@ -39,13 +39,13 @@ def rat_str(value) -> str:
 
 
 def falling(p: int, j: int, q: int = 1) -> int:
-    """p (p - q) (p - 2q) ... (p - (j-1)q), in ints: q^j times the falling factorial of p/q."""
+    """p (p - q) (p - 2q) ... (p - (j-1)q), in ints: q^j times the falling factorial of p/q.
+
+    q is a positive denominator.
+    """
     if q == 1:
         return math.perm(p, j) if p >= 0 else (-1) ** j * math.perm(j - 1 - p, j)
-    out = 1
-    for i in range(j):
-        out *= p - i * q
-    return out
+    return math.prod(range(p, p - j * q, -q))
 
 
 def binomial_general(t, j: int):

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -173,6 +174,40 @@ class TestSeriesCommand:
         assert code == 0 and calls == [12]
         payload = json.loads(out)
         assert len(payload["series"]["coeffs"]) == len(payload["output"]["coeffs"]) == 13
+
+
+class TestDigitCap:
+    """Python caps int-to-str conversion at sys.get_int_max_str_digits()
+    digits (4300 by default).  Output is written without that cap; input is
+    still read under it."""
+
+    def test_a_result_beyond_the_cap_is_printed(self, capsys, tmp_path):
+        # log(1 + 10^6 t) has n-th EGF coefficient (-1)^(n-1) 10^(6n) (n-1)!,
+        # of 4,310 digits at n = 520
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps(["1000000"] + ["0"] * 519))
+        cap = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "series", "log", "--x", str(f), "--n-max", "520")
+        assert code == 0 and err == "" and sys.get_int_max_str_digits() == cap
+        coeffs = json.loads(out)["output"]["coeffs"]
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = ["0"] + [str((-1) ** (n - 1) * 10 ** (6 * n) * math.factorial(n - 1))
+                                for n in range(1, 521)]
+        finally:
+            sys.set_int_max_str_digits(cap)
+        assert coeffs == expected and len(coeffs[-1]) > cap
+
+    @pytest.mark.parametrize("where", ["file entry", "--r"])
+    def test_an_input_beyond_the_cap_is_refused(self, capsys, tmp_path, where):
+        digits = "7" * 5000
+        f = tmp_path / "x.json"
+        f.write_text(json.dumps(["1", digits if where == "file entry" else "2", "3"]))
+        argv = ["series", "log"] if where == "file entry" else ["series", "pow", f"--r={digits}"]
+        code, out, err = run(capsys, *argv, "--x", str(f), "--n-max", "3")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("bellkit: malformed entry" if where == "file entry" else
+                              "bellkit: --r expects a rational")
 
 
 class TestVerifyCommand:

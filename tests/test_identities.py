@@ -1,6 +1,7 @@
 import collections
 import copy
 import functools
+import io
 import itertools
 import json
 import random
@@ -33,7 +34,8 @@ from bellkit.identities import (
     th1a_weight,
     vanishing_sum_monomials,
 )
-from bellkit.output import dumps
+from bellkit import identities
+from bellkit.output import dumps, write_reports
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat, rat_str
 from bellkit.reports import InputError, PoleError
@@ -765,14 +767,21 @@ class TestCertifierAgainstOracle:
             assert affected >= len(taus) - plan.k
 
     def test_each_plan_variant_derives_its_coefficients_once(self, monkeypatch):
+        # at most once: a run the certificate proves asks for none, a failing run once
         asked = []
         coefficients = Th1Plan.coefficients
         monkeypatch.setattr(
             Th1Plan, "coefficients",
             lambda plan, variant: asked.append(variant) or coefficients(plan, variant),
         )
-        result = certify_double_sums(grid_vs(5), DEFAULT_ALPHAS)
-        runs = {id(rep.run): rep.name for rep in list(result)}
+        assert all(rep.passed for rep in certify_double_sums(grid_vs(5), DEFAULT_ALPHAS))
+        assert asked == []
+        # the weight at l = k, W(n, k; v) = 1, doubled: every plan fails
+        support = identities._w_support
+        monkeypatch.setattr(identities, "_w_support", lambda v: _top_doubled(support(v)))
+        reports = list(certify_double_sums(grid_vs(5), DEFAULT_ALPHAS))
+        runs = {id(rep.run): rep.name for rep in reports if not rep.passed}
+        assert len(runs) == len({id(rep.run) for rep in reports})
         assert sorted(asked) == sorted(name[-1].upper() for name in runs.values())
 
     def test_a_perturbed_copy_fails_after_the_original_was_evaluated(self):
@@ -786,6 +795,108 @@ class TestCertifierAgainstOracle:
         bad = check_th1("A", v, alpha, tau, plan=mutant)
         assert good.passed and not bad.passed
         assert bad.rhs == good.rhs and bad.lhs != good.lhs
+
+
+def _top_doubled(support):
+    """A support whose last weight, W(n, k; v) = 1 at (l, m) = (k, n), is 2."""
+    l, m, w = support[-1]
+    return support[:-1] + ((l, m, 2 * w),)
+
+
+def _sampled_reports(variant, v, alpha, plan):
+    """``check_th1`` at each tau the sweep samples for (v, alpha, variant),
+    with the skipped C poles the sweep records."""
+    first = plan.first if variant == "C" else {}
+    taus, skipped = tau_samples(2 * plan.k + 2, first, plan.d)
+    reports = [check_th1(variant, v, alpha, tau, plan=plan) for tau in taus]
+    for rep in reports:
+        rep.skipped_poles = tuple(skipped) if variant == "C" else ()
+    return reports
+
+
+class TestCertificate:
+    """``Th1Plan.difference``, the certificate that lets the sweep skip the
+    left side at sampled taus, held against the evaluator of ``check_th1``."""
+
+    #: 24 rational forms; some vanish on the support, and C samples hit many
+    RATIONAL_ALPHAS = tuple(
+        AffineForm(c0, c1, c2)
+        for c0 in (Fraction(-3, 2), -1, Fraction(-1, 3), Fraction(1, 2), 2, Fraction(7, 3))
+        for c1 in (-1, Fraction(1, 2))
+        for c2 in (Fraction(-1, 3), 1)
+    )
+
+    @pytest.mark.parametrize("variant", "ABC")
+    def test_every_report_up_to_seven_is_the_evaluators(self, variant):
+        alphas = DEFAULT_ALPHAS + self.RATIONAL_ALPHAS
+        vs = list(_vectors_up_to(7))
+        result = certify_double_sums(vs, alphas, (variant,))
+        reports, pole_pairs, skipped_taus = iter(result), 0, 0
+        for v in vs:
+            for alpha in alphas:
+                plan = th1_plan(v, alpha)
+                if plan.pole is not None:
+                    pole_pairs += 1
+                    continue
+                assert not any(plan.difference(variant))
+                for want in _sampled_reports(variant, v, alpha, plan):
+                    rep = next(reports)
+                    assert rep.passed and want.passed
+                    assert (rep.name, rep.params, rep.lhs, rep.rhs, rep.skipped_poles) == (
+                        want.name, want.params, want.lhs, want.rhs, want.skipped_poles
+                    )
+                    skipped_taus += len(rep.skipped_poles)
+        assert next(reports, None) is None and len(result.skipped_pairs) == pole_pairs > 0
+        assert (skipped_taus > 0) == (variant == "C")
+
+    @pytest.mark.parametrize("variant", "ABC")
+    def test_a_perturbed_weight_never_certifies_and_writes_as_evaluated(
+        self, variant, monkeypatch
+    ):
+        # alpha = 1/2 + l takes odd numerators over 2, so no falling factorial
+        # of it vanishes and a perturbed weight changes every variant
+        alpha, support = AffineForm(Fraction(1, 2), 1), identities._w_support
+        for v in _vectors_up_to(4):
+            for i, (l, m, w) in enumerate(support(v)):  # the last is the weight at l = k
+                mutant = support(v)[:i] + ((l, m, w + 1),) + support(v)[i + 1:]
+                monkeypatch.setattr(identities, "_w_support", lambda _, s=mutant: s)
+                plan = th1_plan(v, alpha)
+                assert any(plan.difference(variant))
+                written, evaluated = io.StringIO(), io.StringIO()
+                write_reports("th1", certify_double_sums([v], [alpha], (variant,)), written, "json")
+                expected = _sampled_reports(variant, v, alpha, plan)
+                write_reports("th1", expected, evaluated, "json")
+                assert written.getvalue() == evaluated.getvalue()
+                assert json.loads(written.getvalue())["summary"]["failed"] > 0
+
+    def test_it_holds_exactly_when_every_sample_passes(self, monkeypatch):
+        # any alpha and any one weight perturbed: a perturbed term whose factor
+        # vanishes changes nothing, and then the certificate still holds
+        alphas, support = DEFAULT_ALPHAS + self.RATIONAL_ALPHAS[::4], identities._w_support
+        for v in _vectors_up_to(4):
+            for i, (l, m, w) in enumerate(support(v)):
+                mutant = support(v)[:i] + ((l, m, w + 1),) + support(v)[i + 1:]
+                monkeypatch.setattr(identities, "_w_support", lambda _, s=mutant: s)
+                for alpha in alphas:
+                    plan = th1_plan(v, alpha)
+                    if plan.pole is not None:
+                        continue
+                    for variant in "ABC":
+                        samples = _sampled_reports(variant, v, alpha, plan)
+                        holds = not any(plan.difference(variant))
+                        assert holds == all(rep.passed for rep in samples)
+
+    @pytest.mark.parametrize("variant, index", [("A", -1), ("B", 0), ("C", -1), ("C", 0)])
+    def test_a_term_off_its_alpha_has_no_integer_certificate(self, variant, index):
+        # at l = k (l = 0 for B and C's tail) alpha(l, m) / alpha cancels only
+        # at m = n (m = 0): an edited plan that moves the term has none
+        plan = th1_plan((2, 1), AffineForm(1, 1))
+        mutant = copy.copy(plan)
+        terms = list(plan.merged)
+        l, a, w = terms[index]
+        terms[index] = (l, a + 1, w)
+        mutant.merged = tuple(terms)
+        assert plan.difference(variant) is not None and mutant.difference(variant) is None
 
 
 def oracle_bell_convolution(variant, n, k, alpha, tau, x):
