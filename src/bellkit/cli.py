@@ -24,7 +24,6 @@ A list flag refuses an empty item, as in ``--v 2,,1``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
@@ -563,21 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _uncapped_digits():
-    """Lift the interpreter's cap on int-to-str digits (4300 by default) while
-    the output is written.  Every input has been read under the cap by then,
-    so an over-long input number is still refused, with exit status 2."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no cap
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 def main(argv=None) -> int:
     args, extra = build_parser().parse_known_args(argv)
     if extra:
@@ -591,12 +575,21 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"bellkit: {exc}", file=sys.stderr)
         return 2
-    with _uncapped_digits():
+    # Every input has been read under Python's cap on int-to-str digits (4300
+    # by default, none before 3.10.7), so an over-long input number exits 2.
+    # The output alone may need more digits: it is written without the cap.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
         if isinstance(head, str):  # an identity's name and its reports
             failed = write_reports(head, body, sys.stdout, args.format)
         else:  # a payload and whether it failed
             payload, failed = head, body
             sys.stdout.write(csv_text(payload) if args.format == "csv" else dumps(payload))
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
     if args.format == "json":
         sys.stdout.write("\n")
     return 1 if failed else 0

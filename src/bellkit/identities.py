@@ -28,8 +28,20 @@ a vanishing denominator at a term that is actually present raises
 The grid certifier skips and records pole parameter values instead of
 erroring.
 
-The double sums and the negative-one sum are added up in integers.  Every
-term is an integer over a denominator known before the sum starts: the
+At the sampled taus of the grid certifier, the double sums are not
+evaluated at all.  Each variant of a (v, alpha) plan is one identity
+between rational functions of tau; cleared of denominators it is one
+integer coefficient vector of lhs - rhs in a falling-factorial basis
+(:meth:`Th1Plan.difference`), computed once.  When every coefficient is
+0, the identity holds at every tau, and each report is its right side.
+When one is not, the evaluator below computes both sides at each tau, so a
+failing report shows the two differing values.  ``check_th1``,
+``check_bell_convolution`` and an explicit ``tau`` always run the
+evaluator, which is also the certificate's test oracle.
+
+The evaluator adds up the double sums, and the negative-one sum too, in
+integers.  Every term is an integer over a denominator known before the
+sum starts: the
 denominator of its tau-independent factor times a power of q*d, where q is
 tau's denominator and d the common denominator of alpha's coefficients.
 One common denominator, the ``math.lcm`` of the factors' denominators
@@ -48,7 +60,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm
 from typing import Callable
 
 from .bell import bell_columns
@@ -208,8 +220,9 @@ class Th1Plan:
     ``first`` maps each A that alpha takes on the support to the first
     (l, m), l-major and m-minor, taking it; ``pole`` is its (l, m) at A = 0,
     where alpha vanishes at nonzero weight (None if there is none).
-    Nothing derived from these is stored: ``pole`` and :meth:`coefficients`
-    are computed at each read, so an edited copy evaluates as edited.
+    Nothing derived from these is stored: ``pole``, ``top``,
+    :meth:`coefficients` and :meth:`difference` are computed at each read,
+    so an edited copy evaluates as edited.
     """
 
     def __init__(self, support, alpha: AffineForm):
@@ -282,21 +295,26 @@ class Th1Plan:
         )
 
     def difference(self, variant: str) -> list[int] | None:
-        """Variant A, B or C's lhs - rhs, cleared of denominators, as integer
-        coefficients of the falling factorials (tau)_0, (tau)_1, ...
+        """Variant A, B or C's lhs - rhs as integer coefficients in the basis
+        [u]_i = u (u - d) ... (u - (i-1) d) of polynomials in u = d tau.
 
-        The identity holds at every tau exactly when each coefficient is 0.
-        By the falling-factorial Vandermonde convolution, d^j (tau - S/d)_j is
-        sum_i C(j, i) d^i falling(-S, j - i, d) (tau)_i, so each term of
-        :meth:`coefficients` expands in integers once the identity is
-        multiplied by k! h d^k; the quotient falling(A, r, d) / A is
-        falling(A - d, r - 1, d) for r > 0, and at r = 0 alpha(l, m) / alpha
-        cancels to 1.  Variant C is first multiplied by d (tau - alpha(0, 0))
-        alpha(k, n), which clears its l = 0 tail and its right side's
-        prefactor, and then its degree is k + 1.  (tau)_i times tau - s is
-        (tau)_{i+1} + (i - s)(tau)_i.  Returns None when a term at r = 0 sits
-        at another alpha than alpha(k, n) (alpha(0, 0) for B and C's tail):
-        only an edited plan has one.  Needs ``pole`` to be None.
+        The identity holds at every tau exactly when every coefficient is 0.
+        It is multiplied by k! h d^k, and variant C's by akn (u - a00) more,
+        which clears C's l = 0 tail and its right side's prefactor.  Each
+        term of :meth:`coefficients` is then an integer c times d^j (tau -
+        S/d)_j = [u - S]_j, and the Vandermonde convolution for falling
+        factorials (Graham, Knuth and Patashnik, ch. 5) expands that as the
+        sum over e of C(j, e) falling(-S, e, d) [u]_{j-e}.  In c, the
+        quotient falling(A, r, d) / A is falling(A - d, r - 1, d) for r > 0;
+        at r = 0 the only weight sits at alpha(k, n) (alpha(0, 0) for B),
+        where the lead factor over A is an integer.  The right side is top
+        [u]_k for A and B.  C needs two products: (u - s) [u]_i = [u]_{i+1}
+        + (i d - s) [u]_i, and u [u]_i likewise with s = 0.
+
+        Returns None when a term at r = 0, or C's tail, sits at another
+        alpha: only an edited plan has one.  Needs ``pole`` to be None; the
+        grid certifier falls back to the evaluator on None or a nonzero
+        coefficient.
         """
         k, d, akn, a00 = self.k, self.d, self.akn, self.a00
         lead = {"A": akn, "B": a00, "C": d * akn}[variant]
@@ -318,7 +336,7 @@ class Th1Plan:
                 num, j = num + d, l - 1
             else:
                 j = k - r
-            for e in range(j + 1):  # c is now t C(j, e) falling(-num, e, d) times lead's share
+            for e in range(j + 1):  # c is now its first value times C(j, e) falling(-num, e, d)
                 out[j - e] += c
                 c = c * (j - e) * (-num - e * d) // (e + 1)
         if variant != "C":
@@ -724,20 +742,24 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
     ``variants`` holds "A", "B", "C" (the th1 double sums) and
     "negative-one".  The result makes its reports as they are read: the
     support of one v and the :class:`Th1Plan` of one (v, alpha) are built
-    when the sweep reaches them and dropped when it moves on, and each th1
-    variant of a plan runs at all its taus through the evaluator that
-    ``check_th1`` uses.  Its counts and ``skipped_pairs`` grow as it is
-    read.
+    when the sweep reaches them and dropped when it moves on.  Its counts
+    and ``skipped_pairs`` grow as it is read.
 
     With ``tau`` None, each th1 variant is checked at 2k+2 pole-free tau
     values from :func:`tau_samples`; variant C's tau poles are skipped and
     recorded on its reports, and a pair where alpha vanishes at a
     nonzero-weight (l, m) is recorded in ``skipped_pairs`` and not checked.
-    With an explicit ``tau`` every pair is checked there, and a pole raises
-    :class:`PoleError`.  Every error is raised by this call, before the
-    first report: each variant and each v is validated, and with an
-    explicit ``tau`` each plan's poles are checked, in the order the sweep
-    meets them.
+    Each (plan, variant) is first certified for every tau at once: when
+    :meth:`Th1Plan.difference` is zero, lhs - rhs is the zero polynomial,
+    so each report holds the right side alone, as both sides.  Otherwise
+    the variant runs at all its taus through the evaluator that
+    ``check_th1`` uses, which computes both sides at each tau and shows
+    where they differ; a passing report's bytes are the same either way.
+    With an explicit ``tau`` every pair runs through that evaluator at
+    ``tau``, and a pole raises :class:`PoleError`.  Every error is raised
+    by this call, before the first report: each variant and each v is
+    validated, and with an explicit ``tau`` each plan's poles are checked,
+    in the order the sweep meets them.
     """
     tau = None if tau is None else rat(tau)
     alphas, variants = tuple(alphas), tuple(variants)
@@ -799,13 +821,13 @@ def _sweep(vnks, alphas, variants, tau, skipped_pairs):
                         plan, variant, taus, f"th1{variant.lower()}", plan.params, poles
                     )
                     continue
-                key = (k, plan.top, plan.h)
-                rights = sides.get(key) if shared else None
+                top = plan.top
+                rights = sides.get((k, top, plan.h)) if shared else None
                 if rights is None:
-                    rights = [(t, Fraction(*_right_side(plan, variant, key[1], t.numerator,
+                    rights = [(t, Fraction(*_right_side(plan, variant, top, t.numerator,
                                                         t.denominator))) for t in taus]
                     if shared:
-                        sides[key] = rights
+                        sides[k, top, plan.h] = rights
                 yield from _certified_reports(plan, variant, rights, poles)
 
 

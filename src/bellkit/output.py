@@ -10,7 +10,10 @@ reports are made, one run of reports at a time, so it holds one run at
 once.  Reports that share a ``run`` object (see :class:`IdentityReport`)
 differ only in their ``Fraction`` params, ``lhs``, ``rhs`` and ``pass``:
 the writer renders the run's text once with holes for those values, and
-fills the holes for each report.  A run is recognised by the identity of
+fills the holes for each report.  The run's text itself fills a skeleton,
+the text of a report with holes for all its values, which depends only on
+the report's name and param keys: it is made once per write for each such
+shape met more than once.  A run is recognised by the identity of
 its ``run`` object, never by equal values: ``(1,)``, ``(Fraction(1),)``
 and ``(True,)`` are equal but render differently.  A CSV row holds the
 cells of a report's JSON object as ``json.loads`` reads them back from the
@@ -44,12 +47,13 @@ from .reports import GridResult, IdentityReport
 from .sequences import SequenceSpec
 from .sparsepoly import SparsePoly
 
-class _Hole:
-    """Marks, in the text of a report's fields, where a value's own text goes.
-    Rendered JSON text holds no raw control character."""
-
-
+#: where a value's own text goes in the text of a report; rendered JSON text
+#: holds no raw control character
 _HOLE = "\x00"
+
+
+class _Hole:
+    """A value that renders as :data:`_HOLE`."""
 
 
 def json_value(value):
@@ -76,8 +80,8 @@ def dumps(value) -> str:
     return _render(value, 0)
 
 
-#: the JSON text of a value of each of these exact types, made without recursion;
-#: a ``Fraction``'s is its ``rat_str``, "p/q" or "p", in quotes
+#: the JSON text of a value of each of these exact types; a ``Fraction``'s is its
+#: ``rat_str``, "p/q" or "p", in quotes
 _LEAVES = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -85,7 +89,7 @@ _LEAVES = {
     type(None): lambda _: "null",
     Fraction: '"%s"'.__mod__,
     AffineForm: lambda alpha: encode_basestring_ascii(alpha.describe()),
-    _Hole: lambda hole: _HOLE,
+    _Hole: lambda _: _HOLE,
 }
 
 
@@ -101,19 +105,15 @@ def _render(value, depth: int) -> str:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            leaf = _LEAVES.get(type(item))
-            text = leaf(item) if leaf is not None else _render(item, depth + 1)
-            items.append(f"{encode_basestring_ascii(key)}: {text}")
+            items.append(f"{encode_basestring_ascii(key)}: {_render(item, depth + 1)}")
         inner = "\n" + "  " * (depth + 1)
         return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        items = []
-        for item in value:
-            leaf = _LEAVES.get(type(item))
-            items.append(leaf(item) if leaf is not None else _render(item, depth + 1))
         inner = "\n" + "  " * (depth + 1)
+        items = [encode_basestring_ascii(item) if type(item) is str else _render(item, depth + 1)
+                 for item in value]
         return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
     return _render(json_value(value), depth)
 
@@ -137,7 +137,13 @@ def _run_text(run: list, depth: int, skeletons: dict) -> str:
     """
     first = run[0]
     shape = (first.name, *first.params)
-    parts = skeletons.get(shape) or skeletons.setdefault(shape, _skeleton(first, depth))
+    parts = skeletons.get(shape)
+    if parts is None:
+        if len(run) == 1 and shape not in skeletons:
+            # a lone report of a new shape: a skeleton pays off from the second
+            skeletons[shape] = None
+            return _render(first, depth)
+        parts = skeletons[shape] = _skeleton(first, depth)
     shared = len(run) > 1
     values = ['"' + _HOLE + '"' if shared and type(item) is Fraction else _render(item, depth + 2)
               for item in first.params.values()]

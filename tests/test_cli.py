@@ -183,7 +183,7 @@ class TestDigitCap:
 
     def test_a_result_beyond_the_cap_is_printed(self, capsys, tmp_path):
         # log(1 + 10^6 t) has n-th EGF coefficient (-1)^(n-1) 10^(6n) (n-1)!,
-        # of 4,310 digits at n = 520
+        # of 4,306 digits at n = 520
         f = tmp_path / "big.json"
         f.write_text(json.dumps(["1000000"] + ["0"] * 519))
         cap = sys.get_int_max_str_digits()
