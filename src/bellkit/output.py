@@ -12,10 +12,10 @@ differ only in their ``Fraction`` params, ``lhs``, ``rhs`` and ``pass``:
 the writer renders the run's text once with holes for those values, and
 fills the holes for each report.  The run's text itself fills a skeleton,
 the text of a report with holes for all its values, which depends only on
-the report's name and param keys: it is made once per write for each such
-shape met more than once.  A run is recognised by the identity of
-its ``run`` object, never by equal values: ``(1,)``, ``(Fraction(1),)``
-and ``(True,)`` are equal but render differently.  A CSV row holds the
+the report's name and param keys: it is made once per write, for a shape
+met in a run of several reports or met again.  A run is recognised by the
+identity of its ``run`` object, never by equal values: ``(1,)``,
+``(Fraction(1),)`` and ``(True,)`` are equal but render differently.  A CSV row holds the
 cells of a report's JSON object as ``json.loads`` reads them back from the
 run's JSON text, so one function decides how a report is written in both
 formats.
@@ -190,7 +190,7 @@ def write_reports(name: str, reports, stream, fmt: str) -> bool:
     # consecutive reports that share a run object; a fresh object() for a
     # report without one compares unequal to any other key, so it runs alone
     runs = (list(run) for _, run in itertools.groupby(grid, lambda r: r.run or object()))
-    skeletons: dict[tuple, list[str]] = {}
+    skeletons: dict[tuple, list[str] | None] = {}
     if fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(IdentityReport.KEYS)
