@@ -28,30 +28,19 @@ a vanishing denominator at a term that is actually present raises
 The grid certifier skips and records pole parameter values instead of
 erroring.
 
-At the sampled taus of the grid certifier, the double sums are not
-evaluated at all.  Each variant of a (v, alpha) plan is one identity
-between rational functions of tau; cleared of denominators it is one
-integer coefficient vector of lhs - rhs in a falling-factorial basis
-(:meth:`Th1Plan.difference`), computed once.  When every coefficient is
-0, the identity holds at every tau, and each report is its right side.
-When one is not, the evaluator below computes both sides at each tau, so a
-failing report shows the two differing values.  ``check_th1``,
-``check_bell_convolution`` and an explicit ``tau`` always run the
-evaluator, which is also the certificate's test oracle.
-
-The evaluator adds up the double sums, and the negative-one sum too, in
-integers.  Every term is an integer over a denominator known before the
-sum starts: the
-denominator of its tau-independent factor times a power of q*d, where q is
-tau's denominator and d the common denominator of alpha's coefficients.
-One common denominator, the ``math.lcm`` of the factors' denominators
-times the highest power of q*d, is a multiple of each term's, so each term
-scaled to it has an exact integer numerator.  Adding integers rounds
-nothing: their total over that denominator is the exact sum.  The right
-side is an integer numerator over a denominator too, and the two sides are
-compared by cross-multiplying.  A passing report holds one reduced
-``Fraction``, the right side, as both ``lhs`` and ``rhs``; a failing one
-holds both sides, each reduced.
+Every report of a double sum, a variant of a (v, alpha) plan or a Bell
+convolution, comes from one generator.  Each variant of a plan is one
+identity between rational functions of tau; cleared of denominators, its
+lhs - rhs is one integer coefficient vector in a falling-factorial basis
+(:meth:`Th1Plan.difference`), computed once per plan and variant.  The
+right side at each tau is an integer falling factorial over a known
+denominator, and the left side is the right side plus that vector's value
+at tau over the factor that cleared it.  When every coefficient is 0, the
+identity holds at every tau and the left side is not computed: a passing
+report holds one reduced ``Fraction``, the right side, as both ``lhs`` and
+``rhs``.  Otherwise one Horner pass in integers gives each tau's excess,
+and a failing report holds both sides, each reduced.  The negative-one sum
+is added up in integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -60,7 +49,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from typing import Callable
 
 from .bell import bell_columns
@@ -220,9 +209,9 @@ class Th1Plan:
     ``first`` maps each A that alpha takes on the support to the first
     (l, m), l-major and m-minor, taking it; ``pole`` is its (l, m) at A = 0,
     where alpha vanishes at nonzero weight (None if there is none).
-    Nothing derived from these is stored: ``pole``, ``top``,
-    :meth:`coefficients` and :meth:`difference` are computed at each read,
-    so an edited copy evaluates as edited.
+    Nothing derived from these is stored: ``pole``, ``top`` and
+    :meth:`difference` are computed at each read, so an edited copy
+    evaluates as edited.
     """
 
     def __init__(self, support, alpha: AffineForm):
@@ -251,70 +240,30 @@ class Th1Plan:
         """The weight at l = k, over ``h``: only m = n has weight there."""
         return sum(t for l, _, t in self.merged if l == self.k)
 
-    def coefficients(self, variant: str) -> tuple[int, int, list, list]:
-        """Variant A, B or C as integers: (L, J, terms, tails).
-
-        Each term (A, j, w) adds (w / L) * (tau - A/d)_j, where (t)_j is the
-        falling factorial t(t-1)...(t-j+1) and J is the largest j; each tail
-        (A, w), variant C's l = 0 term, adds (w / L) / (tau - A/d).  Variants
-        A and B sum c * C(tau - a, j) over the merged terms whose
-        tau-independent factor c is nonzero, with j! folded into w.  Variant
-        C is tau times the sum of c * C(tau - a, l) / (tau - a); for l > 0
-        that term is (c / l) * C(tau - a - 1, l - 1), so it needs no division
-        by tau - a.  Needs ``pole`` to be None; computed anew at each call.
-
-        With C(a, r) = P / (d^r r!), where P = A (A - d) ... (A - (r-1)d),
-        and r! C(k, l) j! = k! for r + j = k, each c / j! (c / l! for C) is
-        one quotient lead * P t / (A d^r k! h) for a merged weight t / h,
-        where lead is d * alpha(k, n) for A, d * alpha(0, 0) for B (with
-        r = l) and d for C (r = k - l); each quotient is reduced by its gcd
-        and L is the lcm of what is left.
-        """
-        k, d, fkh = self.k, self.d, factorial(self.k) * self.h
-        lead = {"A": self.akn, "B": self.a00, "C": d}[variant]
-        terms, tails = [], []
-        for l, num, t in self.merged:
-            r = l if variant == "B" else k - l
-            top = lead * falling(num, r, d) * t
-            if not top:
-                continue
-            bottom = num * d**r * fkh
-            c = (top // (g := gcd(top, bottom)), bottom // g)
-            if variant != "C":
-                terms.append((num, k - r, c))
-            elif l == 0:
-                tails.append((num, c))
-            else:
-                terms.append((num + d, l - 1, c))
-        scale = lcm(*(c[1] for *_, c in terms + tails))
-        return (
-            scale,
-            max((j for _, j, _ in terms), default=0),
-            [(num, j, top * (scale // bottom)) for num, j, (top, bottom) in terms],
-            [(num, top * (scale // bottom)) for num, (top, bottom) in tails],
-        )
-
-    def difference(self, variant: str) -> list[int] | None:
+    def difference(self, variant: str) -> list[int]:
         """Variant A, B or C's lhs - rhs as integer coefficients in the basis
         [u]_i = u (u - d) ... (u - (i-1) d) of polynomials in u = d tau.
 
         The identity holds at every tau exactly when every coefficient is 0.
         It is multiplied by k! h d^k, and variant C's by akn (u - a00) more,
-        which clears C's l = 0 tail and its right side's prefactor.  Each
-        term of :meth:`coefficients` is then an integer c times d^j (tau -
-        S/d)_j = [u - S]_j, and the Vandermonde convolution for falling
-        factorials (Graham, Knuth and Patashnik, ch. 5) expands that as the
-        sum over e of C(j, e) falling(-S, e, d) [u]_{j-e}.  In c, the
-        quotient falling(A, r, d) / A is falling(A - d, r - 1, d) for r > 0;
-        at r = 0 the only weight sits at alpha(k, n) (alpha(0, 0) for B),
-        where the lead factor over A is an integer.  The right side is top
-        [u]_k for A and B.  C needs two products: (u - s) [u]_i = [u]_{i+1}
-        + (i d - s) [u]_i, and u [u]_i likewise with s = 0.
+        which clears C's l = 0 tail and its right side's prefactor.  With
+        C(a, r) = P / (d^r r!) at a = A/d, where P = falling(A, r, d), and
+        r! C(k, l) j! = k! for r + j = k, a merged term (l, A, t) of A or B is
+        then c [u - A]_j, where c = lead t P / A, r = k - l (r = l for B) and
+        lead is akn for A and a00 for B.  For C, lead is d akn and r = k - l;
+        as C(tau - a, l) / (tau - a) = (tau - a - 1)_{l-1} / l!, a term with
+        l > 0 is u (u - a00) c [u - A - d]_{l-1}, and the l = 0 tail is c u.
+        The Vandermonde convolution for falling factorials
+        (Graham, Knuth and Patashnik, ch. 5) expands [u - S]_j as the sum
+        over e of C(j, e) falling(-S, e, d) [u]_{j-e}.  P / A is falling(A -
+        d, r - 1, d) for r > 0; at r = 0 the only weight sits at alpha(k, n)
+        (alpha(0, 0) for B), where lead / A is an integer.  The right side is
+        top [u]_k for A and B, and d top [u]_k (u - a00 + akn) for C.  C needs
+        two products: (u - s) [u]_i = [u]_{i+1} + (i d - s) [u]_i, and u [u]_i
+        likewise with s = 0.
 
-        Returns None when a term at r = 0, or C's tail, sits at another
-        alpha: only an edited plan has one.  Needs ``pole`` to be None; the
-        grid certifier falls back to the evaluator on None or a nonzero
-        coefficient.
+        Raises ValueError when a term at r = 0, or C's tail, sits at another
+        alpha: only an edited plan has one.  Needs ``pole`` to be None.
         """
         k, d, akn, a00 = self.k, self.d, self.akn, self.a00
         lead = {"A": akn, "B": a00, "C": d * akn}[variant]
@@ -326,11 +275,11 @@ class Th1Plan:
             elif num == (a00 if variant == "B" else akn):
                 c = lead // num * t
             else:
-                return None
+                raise ValueError(f"an edited plan: its term at l = {l} is off its alpha")
             if variant == "C":
                 if l == 0:
                     if num != a00:
-                        return None
+                        raise ValueError("an edited plan: its term at l = 0 is off its alpha")
                     tail += c
                     continue
                 num, j = num + d, l - 1
@@ -391,71 +340,54 @@ def _raise_at_pole(plan: Th1Plan, variant: str | None = None, tau: Fraction | No
         raise PoleError(f"alpha({l},{m}) = 0", where=plan.pole)
 
 
-def _right_side(plan: Th1Plan, variant: str, top: int, p: int, q: int) -> tuple[int, int]:
-    """The right side at tau = p/q as an unreduced integer pair.
+def _right_sides(plan: Th1Plan, variant: str, taus) -> list[tuple[Fraction, Fraction]]:
+    """(tau, the right side of variant A, B or C there) for each tau.
 
-    It is C(tau, k) = falling(p, k, q) / (q^k k!) times the weight ``top``
-    over ``plan.h``; for C, times d (x + akn q) / (akn x), with x = p d -
-    a00 q.
+    The right side is C(tau, k) = falling(p, k, q) / (q^k k!) at tau = p/q,
+    times the weight ``top`` over ``plan.h``; for C, times d (x + akn q) /
+    (akn x), with x = p d - a00 q.
     """
-    rn, rd = falling(p, plan.k, q) * top, q**plan.k * factorial(plan.k) * plan.h
-    if variant == "C":
-        x = p * plan.d - plan.a00 * q
-        rn, rd = rn * plan.d * (x + plan.akn * q), rd * plan.akn * x
-    return rn, rd
-
-
-def _th1_reports(plan: Th1Plan, variant: str, taus, name: str, params, skipped=()):
-    """The report ``name`` with ``params(tau)`` of variant A, B or C at each tau.
-
-    Each tau first raises :class:`PoleError` at its first pole, in the order
-    of :func:`_raise_at_pole`.  The left side sums the terms of one call to
-    ``plan.coefficients(variant)`` in integers: times q*d, tau - A/d - i is
-    p*d - A*q - i*q*d at tau = p/q.  The right side is :func:`_right_side`.
-    The sides are compared by cross-multiplying; when equal, one reduced
-    ``Fraction`` is both ``lhs`` and ``rhs``.  The reports share one ``run``
-    object, so the writer renders their fixed text once.
-    """
-    d = plan.d
-    if plan.pole is None:  # with an alpha pole there are none, and the first tau raises
-        scale, j_max, terms, tails = plan.coefficients(variant)
-    run = object()
-    top = plan.top
+    k, d, top, fkh = plan.k, plan.d, plan.top, factorial(plan.k) * plan.h
+    sides = []
     for tau in taus:
-        _raise_at_pole(plan, variant, tau)
         p, q = tau.numerator, tau.denominator
-        pd, step = p * d, q * d
-        powers = [step**i for i in range(j_max + 1)]
-        ln = 0
-        for num, j, w in terms:
-            x = pd - num * q
-            for _ in range(j):
-                w *= x
-                x -= step
-            ln += w * powers[j_max - j]
-        ld = scale * powers[j_max]
-        for num, w in tails:
-            x = pd - num * q
-            ln, ld = ln * scale * x + w * step * ld, ld * scale * x
+        rn, rd = falling(p, k, q) * top, q**k * fkh
         if variant == "C":
-            ln, ld = p * ln, q * ld
-        rn, rd = _right_side(plan, variant, top, p, q)
-        if ln * rd == rn * ld:
-            lhs = rhs = Fraction(rn, rd)
-        else:
-            lhs, rhs = Fraction(ln, ld), Fraction(rn, rd)
+            x = p * d - plan.a00 * q
+            rn, rd = rn * d * (x + plan.akn * q), rd * plan.akn * x
+        sides.append((tau, Fraction(rn, rd)))
+    return sides
+
+
+def _th1_reports(plan: Th1Plan, variant: str, sides, name: str, params, skipped=()):
+    """The report ``name`` with ``params(tau)`` of variant A, B or C at each
+    (tau, right side) of ``sides``, from :func:`_right_sides` at pole-free taus.
+
+    The left side is the right side plus ``plan.difference(variant)`` at
+    u = d tau over the factor that cleared it: k! h d^k, and for C also akn
+    (u - a00).  A zero vector makes the right side both sides.  Otherwise
+    one Horner pass in the falling basis, where u - i d = d (p - i q) / q at
+    tau = p/q, gives the vector's value times q^K for its degree K; over
+    q^k k! h d^k, and for C akn (p d - a00 q) more, that is the excess.  The
+    reports share one ``run`` object, so the writer renders their fixed text
+    once.
+    """
+    diff, run = plan.difference(variant), object()
+    k, d, exact = plan.k, plan.d, not any(diff)
+    clear = factorial(k) * plan.h * d**k
+    for tau, rhs in sides:
+        lhs = rhs
+        if not exact:
+            p, q = tau.numerator, tau.denominator
+            num, power = 0, 1
+            for i in reversed(range(len(diff))):
+                num, power = num * d * (p - i * q) + diff[i] * power, power * q
+            if num:
+                bottom = q**k * clear
+                if variant == "C":
+                    bottom *= plan.akn * (p * d - plan.a00 * q)
+                lhs = rhs + Fraction(num, bottom)
         report = IdentityReport(name, params(tau), lhs, rhs)
-        report.skipped_poles = skipped
-        report.run = run
-        yield report
-
-
-def _certified_reports(plan: Th1Plan, variant: str, rights, skipped):
-    """The passing reports of a (plan, variant) whose ``difference`` is zero:
-    one per (tau, right side) of ``rights``, with that side as both sides."""
-    name, run = f"th1{variant.lower()}", object()
-    for tau, value in rights:
-        report = IdentityReport(name, plan.params(tau), value, value)
         report.skipped_poles = skipped
         report.run = run
         yield report
@@ -473,8 +405,10 @@ def check_th1(
     """
     if variant not in TH1_VARIANTS:
         raise InputError(f"variant must be 'A', 'B' or 'C', got {variant!r}")
-    plan = plan or th1_plan(v, alpha)
-    return next(_th1_reports(plan, variant, [rat(tau)], f"th1{variant.lower()}", plan.params))
+    plan, tau = plan or th1_plan(v, alpha), rat(tau)
+    _raise_at_pole(plan, variant, tau)
+    sides = _right_sides(plan, variant, [tau])
+    return next(_th1_reports(plan, variant, sides, f"th1{variant.lower()}", plan.params))
 
 
 def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
@@ -646,10 +580,12 @@ def check_bell_convolution(
         raise InputError(
             f"variant must be one of {tuple(CONVOLUTION_VARIANTS)}, got {variant!r}"
         )
-    plan = plan or bell_convolution_plan(n, k, alpha, x)
-    params = {"variant": variant, "n": n, "k": k, "alpha": alpha, "tau": rat(tau), "x": x}
-    sums = _th1_reports(plan, CONVOLUTION_VARIANTS[variant], [params["tau"]],
-                        f"bell-convolution-{variant}", lambda tau: params)
+    plan, tau = plan or bell_convolution_plan(n, k, alpha, x), rat(tau)
+    th1 = CONVOLUTION_VARIANTS[variant]
+    _raise_at_pole(plan, th1, tau)
+    params = {"variant": variant, "n": n, "k": k, "alpha": alpha, "tau": tau, "x": x}
+    sums = _th1_reports(plan, th1, _right_sides(plan, th1, [tau]),
+                        f"bell-convolution-{variant}", lambda _: params)
     return next(sums)
 
 
@@ -749,17 +685,15 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
     values from :func:`tau_samples`; variant C's tau poles are skipped and
     recorded on its reports, and a pair where alpha vanishes at a
     nonzero-weight (l, m) is recorded in ``skipped_pairs`` and not checked.
-    Each (plan, variant) is first certified for every tau at once: when
-    :meth:`Th1Plan.difference` is zero, lhs - rhs is the zero polynomial,
-    so each report holds the right side alone, as both sides.  Otherwise
-    the variant runs at all its taus through the evaluator that
-    ``check_th1`` uses, which computes both sides at each tau and shows
-    where they differ; a passing report's bytes are the same either way.
-    With an explicit ``tau`` every pair runs through that evaluator at
-    ``tau``, and a pole raises :class:`PoleError`.  Every error is raised
-    by this call, before the first report: each variant and each v is
-    validated, and with an explicit ``tau`` each plan's poles are checked,
-    in the order the sweep meets them.
+    Each (plan, variant) makes its reports from its right sides and
+    :meth:`Th1Plan.difference`, as ``check_th1`` does at one tau: a zero
+    vector proves every tau at once, and each report holds its right side
+    as both sides; a nonzero one gives each tau's left side, so a failing
+    report shows where the sides differ.  With an explicit ``tau`` each pair
+    is checked at ``tau`` alone, and a pole raises :class:`PoleError`.
+    Every error is raised by this call, before the first report: each
+    variant and each v is validated, and with an explicit ``tau`` each
+    plan's poles are checked, in the order the sweep meets them.
     """
     tau = None if tau is None else rat(tau)
     alphas, variants = tuple(alphas), tuple(variants)
@@ -784,13 +718,11 @@ def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResu
 def _sweep(vnks, alphas, variants, tau, skipped_pairs):
     """The reports of :func:`certify_double_sums`, over validated (v, n, k).
 
-    At sampled taus a (plan, variant) whose :meth:`Th1Plan.difference` is
-    zero holds at every tau, so each of its reports is the right side
-    alone; any other runs the evaluator, which shows both sides.  The
-    sampled taus avoid every pole, so neither path meets one.  Without C
-    among the variants, every plan of one k samples the same taus, and the
-    right sides of A and B there depend only on (k, top, h): both are made
-    once per sweep.
+    Each (plan, variant) runs :func:`_th1_reports` at its taus with no pole
+    check: the sampled taus avoid every pole, and ``certify_double_sums``
+    has raised an explicit tau's.  Without C among the variants, every plan
+    of one k has the same taus, and the right sides of A and B there depend
+    only on (k, top, h): both are made once per sweep.
     """
     sampled = tau is None and any(variant in TH1_VARIANTS for variant in variants)
     shared = "C" not in variants
@@ -814,21 +746,13 @@ def _sweep(vnks, alphas, variants, tau, skipped_pairs):
                 if variant == "negative-one":
                     yield check_negative_one(v, alpha, plan=plan)
                     continue
-                poles = skipped if variant == "C" else ()
-                diff = plan.difference(variant) if tau is None else None
-                if diff is None or any(diff):
-                    yield from _th1_reports(
-                        plan, variant, taus, f"th1{variant.lower()}", plan.params, poles
-                    )
-                    continue
-                top = plan.top
-                rights = sides.get((k, top, plan.h)) if shared else None
+                rights = sides.get((k, plan.top, plan.h)) if shared else None
                 if rights is None:
-                    rights = [(t, Fraction(*_right_side(plan, variant, top, t.numerator,
-                                                        t.denominator))) for t in taus]
+                    rights = _right_sides(plan, variant, taus)
                     if shared:
-                        sides[k, top, plan.h] = rights
-                yield from _certified_reports(plan, variant, rights, poles)
+                        sides[k, plan.top, plan.h] = rights
+                yield from _th1_reports(plan, variant, rights, f"th1{variant.lower()}",
+                                        plan.params, skipped if variant == "C" else ())
 
 
 def grid_vs(n: int, k: int | None = None) -> list[IndexVector]:

@@ -38,7 +38,7 @@ from bellkit import identities
 from bellkit.output import dumps, write_reports
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat, rat_str
-from bellkit.reports import InputError, PoleError
+from bellkit.reports import IdentityReport, InputError, PoleError
 from bellkit.sequences import SequenceSpec, factorials, naturals, ones, random_rationals
 from bellkit.sparsepoly import SparsePoly
 
@@ -524,18 +524,44 @@ class TestGrid:
         assert tau_samples(0, {0: (0, 0)}, 1) == ([], [])
 
 
-def oracle_double_sum(variant, v, alpha, tau=None):
+def oracle_double_sum(variant, v, alpha, tau=None, triples=None):
     """The double sum term by term over (l, m), W(m, l; v) recomputed at each.
 
     The reference the merged-term plans are checked against; variant is
-    "A", "B", "C" or "negative-one" (which ignores tau).  Returns (lhs, rhs)
-    and raises the PoleError the checker should raise, with the same
-    message: at the first contributing (l, m), l-major, where alpha is 0 (or
-    tau, for C, after checking alpha(k, n) and tau = alpha(0, 0)).
+    "A", "B", "C" or "negative-one" (which ignores tau).  ``triples``, if
+    given, are the (l, m, weight) it sums in place of every (l, m,
+    ``w_coefficient(m, l, v)``), so an edited support has a reference too.
+    See :func:`_oracle_sum` for what it returns and raises.
     """
     v = strip_trailing_zeros(v)
     k = sum(v)
     n = sum(j * e for j, e in enumerate(v, start=1))
+    return _oracle_sum(variant, n, k, _w_triples(v) if triples is None else triples, alpha, tau)
+
+
+def _w_triples(v):
+    """Every (l, m, W(m, l; v)) of the box 0 <= l <= k, l <= m <= n, l-major."""
+    k, n = sum(v), sum(j * e for j, e in enumerate(v, start=1))
+    return [(l, m, w_coefficient(m, l, v)) for l in range(k + 1) for m in range(l, n + 1)]
+
+
+def oracle_bell_plan_sum(variant, n, k, h, triples, alpha, tau):
+    """The double sum ``variant`` term by term over the (l, m, t) triples of a
+    Bell convolution plan, each weight t / h: the reference for an edited
+    plan whose row denominator h is not 1."""
+    return _oracle_sum(variant, n, k, [(l, m, Fraction(t, h)) for l, m, t in triples], alpha, tau)
+
+
+def _oracle_sum(variant, n, k, triples, alpha, tau):
+    """(lhs, rhs) of the double sum over the (l, m, weight) triples, l-major.
+
+    The right side is C(tau, k) times the weight at l = k (W(n, k; v) = 1,
+    or B(n, k) in a Bell convolution), times variant C's prefactor; for
+    negative-one it is 1.  Raises the PoleError the checker should raise,
+    with the same message: at the first (l, m) of nonzero weight where
+    alpha is 0 (or tau, for C, after checking alpha(k, n) and tau =
+    alpha(0, 0)).
+    """
     a00, akn = alpha(0, 0), alpha(k, n)
     if variant == "C":
         if akn == 0:
@@ -543,43 +569,41 @@ def oracle_double_sum(variant, v, alpha, tau=None):
         if tau == a00:
             raise PoleError(f"tau = alpha(0,0) = {rat_str(tau)}", where=(0, 0))
     lhs = Fraction(0)
-    for l in range(k + 1):
-        for m in range(l, n + 1):
-            w = w_coefficient(m, l, v)
-            if not w:
-                continue
-            a = alpha(l, m)
-            if a == 0:
-                raise PoleError(f"alpha({l},{m}) = 0", where=(l, m))
-            if variant == "A":
-                term = (
-                    (akn / a)
-                    * binomial_general(a, k - l)
-                    * binomial_general(tau - a, l)
-                    / comb(k, l)
-                )
-            elif variant == "B":
-                term = (
-                    (a00 / a)
-                    * binomial_general(tau - a, k - l)
-                    * binomial_general(a, l)
-                    / comb(k, l)
-                )
-            elif variant == "C":
-                if a == tau:
-                    raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=(l, m))
-                term = (
-                    tau
-                    * binomial_general(a, k - l)
-                    * binomial_general(tau - a, l)
-                    / (a * (tau - a) * comb(k, l))
-                )
-            else:
-                term = (-1) ** l * (a00 / a) * binomial_general(a + k - l, k)
-            lhs += term * w
+    for l, m, w in triples:
+        if not w:
+            continue
+        a = alpha(l, m)
+        if a == 0:
+            raise PoleError(f"alpha({l},{m}) = 0", where=(l, m))
+        if variant == "A":
+            term = (
+                (akn / a)
+                * binomial_general(a, k - l)
+                * binomial_general(tau - a, l)
+                / comb(k, l)
+            )
+        elif variant == "B":
+            term = (
+                (a00 / a)
+                * binomial_general(tau - a, k - l)
+                * binomial_general(a, l)
+                / comb(k, l)
+            )
+        elif variant == "C":
+            if a == tau:
+                raise PoleError(f"alpha({l},{m}) = tau = {rat_str(tau)}", where=(l, m))
+            term = (
+                tau
+                * binomial_general(a, k - l)
+                * binomial_general(tau - a, l)
+                / (a * (tau - a) * comb(k, l))
+            )
+        else:
+            term = (-1) ** l * (a00 / a) * binomial_general(a + k - l, k)
+        lhs += term * w
     if variant == "negative-one":
         return lhs, Fraction(1)
-    rhs = binomial_general(tau, k)
+    rhs = binomial_general(tau, k) * sum(w for l, _, w in triples if l == k)
     if variant == "C":
         rhs *= (tau - a00 + akn) / (akn * (tau - a00))
     return lhs, rhs
@@ -767,22 +791,31 @@ class TestCertifierAgainstOracle:
             assert affected >= len(taus) - plan.k
 
     def test_each_plan_variant_derives_its_coefficients_once(self, monkeypatch):
-        # at most once: a run the certificate proves asks for none, a failing run once
+        # one difference per (plan, variant) run, whether it passes or fails
         asked = []
-        coefficients = Th1Plan.coefficients
+        difference = Th1Plan.difference
         monkeypatch.setattr(
-            Th1Plan, "coefficients",
-            lambda plan, variant: asked.append(variant) or coefficients(plan, variant),
+            Th1Plan, "difference",
+            lambda plan, variant: asked.append(variant) or difference(plan, variant),
         )
-        assert all(rep.passed for rep in certify_double_sums(grid_vs(5), DEFAULT_ALPHAS))
-        assert asked == []
+        reports = list(certify_double_sums(grid_vs(5), DEFAULT_ALPHAS))
+        assert all(rep.passed for rep in reports)
+        assert asked == _run_variants(reports)
+        asked.clear()
+        reports = list(certify_double_sums(grid_vs(5), DEFAULT_ALPHAS, tau=Fraction(7, 3)))
+        assert asked == _run_variants(reports) and len(reports) == len(asked) > 0
+        for variant in "ABC":
+            asked.clear()
+            assert check_th1(variant, (2, 1), AffineForm(1, 1), Fraction(7, 3)).passed
+            assert asked == [variant]
         # the weight at l = k, W(n, k; v) = 1, doubled: every plan fails
+        asked.clear()
         support = identities._w_support
         monkeypatch.setattr(identities, "_w_support", lambda v: _top_doubled(support(v)))
         reports = list(certify_double_sums(grid_vs(5), DEFAULT_ALPHAS))
-        runs = {id(rep.run): rep.name for rep in reports if not rep.passed}
+        runs = {id(rep.run) for rep in reports if not rep.passed}
         assert len(runs) == len({id(rep.run) for rep in reports})
-        assert sorted(asked) == sorted(name[-1].upper() for name in runs.values())
+        assert asked == _run_variants(reports)
 
     def test_a_perturbed_copy_fails_after_the_original_was_evaluated(self):
         # the copy must not read anything the original's evaluation left behind
@@ -797,26 +830,47 @@ class TestCertifierAgainstOracle:
         assert bad.rhs == good.rhs and bad.lhs != good.lhs
 
 
+def _run_variants(reports):
+    """The variant of each run of th1 reports, in order."""
+    return [next(run).name[-1].upper() for _, run in itertools.groupby(reports, lambda r: r.run)]
+
+
 def _top_doubled(support):
     """A support whose last weight, W(n, k; v) = 1 at (l, m) = (k, n), is 2."""
     l, m, w = support[-1]
     return support[:-1] + ((l, m, 2 * w),)
 
 
-def _sampled_reports(variant, v, alpha, plan):
-    """``check_th1`` at each tau the sweep samples for (v, alpha, variant),
-    with the skipped C poles the sweep records."""
+def _oracle_reports(variant, v, alpha, plan, triples):
+    """The reports the sweep should make for (v, alpha, variant): the two
+    sides :func:`oracle_double_sum` gives over ``triples`` at each tau the
+    sweep samples, with the C poles it skips."""
     first = plan.first if variant == "C" else {}
     taus, skipped = tau_samples(2 * plan.k + 2, first, plan.d)
-    reports = [check_th1(variant, v, alpha, tau, plan=plan) for tau in taus]
-    for rep in reports:
-        rep.skipped_poles = tuple(skipped) if variant == "C" else ()
+    reports = []
+    for tau in taus:
+        params = {"v": v, "alpha": alpha, "tau": tau, "n": plan.n, "k": plan.k}
+        sides = oracle_double_sum(variant, v, alpha, tau, triples)
+        reports.append(IdentityReport(f"th1{variant.lower()}", params, *sides))
+        reports[-1].skipped_poles = tuple(skipped)
     return reports
 
 
+def _perturbed(v, w_support):
+    """(support, triples) with the weight at one (l, m) raised by 1, for each
+    (l, m) in turn: the support as ``w_support`` gives it, and the oracle's
+    triples from ``w_coefficient``.  The last is the weight at l = k."""
+    support = w_support(v)
+    for l, m, w in support:
+        yield (
+            tuple((l2, m2, w2 + ((l2, m2) == (l, m))) for l2, m2, w2 in support),
+            [(l2, m2, w2 + ((l2, m2) == (l, m))) for l2, m2, w2 in _w_triples(v)],
+        )
+
+
 class TestCertificate:
-    """``Th1Plan.difference``, the certificate that lets the sweep skip the
-    left side at sampled taus, held against the evaluator of ``check_th1``."""
+    """``Th1Plan.difference``, which gives every report's left side, held
+    against the term-by-term oracle on the stock and on perturbed supports."""
 
     #: 24 rational forms; some vanish on the support, and C samples hit many
     RATIONAL_ALPHAS = tuple(
@@ -833,13 +887,14 @@ class TestCertificate:
         result = certify_double_sums(vs, alphas, (variant,))
         reports, pole_pairs, skipped_taus = iter(result), 0, 0
         for v in vs:
+            triples = _w_triples(v)
             for alpha in alphas:
                 plan = th1_plan(v, alpha)
                 if plan.pole is not None:
                     pole_pairs += 1
                     continue
                 assert not any(plan.difference(variant))
-                for want in _sampled_reports(variant, v, alpha, plan):
+                for want in _oracle_reports(variant, v, alpha, plan, triples):
                     rep = next(reports)
                     assert rep.passed and want.passed
                     assert (rep.name, rep.params, rep.lhs, rep.rhs, rep.skipped_poles) == (
@@ -855,36 +910,41 @@ class TestCertificate:
     ):
         # alpha = 1/2 + l takes odd numerators over 2, so no falling factorial
         # of it vanishes and a perturbed weight changes every variant
-        alpha, support = AffineForm(Fraction(1, 2), 1), identities._w_support
+        alpha, w_support = AffineForm(Fraction(1, 2), 1), identities._w_support
         for v in _vectors_up_to(4):
-            for i, (l, m, w) in enumerate(support(v)):  # the last is the weight at l = k
-                mutant = support(v)[:i] + ((l, m, w + 1),) + support(v)[i + 1:]
-                monkeypatch.setattr(identities, "_w_support", lambda _, s=mutant: s)
+            for support, triples in _perturbed(v, w_support):
+                monkeypatch.setattr(identities, "_w_support", lambda _, s=support: s)
                 plan = th1_plan(v, alpha)
                 assert any(plan.difference(variant))
-                written, evaluated = io.StringIO(), io.StringIO()
+                written, summed = io.StringIO(), io.StringIO()
                 write_reports("th1", certify_double_sums([v], [alpha], (variant,)), written, "json")
-                expected = _sampled_reports(variant, v, alpha, plan)
-                write_reports("th1", expected, evaluated, "json")
-                assert written.getvalue() == evaluated.getvalue()
+                expected = _oracle_reports(variant, v, alpha, plan, triples)
+                write_reports("th1", expected, summed, "json")
+                assert written.getvalue() == summed.getvalue()
                 assert json.loads(written.getvalue())["summary"]["failed"] > 0
 
     def test_it_holds_exactly_when_every_sample_passes(self, monkeypatch):
         # any alpha and any one weight perturbed: a perturbed term whose factor
         # vanishes changes nothing, and then the certificate still holds
-        alphas, support = DEFAULT_ALPHAS + self.RATIONAL_ALPHAS[::4], identities._w_support
+        alphas, w_support = DEFAULT_ALPHAS + self.RATIONAL_ALPHAS[::4], identities._w_support
         for v in _vectors_up_to(4):
-            for i, (l, m, w) in enumerate(support(v)):
-                mutant = support(v)[:i] + ((l, m, w + 1),) + support(v)[i + 1:]
-                monkeypatch.setattr(identities, "_w_support", lambda _, s=mutant: s)
-                for alpha in alphas:
-                    plan = th1_plan(v, alpha)
-                    if plan.pole is not None:
-                        continue
-                    for variant in "ABC":
-                        samples = _sampled_reports(variant, v, alpha, plan)
-                        holds = not any(plan.difference(variant))
-                        assert holds == all(rep.passed for rep in samples)
+            for support, triples in _perturbed(v, w_support):
+                monkeypatch.setattr(identities, "_w_support", lambda _, s=support: s)
+                for variant in "ABC":
+                    reports = iter(certify_double_sums([v], alphas, (variant,)))
+                    for alpha in alphas:
+                        plan = th1_plan(v, alpha)
+                        if plan.pole is not None:
+                            continue
+                        passed = []
+                        for want in _oracle_reports(variant, v, alpha, plan, triples):
+                            rep = next(reports)
+                            assert (rep.params["tau"], rep.lhs, rep.rhs) == (
+                                want.params["tau"], want.lhs, want.rhs
+                            )
+                            passed.append(rep.passed)
+                        assert (not any(plan.difference(variant))) == all(passed)
+                    assert next(reports, None) is None
 
     @pytest.mark.parametrize("variant, index", [("A", -1), ("B", 0), ("C", -1), ("C", 0)])
     def test_a_term_off_its_alpha_has_no_integer_certificate(self, variant, index):
@@ -896,7 +956,15 @@ class TestCertificate:
         l, a, w = terms[index]
         terms[index] = (l, a + 1, w)
         mutant.merged = tuple(terms)
-        assert plan.difference(variant) is not None and mutant.difference(variant) is None
+        assert not any(plan.difference(variant))
+        for edited in (
+            lambda: mutant.difference(variant),
+            lambda: check_th1(variant, (2, 1), AffineForm(1, 1), Fraction(7, 3), plan=mutant),
+        ):
+            with pytest.raises(ValueError) as err:
+                edited()
+            assert type(err.value) is ValueError
+            assert str(err.value) == f"an edited plan: its term at l = {l} is off its alpha"
 
 
 def oracle_bell_convolution(variant, n, k, alpha, tau, x):
@@ -1006,6 +1074,29 @@ class TestBellConvolutionAgainstOracle:
             bad = check_bell_convolution(*args, plan=mutant)
             assert (good.lhs, good.rhs) == oracle_bell_convolution(*args) and good.rhs
             assert (bad.lhs, bad.rhs) == (good.lhs / 2, good.rhs / 2)
+
+    def test_an_edited_plan_fails_as_its_terms_sum(self):
+        # each weight t in turn raised by 1: the left side, now off the right,
+        # must still be the sum of the plan's terms over its h
+        failed = 0
+        for x in self.SEQUENCES:
+            for n in range(1, 6):
+                for k in range(1, n + 1):
+                    h, triples = identities._bell_weights(n, k, range(k + 1), x)
+                    for i, (l, m, t) in enumerate(triples):
+                        edited = triples[:i] + ((l, m, t + 1),) + triples[i + 1:]
+                        for alpha in (AffineForm(Fraction(1, 2), 1), DEFAULT_ALPHAS[4]):
+                            plan = Th1Plan((None, n, k, h, edited), alpha)
+                            for tau in (Fraction(7, 3), WIDE_TAUS[2]):
+                                for variant, th1 in CONVOLUTION_VARIANTS.items():
+                                    got = _outcome(lambda: check_bell_convolution(
+                                        variant, n, k, alpha, tau, x, plan=plan))
+                                    assert got == _outcome(
+                                        oracle_bell_plan_sum, th1, n, k, h, edited, alpha, tau
+                                    )
+                                    shown = type(got[0]) is Fraction  # not a PoleError
+                                    failed += h > 1 and shown and got[0] != got[1]
+        assert failed > 0
 
 
 class TestVanishingSumMonomials:
