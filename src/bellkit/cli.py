@@ -321,7 +321,7 @@ def _double_sums(variant: str, alphas=DEFAULT_ALPHAS):
         chosen = [_parse_alpha(args.alpha)] if args.alpha is not None else list(alphas)
         vs = _grid_vs(args)
         tau = None if variant == "negative-one" else _opt_rat(args.tau, "--tau")
-        return certify_double_sums(vs, chosen, (variant,), tau=tau)
+        return certify_double_sums(vs, chosen, variant, tau=tau)
 
     return verify
 

@@ -672,87 +672,81 @@ def tau_samples(
     return chosen, skipped
 
 
-def certify_double_sums(vs, alphas, variants=TH1_VARIANTS, tau=None) -> GridResult:
-    """Check each variant at every (v, alpha): v-major, then alpha, variant, tau.
+def certify_double_sums(vs, alphas, variant, tau=None) -> GridResult:
+    """Check one variant at every (v, alpha): v-major, then alpha, then tau.
 
-    ``variants`` holds "A", "B", "C" (the th1 double sums) and
-    "negative-one".  The result makes its reports as they are read: the
-    support of one v and the :class:`Th1Plan` of one (v, alpha) are built
-    when the sweep reaches them and dropped when it moves on.  Its counts
-    and ``skipped_pairs`` grow as it is read.
+    ``variant`` is "A", "B" or "C" (a th1 double sum) or "negative-one";
+    to check several, call once for each.  The result makes its reports as
+    they are read: the support of one v and the :class:`Th1Plan` of one
+    (v, alpha) are built when the sweep reaches them and dropped when it
+    moves on.  Its counts and ``skipped_pairs`` grow as it is read.
 
-    With ``tau`` None, each th1 variant is checked at 2k+2 pole-free tau
-    values from :func:`tau_samples`; variant C's tau poles are skipped and
-    recorded on its reports, and a pair where alpha vanishes at a
-    nonzero-weight (l, m) is recorded in ``skipped_pairs`` and not checked.
-    Each (plan, variant) makes its reports from its right sides and
-    :meth:`Th1Plan.difference`, as ``check_th1`` does at one tau: a zero
-    vector proves every tau at once, and each report holds its right side
-    as both sides; a nonzero one gives each tau's left side, so a failing
-    report shows where the sides differ.  With an explicit ``tau`` each pair
-    is checked at ``tau`` alone, and a pole raises :class:`PoleError`.
-    Every error is raised by this call, before the first report: each
-    variant and each v is validated, and with an explicit ``tau`` each
-    plan's poles are checked, in the order the sweep meets them.
+    With ``tau`` None, a th1 variant is checked at 2k+2 pole-free tau
+    values from :func:`tau_samples`: 0, 1/2, ..., k + 1/2 for A and B,
+    while C skips its tau poles and records them on its reports.  A pair
+    where alpha vanishes at a nonzero-weight (l, m) is recorded in
+    ``skipped_pairs`` and not checked.  Each plan makes its reports from its
+    right sides and :meth:`Th1Plan.difference`, as ``check_th1`` does at one
+    tau: a zero vector proves every tau at once, and each report holds its
+    right side as both sides; a nonzero one gives each tau's left side, so a
+    failing report shows where the sides differ.  With an explicit ``tau``
+    each pair is checked at ``tau`` alone, and a pole raises
+    :class:`PoleError`.  Every error is raised by this call, before the
+    first report: the variant and every v are validated, and then, with an
+    explicit ``tau``, each plan's poles in the order the sweep meets them.
     """
-    tau = None if tau is None else rat(tau)
-    alphas, variants = tuple(alphas), tuple(variants)
+    tau, alphas = None if tau is None else rat(tau), tuple(alphas)
     accepted = (*TH1_VARIANTS, "negative-one")
-    for variant in variants:
-        if variant not in accepted:
-            raise InputError(f"unknown variant {variant!r}, expected one of {accepted}")
-    vnks = []
-    for v in vs:
-        vnks.append(_vnk(v))
-        if tau is not None:
-            # the sweep builds these plans again: keeping them would hold them all at once
-            support = (*vnks[-1], 1, _w_support(vnks[-1][0]))
-            for alpha in alphas:
-                plan = Th1Plan(support, alpha)
-                for variant in variants:
-                    _raise_at_pole(plan, variant, tau)
+    if variant not in accepted:
+        raise InputError(f"unknown variant {variant!r}, expected one of {accepted}")
+    vnks = [_vnk(v) for v in vs]
+    if tau is not None:
+        # the sweep builds these plans again: keeping them would hold them all at once
+        for plan in _plans(vnks, alphas):
+            _raise_at_pole(plan, variant, tau)
     skipped_pairs: list[tuple] = []
-    return GridResult(_sweep(vnks, alphas, variants, tau, skipped_pairs), skipped_pairs)
+    return GridResult(_sweep(vnks, alphas, variant, tau, skipped_pairs), skipped_pairs)
 
 
-def _sweep(vnks, alphas, variants, tau, skipped_pairs):
-    """The reports of :func:`certify_double_sums`, over validated (v, n, k).
-
-    Each (plan, variant) runs :func:`_th1_reports` at its taus with no pole
-    check: the sampled taus avoid every pole, and ``certify_double_sums``
-    has raised an explicit tau's.  Without C among the variants, every plan
-    of one k has the same taus, and the right sides of A and B there depend
-    only on (k, top, h): both are made once per sweep.
-    """
-    sampled = tau is None and any(variant in TH1_VARIANTS for variant in variants)
-    shared = "C" not in variants
-    taus, skipped = [tau], ()
-    grid: list[Fraction] = []
-    samples: dict[int, list[Fraction]] = {}
-    sides: dict[tuple[int, int, int], list[tuple[Fraction, Fraction]]] = {}
+def _plans(vnks, alphas):
+    """The :class:`Th1Plan` of each (v, alpha), v-major; one support per v."""
     for v, n, k in vnks:
         support = (v, n, k, 1, _w_support(v))
         for alpha in alphas:
-            plan = Th1Plan(support, alpha)
-            if tau is None and plan.pole is not None:
-                skipped_pairs.append((v, alpha, plan.pole))
-                continue
-            if sampled and shared:
-                taus = samples.get(k) or samples.setdefault(k, tau_samples(2 * k + 2, {}, 1)[0])
-            elif sampled:
-                taus, skipped = tau_samples(2 * k + 2, plan.first, plan.d, grid)
-                skipped = tuple(skipped)
-            for variant in variants:
-                if variant == "negative-one":
-                    yield check_negative_one(v, alpha, plan=plan)
-                    continue
-                rights = sides.get((k, plan.top, plan.h)) if shared else None
-                if rights is None:
-                    rights = _right_sides(plan, variant, taus)
-                    if shared:
-                        sides[k, plan.top, plan.h] = rights
-                yield from _th1_reports(plan, variant, rights, f"th1{variant.lower()}",
-                                        plan.params, skipped if variant == "C" else ())
+            yield Th1Plan(support, alpha)
+
+
+def _sweep(vnks, alphas, variant, tau, skipped_pairs):
+    """The reports of :func:`certify_double_sums`, over validated (v, n, k).
+
+    Each plan runs :func:`_th1_reports` at its taus with no pole check: the
+    sampled taus avoid every pole, and ``certify_double_sums`` has raised an
+    explicit tau's.  The sampled taus are read from one ``grid`` of halves.
+    For A and B every plan of one k has the same taus, and the right sides
+    there depend only on (k, top, h): they are made once per sweep.
+    """
+    grid: list[Fraction] = []
+    sides: dict[tuple[int, int, int] | None, list[tuple[Fraction, Fraction]]] = {}
+    for plan in _plans(vnks, alphas):
+        if tau is None and plan.pole is not None:
+            skipped_pairs.append((plan.v, plan.alpha, plan.pole))
+            continue
+        if variant == "negative-one":
+            yield check_negative_one(plan.v, plan.alpha, plan=plan)
+            continue
+        key = None if variant == "C" else (plan.k, plan.top, plan.h)
+        rights, skipped = sides.get(key), ()
+        if rights is None:
+            taus = [tau]
+            if tau is None:
+                taus, skipped = tau_samples(
+                    2 * plan.k + 2, plan.first if variant == "C" else {}, plan.d, grid
+                )
+            rights = _right_sides(plan, variant, taus)
+            if key is not None:
+                sides[key] = rights
+        yield from _th1_reports(plan, variant, rights, f"th1{variant.lower()}", plan.params,
+                                tuple(skipped))
 
 
 def grid_vs(n: int, k: int | None = None) -> list[IndexVector]:

@@ -6,7 +6,8 @@ recurrence, both checked against ``bell_columns`` and ``bell_value`` and
 sharing no code with them; ``w_coefficient`` is the definition sum of
 W(m, l; v), checked against the generating-function product of
 ``identities._w_support``; ``certify_th1_grid`` sweeps every v up to a
-weighted sum through ``certify_double_sums``.  ``hagen_rothe_reference``
+weighted sum through ``certify_double_sums``, once per variant.
+``hagen_rothe_reference``
 is the Hagen-Rothe and Chu-Vandermonde checker as one loop per variant,
 with the pole order, messages and ``where`` that ``check_hagen_rothe``
 keeps in its one loop.
@@ -46,12 +47,12 @@ module is not collected as a test module.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb, factorial
 
 from bellkit.bell import bell_columns
 from bellkit.egf import TruncatedEGF
-from bellkit.identities import DEFAULT_ALPHAS, certify_double_sums, grid_vs
+from bellkit.identities import DEFAULT_ALPHAS, TH1_VARIANTS, certify_double_sums, grid_vs
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat
 from bellkit.reports import GridResult, IdentityReport, InputError, PoleError
@@ -160,18 +161,22 @@ def w_coefficient(m: int, l: int, v) -> int:
 def certify_th1_grid(n_max: int) -> tuple[list[IdentityReport], GridResult]:
     """Certify the double-sum identities for every v with weighted sum <= n_max.
 
-    Each (v, alpha, variant), alpha in ``DEFAULT_ALPHAS``, is checked at
-    2k+2 pole-free tau values; since both sides are polynomials in tau of
-    degree at most 2k+1 after clearing the finitely many linear
-    denominators, passing on such a grid certifies the identity for all tau.
-    Combinations where alpha vanishes at a nonzero-weight (l, m) are
-    tau-independent poles: they are recorded and skipped, never checked.
-    Returns every report and the result they were read from, whose counts
-    and skipped pairs then cover the whole sweep.
+    Each variant A, B and C is one sweep: each (v, alpha), alpha in
+    ``DEFAULT_ALPHAS``, is checked at 2k+2 pole-free tau values; since both
+    sides are polynomials in tau of degree at most 2k+1 after clearing the
+    finitely many linear denominators, passing on such a grid certifies the
+    identity for all tau.  Combinations where alpha vanishes at a
+    nonzero-weight (l, m) are tau-independent poles: each sweep records and
+    skips them, never checks them.  Returns every report, variant by
+    variant, and a result read from the three sweeps, whose counts and
+    skipped pairs then cover them all.
     """
     vs = [v for n in range(1, n_max + 1) for v in grid_vs(n)]
-    result = certify_double_sums(vs, DEFAULT_ALPHAS)
-    return list(result), result
+    sweeps = [certify_double_sums(vs, DEFAULT_ALPHAS, variant) for variant in TH1_VARIANTS]
+    result = GridResult(chain.from_iterable(sweeps))
+    reports = list(result)
+    result.skipped_pairs = [pair for sweep in sweeps for pair in sweep.skipped_pairs]
+    return reports, result
 
 
 def q_sum(n: int, b: int, lam, bell, k0: int = 1) -> Fraction:

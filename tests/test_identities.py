@@ -499,6 +499,27 @@ class TestGrid:
         )
         assert len(reports) == result.checked == expected
 
+    def test_each_variant_samples_as_its_own_sweep(self):
+        # C's tau poles must not move A's and B's samples
+        reports, _ = certify_th1_grid(5)
+        vs = [v for n in range(1, 6) for v in grid_vs(n)]
+        for variant in "ABC":
+            got = [rep for rep in reports if rep.name == f"th1{variant.lower()}"]
+            own = list(certify_double_sums(vs, DEFAULT_ALPHAS, variant))
+            assert [(rep.params, rep.skipped_poles) for rep in got] == [
+                (rep.params, rep.skipped_poles) for rep in own
+            ]
+            if variant == "C":
+                assert any(rep.skipped_poles for rep in got)
+                continue
+            pairs = itertools.groupby(got, lambda rep: (rep.params["v"], rep.params["alpha"]))
+            for (v, _), run in pairs:
+                run = list(run)
+                assert [rep.params["tau"] for rep in run] == [
+                    Fraction(i, 2) for i in range(2 * sum(v) + 2)
+                ]
+                assert all(rep.skipped_poles == () for rep in run)
+
     def test_support_pole_detection(self):
         # the only weighted-sum-7 vector hitting alpha = 5 + 2l - m
         assert th1_plan((0,) * 6 + (1,), AffineForm(5, 2, -1)).pole == (1, 7)
@@ -690,17 +711,18 @@ class TestPlanAgainstOracle:
 
     def test_explicit_tau_raises_at_poles(self):
         with pytest.raises(PoleError) as err:
-            certify_double_sums([(2, 1)], [AffineForm(-1, 1)], ("A",), tau=Fraction(5))
+            certify_double_sums([(2, 1)], [AffineForm(-1, 1)], "A", tau=Fraction(5))
         assert err.value.where == (1, 1)
-        result = certify_double_sums([(2, 1)], [AffineForm(-1, 1)], ("A",))
+        result = certify_double_sums([(2, 1)], [AffineForm(-1, 1)], "A")
         assert list(result) == [] and result.skipped_pairs == [
             ((2, 1), AffineForm(-1, 1), (1, 1))
         ]
 
-    @pytest.mark.parametrize("variant, tau", [("D", None), ("a", 2)])
+    # a tuple or list of variants is refused, not swept
+    @pytest.mark.parametrize("variant, tau", [("D", None), ("a", 2), (("A",), None), (["B"], 2)])
     def test_unknown_variant_is_refused_at_the_call(self, variant, tau):
         with pytest.raises(InputError) as err:
-            certify_double_sums([(2, 1)], [AffineForm(1)], (variant,), tau=tau)
+            certify_double_sums([(2, 1)], [AffineForm(1)], variant, tau=tau)
         assert str(err.value) == (
             f"unknown variant {variant!r}, expected one of ('A', 'B', 'C', 'negative-one')"
         )
@@ -732,7 +754,7 @@ class TestCertifierAgainstOracle:
     @pytest.mark.parametrize("variant", ["A", "B", "C", "negative-one"])
     def test_every_report_up_to_five(self, variant):
         vs = list(_vectors_up_to(5))
-        result = certify_double_sums(vs, self.ALPHAS, (variant,))
+        result = certify_double_sums(vs, self.ALPHAS, variant)
         reports, skipped_pairs = iter(result), []
         for v in vs:
             for alpha in self.ALPHAS:
@@ -762,7 +784,7 @@ class TestCertifierAgainstOracle:
                 for tau in WIDE_TAUS:
                     for variant in "ABC":
                         assert _outcome(
-                            lambda: next(iter(certify_double_sums([v], [alpha], (variant,), tau=tau)))
+                            lambda: next(iter(certify_double_sums([v], [alpha], variant, tau=tau)))
                         ) == _outcome(oracle_double_sum, variant, v, alpha, tau)
 
     def test_a_perturbed_weight_fails_with_both_sides_shown(self):
@@ -791,18 +813,19 @@ class TestCertifierAgainstOracle:
             assert affected >= len(taus) - plan.k
 
     def test_each_plan_variant_derives_its_coefficients_once(self, monkeypatch):
-        # one difference per (plan, variant) run, whether it passes or fails
+        # one difference per (plan, variant) run, whether it passes or fails:
+        # each variant's sweep in turn, plan by plan
         asked = []
         difference = Th1Plan.difference
         monkeypatch.setattr(
             Th1Plan, "difference",
             lambda plan, variant: asked.append(variant) or difference(plan, variant),
         )
-        reports = list(certify_double_sums(grid_vs(5), DEFAULT_ALPHAS))
+        reports = _swept(grid_vs(5), DEFAULT_ALPHAS)
         assert all(rep.passed for rep in reports)
         assert asked == _run_variants(reports)
         asked.clear()
-        reports = list(certify_double_sums(grid_vs(5), DEFAULT_ALPHAS, tau=Fraction(7, 3)))
+        reports = _swept(grid_vs(5), DEFAULT_ALPHAS, tau=Fraction(7, 3))
         assert asked == _run_variants(reports) and len(reports) == len(asked) > 0
         for variant in "ABC":
             asked.clear()
@@ -812,7 +835,7 @@ class TestCertifierAgainstOracle:
         asked.clear()
         support = identities._w_support
         monkeypatch.setattr(identities, "_w_support", lambda v: _top_doubled(support(v)))
-        reports = list(certify_double_sums(grid_vs(5), DEFAULT_ALPHAS))
+        reports = _swept(grid_vs(5), DEFAULT_ALPHAS)
         runs = {id(rep.run) for rep in reports if not rep.passed}
         assert len(runs) == len({id(rep.run) for rep in reports})
         assert asked == _run_variants(reports)
@@ -828,6 +851,11 @@ class TestCertifierAgainstOracle:
         bad = check_th1("A", v, alpha, tau, plan=mutant)
         assert good.passed and not bad.passed
         assert bad.rhs == good.rhs and bad.lhs != good.lhs
+
+
+def _swept(vs, alphas, tau=None):
+    """The reports of one sweep per variant A, B and C, in that order."""
+    return [rep for variant in "ABC" for rep in certify_double_sums(vs, alphas, variant, tau=tau)]
 
 
 def _run_variants(reports):
@@ -884,7 +912,7 @@ class TestCertificate:
     def test_every_report_up_to_seven_is_the_evaluators(self, variant):
         alphas = DEFAULT_ALPHAS + self.RATIONAL_ALPHAS
         vs = list(_vectors_up_to(7))
-        result = certify_double_sums(vs, alphas, (variant,))
+        result = certify_double_sums(vs, alphas, variant)
         reports, pole_pairs, skipped_taus = iter(result), 0, 0
         for v in vs:
             triples = _w_triples(v)
@@ -917,7 +945,7 @@ class TestCertificate:
                 plan = th1_plan(v, alpha)
                 assert any(plan.difference(variant))
                 written, summed = io.StringIO(), io.StringIO()
-                write_reports("th1", certify_double_sums([v], [alpha], (variant,)), written, "json")
+                write_reports("th1", certify_double_sums([v], [alpha], variant), written, "json")
                 expected = _oracle_reports(variant, v, alpha, plan, triples)
                 write_reports("th1", expected, summed, "json")
                 assert written.getvalue() == summed.getvalue()
@@ -931,7 +959,7 @@ class TestCertificate:
             for support, triples in _perturbed(v, w_support):
                 monkeypatch.setattr(identities, "_w_support", lambda _, s=support: s)
                 for variant in "ABC":
-                    reports = iter(certify_double_sums([v], alphas, (variant,)))
+                    reports = iter(certify_double_sums([v], alphas, variant))
                     for alpha in alphas:
                         plan = th1_plan(v, alpha)
                         if plan.pole is not None:

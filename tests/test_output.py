@@ -231,23 +231,22 @@ def _runs(reports) -> int:
 @given(
     vs=st.lists(st.sampled_from(GRID_VS), min_size=1, max_size=3),
     alphas=st.lists(ALPHAS, min_size=1, max_size=3),
-    variants=st.lists(st.sampled_from(["A", "B", "C", "negative-one"]), min_size=1,
-                      max_size=2, unique=True),
+    variant=st.sampled_from(["A", "B", "C", "negative-one"]),
     tau=st.none() | SMALL,
 )
-def test_a_streamed_grid_is_json_dumps_of_the_materialised_payload(vs, alphas, variants, tau):
+def test_a_streamed_grid_is_json_dumps_of_the_materialised_payload(vs, alphas, variant, tau):
     try:
-        streamed = certify_double_sums(vs, alphas, variants, tau=tau)
+        streamed = certify_double_sums(vs, alphas, variant, tau=tau)
     except PoleError:
         return  # an explicit tau at a pole: raised before any report
-    payload = _verify_payload("t", certify_double_sums(vs, alphas, variants, tau=tau))
+    payload = _verify_payload("t", certify_double_sums(vs, alphas, variant, tau=tau))
     text, writes = _streamed(streamed)
     assert text == _as_reference(payload)
     assert streamed.summary() == payload["summary"]
     # the envelope, one write per run, then the summary
     assert writes == 2 + _runs(payload["reports"])
     # CSV holds the cells of the same reports, one run read back at a time
-    assert _written("t", certify_double_sums(vs, alphas, variants, tau=tau), "csv") == _csv_of(text)
+    assert _written("t", certify_double_sums(vs, alphas, variant, tau=tau), "csv") == _csv_of(text)
 
 
 def _run(name, params_and_sides, skipped=()):
