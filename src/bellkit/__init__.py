@@ -24,7 +24,7 @@ from .identities import (
 )
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros
 from .rationals import binomial_general, rat, rat_str
-from .reports import GridResult, IdentityReport, InputError, PoleError
+from .reports import GridResult, IdentityReport, InputError, PoleError, ReportRun
 from .sequences import (
     SequenceSpec,
     SequenceTooShort,

@@ -292,10 +292,13 @@ def cmd_series(args):
             "output": result,
         }, False
     r = _parse_rat(_need(args, "r"), "--r") if args.mode == "pow" else None
-    z = TruncatedEGF.from_sequence(_sequence_for(args, n_max).prefix(n_max))
+    x = _sequence_for(args, n_max).prefix(n_max)
+    z = TruncatedEGF.from_sequence(x)
     head = {"command": "series-log"} if r is None else {"command": "series-pow", "r": r}
     output = egf_log(z) if r is None else egf_pow(z, r)
-    return {**head, "input": z, "output": output}, False
+    # z's JSON object, with its coefficients from the sequence's own text
+    source = {"order": z.order, "coeffs": ["1", *x.to_json_obj()]}
+    return {**head, "input": source, "output": output}, False
 
 
 # --- verify ------------------------------------------------------------------

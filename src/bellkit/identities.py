@@ -29,18 +29,20 @@ The grid certifier skips and records pole parameter values instead of
 erroring.
 
 Every report of a double sum, a variant of a (v, alpha) plan or a Bell
-convolution, comes from one generator.  Each variant of a plan is one
-identity between rational functions of tau; cleared of denominators, its
-lhs - rhs is one integer coefficient vector in a falling-factorial basis
+convolution, comes from one :class:`~bellkit.reports.ReportRun` per plan
+and variant.  Each variant of a plan is one identity between rational
+functions of tau; cleared of denominators, its lhs - rhs is one integer
+coefficient vector in a falling-factorial basis
 (:meth:`Th1Plan.difference`), computed once per plan and variant.  The
 right side at each tau is an integer falling factorial over a known
 denominator, and the left side is the right side plus that vector's value
 at tau over the factor that cleared it.  When every coefficient is 0, the
-identity holds at every tau and the left side is not computed: a passing
-report holds one reduced ``Fraction``, the right side, as both ``lhs`` and
-``rhs``.  Otherwise one Horner pass in integers gives each tau's excess,
-and a failing report holds both sides, each reduced.  The negative-one sum
-is added up in integers over one common denominator.
+identity holds at every tau and the left side is not computed: the run
+holds the right sides alone, and a passing report holds one reduced
+``Fraction``, the right side, as both ``lhs`` and ``rhs``.  Otherwise one
+Horner pass in integers gives each tau's excess, and the run holds each
+tau's left side, so a failing report holds both sides, each reduced.  The
+negative-one sum is added up in integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Callable
 from .bell import bell_columns
 from .partitions import IndexVector, enumerate_pi, strip_trailing_zeros
 from .rationals import binomial_general, falling, rat, rat_str
-from .reports import GridResult, IdentityReport, InputError, PoleError
+from .reports import GridResult, IdentityReport, InputError, PoleError, ReportRun
 from .sequences import SequenceSpec, factorials, ones
 from .sparsepoly import SparsePoly
 
@@ -359,38 +361,38 @@ def _right_sides(plan: Th1Plan, variant: str, taus) -> list[tuple[Fraction, Frac
     return sides
 
 
-def _th1_reports(plan: Th1Plan, variant: str, sides, name: str, params, skipped=()):
-    """The report ``name`` with ``params(tau)`` of variant A, B or C at each
-    (tau, right side) of ``sides``, from :func:`_right_sides` at pole-free taus.
+def _th1_run(plan: Th1Plan, variant: str, sides, name: str, params, skipped=()) -> ReportRun:
+    """The run of reports ``name`` with ``params(tau)`` of variant A, B or C
+    at each (tau, right side) of ``sides``, from :func:`_right_sides` at
+    pole-free taus.
 
     The left side is the right side plus ``plan.difference(variant)`` at
     u = d tau over the factor that cleared it: k! h d^k, and for C also akn
-    (u - a00).  A zero vector makes the right side both sides.  Otherwise
-    one Horner pass in the falling basis, where u - i d = d (p - i q) / q at
-    tau = p/q, gives the vector's value times q^K for its degree K; over
-    q^k k! h d^k, and for C akn (p d - a00 q) more, that is the excess.  The
-    reports share one ``run`` object, so the writer renders their fixed text
-    once.
+    (u - a00).  A zero vector makes the right side both sides, and the run
+    holds no left side.  Otherwise one Horner pass in the falling basis,
+    where u - i d = d (p - i q) / q at tau = p/q, gives the vector's value
+    times q^K for its degree K; over q^k k! h d^k, and for C akn (p d - a00
+    q) more, that is the excess.
     """
-    diff, run = plan.difference(variant), object()
-    k, d, exact = plan.k, plan.d, not any(diff)
+    diff = plan.difference(variant)
+    if not any(diff):
+        return ReportRun(name, params, sides, skipped)
+    k, d = plan.k, plan.d
     clear = factorial(k) * plan.h * d**k
+    lhs = []
     for tau, rhs in sides:
-        lhs = rhs
-        if not exact:
-            p, q = tau.numerator, tau.denominator
-            num, power = 0, 1
-            for i in reversed(range(len(diff))):
-                num, power = num * d * (p - i * q) + diff[i] * power, power * q
-            if num:
-                bottom = q**k * clear
-                if variant == "C":
-                    bottom *= plan.akn * (p * d - plan.a00 * q)
-                lhs = rhs + Fraction(num, bottom)
-        report = IdentityReport(name, params(tau), lhs, rhs)
-        report.skipped_poles = skipped
-        report.run = run
-        yield report
+        p, q = tau.numerator, tau.denominator
+        num, power = 0, 1
+        for i in reversed(range(len(diff))):
+            num, power = num * d * (p - i * q) + diff[i] * power, power * q
+        if not num:
+            lhs.append(rhs)
+            continue
+        bottom = q**k * clear
+        if variant == "C":
+            bottom *= plan.akn * (p * d - plan.a00 * q)
+        lhs.append(rhs + Fraction(num, bottom))
+    return ReportRun(name, params, sides, skipped, lhs)
 
 
 def check_th1(
@@ -407,8 +409,9 @@ def check_th1(
         raise InputError(f"variant must be 'A', 'B' or 'C', got {variant!r}")
     plan, tau = plan or th1_plan(v, alpha), rat(tau)
     _raise_at_pole(plan, variant, tau)
-    sides = _right_sides(plan, variant, [tau])
-    return next(_th1_reports(plan, variant, sides, f"th1{variant.lower()}", plan.params))
+    run = _th1_run(plan, variant, _right_sides(plan, variant, [tau]), f"th1{variant.lower()}",
+                   plan.params)
+    return next(iter(GridResult([run])))  # the run's one report
 
 
 def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
@@ -584,9 +587,9 @@ def check_bell_convolution(
     th1 = CONVOLUTION_VARIANTS[variant]
     _raise_at_pole(plan, th1, tau)
     params = {"variant": variant, "n": n, "k": k, "alpha": alpha, "tau": tau, "x": x}
-    sums = _th1_reports(plan, th1, _right_sides(plan, th1, [tau]),
-                        f"bell-convolution-{variant}", lambda _: params)
-    return next(sums)
+    run = _th1_run(plan, th1, _right_sides(plan, th1, [tau]), f"bell-convolution-{variant}",
+                   lambda _: params)
+    return next(iter(GridResult([run])))
 
 
 def _splitting(n: int, k: int, r: int, x: SequenceSpec) -> tuple[Fraction, Fraction]:
@@ -676,16 +679,18 @@ def certify_double_sums(vs, alphas, variant, tau=None) -> GridResult:
     """Check one variant at every (v, alpha): v-major, then alpha, then tau.
 
     ``variant`` is "A", "B" or "C" (a th1 double sum) or "negative-one";
-    to check several, call once for each.  The result makes its reports as
-    they are read: the support of one v and the :class:`Th1Plan` of one
-    (v, alpha) are built when the sweep reaches them and dropped when it
-    moves on.  Its counts and ``skipped_pairs`` grow as it is read.
+    to check several, call once for each.  The result makes its runs as
+    they are read, one per (v, alpha) of a th1 variant and one report per
+    (v, alpha) of negative-one: the support of one v and the
+    :class:`Th1Plan` of one (v, alpha) are built when the sweep reaches them
+    and dropped when it moves on.  Its counts and ``skipped_pairs`` grow as
+    it is read.
 
     With ``tau`` None, a th1 variant is checked at 2k+2 pole-free tau
     values from :func:`tau_samples`: 0, 1/2, ..., k + 1/2 for A and B,
     while C skips its tau poles and records them on its reports.  A pair
     where alpha vanishes at a nonzero-weight (l, m) is recorded in
-    ``skipped_pairs`` and not checked.  Each plan makes its reports from its
+    ``skipped_pairs`` and not checked.  Each plan makes its run from its
     right sides and :meth:`Th1Plan.difference`, as ``check_th1`` does at one
     tau: a zero vector proves every tau at once, and each report holds its
     right side as both sides; a nonzero one gives each tau's left side, so a
@@ -717,13 +722,14 @@ def _plans(vnks, alphas):
 
 
 def _sweep(vnks, alphas, variant, tau, skipped_pairs):
-    """The reports of :func:`certify_double_sums`, over validated (v, n, k).
+    """The runs of :func:`certify_double_sums`, over validated (v, n, k).
 
-    Each plan runs :func:`_th1_reports` at its taus with no pole check: the
-    sampled taus avoid every pole, and ``certify_double_sums`` has raised an
-    explicit tau's.  The sampled taus are read from one ``grid`` of halves.
-    For A and B every plan of one k has the same taus, and the right sides
-    there depend only on (k, top, h): they are made once per sweep.
+    Each plan is one :func:`_th1_run` at its taus, made with no pole check:
+    the sampled taus avoid every pole, and ``certify_double_sums`` has
+    raised an explicit tau's; a negative-one plan is one report.  The
+    sampled taus are read from one ``grid`` of halves.  For A and B every
+    plan of one k has the same taus, and the right sides there depend only
+    on (k, top, h): they are made once per sweep.
     """
     grid: list[Fraction] = []
     sides: dict[tuple[int, int, int] | None, list[tuple[Fraction, Fraction]]] = {}
@@ -745,8 +751,8 @@ def _sweep(vnks, alphas, variant, tau, skipped_pairs):
             rights = _right_sides(plan, variant, taus)
             if key is not None:
                 sides[key] = rights
-        yield from _th1_reports(plan, variant, rights, f"th1{variant.lower()}", plan.params,
-                                tuple(skipped))
+        yield _th1_run(plan, variant, rights, f"th1{variant.lower()}", plan.params,
+                       tuple(skipped))
 
 
 def grid_vs(n: int, k: int | None = None) -> list[IndexVector]:

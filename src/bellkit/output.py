@@ -5,20 +5,21 @@ form; :func:`dumps` returns the text of
 ``json.dumps(value, indent=2, default=json_value)``, and :func:`csv_text`
 the CSV of a payload that holds no reports.
 
-:func:`write_reports` writes a ``verify`` payload in either format as its
-reports are made, one run of reports at a time, so it holds one run at
-once.  Reports that share a ``run`` object (see :class:`IdentityReport`)
-differ only in their ``Fraction`` params, ``lhs``, ``rhs`` and ``pass``:
-the writer renders the run's text once with holes for those values, and
-fills the holes for each report.  The run's text itself fills a skeleton,
-the text of a report with holes for all its values, which depends only on
-the report's name and param keys: it is made once per write, for a shape
-met in a run of several reports or met again.  A run is recognised by the
-identity of its ``run`` object, never by equal values: ``(1,)``,
-``(Fraction(1),)`` and ``(True,)`` are equal but render differently.  A CSV row holds the
-cells of a report's JSON object as ``json.loads`` reads them back from the
-run's JSON text, so one function decides how a report is written in both
-formats.
+:func:`write_reports` writes a ``verify`` payload in either format from
+the runs of a :class:`GridResult` (see :class:`ReportRun`), one run at a
+time as the sweep makes it, so it holds one run at once; it makes no
+report object.  A lone report is written as its run of one.  The reports
+of a run differ only in tau, ``lhs``, ``rhs`` and ``pass``: the writer
+fills the run's fixed values into a template once, with holes for those,
+and fills the holes once per tau.  The text it fills in is made once per
+call: a skeleton for each tuple of param keys, the text of each param
+value other than tau and the leaves (str, int, Fraction and the like),
+and the text of the taus and right sides of the last ``sides`` list read,
+which consecutive runs of variants A and B share.  Values and lists are
+keyed by object identity, never by equal values: ``(1,)``,
+``(Fraction(1),)`` and ``(True,)`` are equal but render differently.  A CSV row holds the cells of a report's
+JSON object as ``json.loads`` reads them back from the run's JSON text, so
+one function decides how a report is written in both formats.
 
 CPython encodes in C only when ``indent`` is None; with ``indent=2`` the
 pure-Python encoder was the largest single cost of a certify run's output.
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -43,17 +43,23 @@ from json.encoder import encode_basestring_ascii
 from .egf import TruncatedEGF
 from .identities import AffineForm
 from .rationals import rat_str
-from .reports import GridResult, IdentityReport
+from .reports import GridResult, IdentityReport, ReportRun
 from .sequences import SequenceSpec
 from .sparsepoly import SparsePoly
 
 #: where a value's own text goes in the text of a report; rendered JSON text
 #: holds no raw control character
 _HOLE = "\x00"
+#: the hole of a ``Fraction``'s text, inside its quotes
+_QUOTED = '"' + _HOLE + '"'
 
 
 class _Hole:
     """A value that renders as :data:`_HOLE`."""
+
+
+#: the tau a writer passes to a run's ``params``, and every hole of a skeleton
+_TAU = _Hole()
 
 
 def json_value(value):
@@ -118,59 +124,84 @@ def _render(value, depth: int) -> str:
     return _render(json_value(value), depth)
 
 
-def _skeleton(report: IdentityReport, depth: int) -> list[str]:
-    """The text at ``depth`` of a report with this name and these param keys,
-    split where each param value, lhs, rhs, pass and skipped_poles go."""
-    hole = _Hole()
-    fields = (report.name, dict.fromkeys(report.params, hole), hole, hole, hole, hole)
+def _skeleton(keys: tuple, depth: int) -> list[str]:
+    """The text at ``depth`` of a report with these param keys, split where
+    its name, each param value, lhs, rhs, pass and skipped_poles go."""
+    fields = (_TAU, dict.fromkeys(keys, _TAU), _TAU, _TAU, _TAU, _TAU)
     return _render(dict(zip(IdentityReport.KEYS, fields)), depth).split(_HOLE)
 
 
-def _run_text(run: list, depth: int, skeletons: dict) -> str:
-    """The text of a run of reports at ``depth``, joined as list items.
+def _run_texts(depth: int):
+    """A function from a run to the text of its reports at ``depth``,
+    joined as list items, with the text it makes kept for one
+    :func:`write_reports` call.
 
-    ``skeletons`` maps the name and param keys of each report written so far
-    to its :func:`_skeleton`.  A run's values fill its skeleton once; those
-    that vary within it (``Fraction`` params, lhs, rhs and pass) are left as
-    holes and filled for each report.  KEYS puts params before lhs, rhs and
-    pass, so the holes come in that order.
+    It keeps the skeleton of each tuple of param keys, which reports of
+    every name share; the text of each param value that is not tau or a
+    leaf of :data:`_LEAVES` (whose text is made as fast as it is found),
+    such as a v that many runs share; and the text of the last ``sides``
+    list of a run with no left side, which consecutive runs of variants A
+    and B share.  A value or a list is keyed by its identity, never by
+    equality, and held, so that its id is not reused within the call:
+    ``(1,)``, ``(Fraction(1),)`` and ``(True,)`` are equal but render
+    differently.  A run's skipped poles, its own tuple for variant C and the
+    empty tuple otherwise, are rendered for each run, so the text kept does
+    not grow with C's runs.  A run's name and fixed values fill its skeleton
+    once, leaving holes for tau, lhs, rhs and pass; KEYS puts params before
+    lhs, rhs and pass, so the holes come in that order.  The text from the
+    first hole to the last becomes a ``%`` template, filled once per tau.
     """
-    first = run[0]
-    shape = (first.name, *first.params)
-    parts = skeletons.get(shape)
-    if parts is None:
-        if len(run) == 1 and shape not in skeletons:
-            # a lone report of a new shape: a skeleton pays off from the second
-            skeletons[shape] = None
-            return _render(first, depth)
-        parts = skeletons[shape] = _skeleton(first, depth)
-    shared = len(run) > 1
-    values = ['"' + _HOLE + '"' if shared and type(item) is Fraction else _render(item, depth + 2)
-              for item in first.params.values()]
-    if shared:
-        values += ['"' + _HOLE + '"', '"' + _HOLE + '"', _HOLE]
-    else:
-        values += [_render(first.lhs, 0), _render(first.rhs, 0), _render(first.passed, 0)]
-    values.append(_render(first.skipped_poles, depth + 1))
-    text = parts[0] + "".join(map(str.__add__, values, parts[1:]))
-    if not shared:
-        return text
-    holes = [key for key, item in first.params.items() if type(item) is Fraction]
-    # "%s" of a Fraction is its str, the "p/q" or "p" of rat_str, and a
-    # passing report's one Fraction for both sides is turned into text once
-    template = text.replace("%", "%%").replace(_HOLE, "%s")
-    return (",\n" + "  " * depth).join([
-        template % (*map(report.params.__getitem__, holes), (lhs := str(report.lhs)),
-                    lhs if report.rhs is report.lhs else report.rhs,
-                    "true" if report.passed else "false")
-        for report in run
-    ])
+    skeletons: dict[tuple, list[str]] = {}
+    fixed: dict[int, tuple] = {}  # id -> (value, its text)
+    last: list = [None, None]  # a sides list, and (tau, rhs, rhs, "true") as text for each side
+    separator = ",\n" + "  " * depth
+
+    def text_of(value) -> str:
+        leaf = _LEAVES.get(type(value))
+        if leaf is not None:  # made as fast as it would be found
+            return leaf(value)
+        held = fixed.get(id(value))
+        if held is None:
+            fixed[id(value)] = held = (value, _render(value, depth + 2))
+        return held[1]
+
+    def run_text(run: ReportRun) -> str:
+        params = run.params(_TAU)
+        keys = tuple(params)
+        parts = skeletons.get(keys)
+        if parts is None:
+            parts = skeletons[keys] = _skeleton(keys, depth)
+        values = [encode_basestring_ascii(run.name)]
+        values += [_QUOTED if item is _TAU else text_of(item) for item in params.values()]
+        skip = 0 if _QUOTED in values else 1  # a lone report's params hold no tau
+        values += [_QUOTED, _QUOTED, _HOLE, _render(run.skipped_poles, depth + 1)]
+        text = parts[0] + "".join(map(str.__add__, values, parts[1:]))
+        # only the text from the first hole to the last is a template, so that
+        # a long fixed value, such as a sequence x, is copied and never parsed
+        first, end = text.index(_HOLE), text.rindex(_HOLE) + 1
+        head, tail = text[:first], text[end:]
+        template = text[first:end].replace("%", "%%").replace(_HOLE, "%s")
+        # "%s" of a Fraction is its str, the "p/q" or "p" of rat_str
+        sides = run.sides
+        if run.lhs is not None:
+            fills = [(str(tau), rhs if lhs is side else str(lhs), rhs, "true" if ok else "false")
+                     for (tau, side), lhs, ok in zip(sides, run.lhs, run.passed)
+                     for rhs in [str(side)]]
+        elif sides is last[0]:
+            fills = last[1]
+        else:
+            fills = [(str(tau), rhs, rhs, "true") for tau, side in sides for rhs in [str(side)]]
+            last[:] = sides, fills
+        return separator.join([head + template % fill[skip:] + tail for fill in fills])
+
+    return run_text
 
 
-def _csv_rows(run: list, skeletons: dict):
-    """The CSV rows of a run: each report's JSON object as ``json.loads`` reads
-    it back, with params as k=v;... and skipped poles as l,m,tau;..."""
-    for report in json.loads("[" + _run_text(run, 0, skeletons) + "]"):
+def _csv_rows(text: str):
+    """The CSV rows of a run's JSON ``text``: each report's JSON object as
+    ``json.loads`` reads it back, with params as k=v;... and skipped poles
+    as l,m,tau;..."""
+    for report in json.loads("[" + text + "]"):
         name, params, lhs, rhs, passed, poles = (report[key] for key in IdentityReport.KEYS)
         yield (name, ";".join(f"{key}={item}" for key, item in params.items()), lhs, rhs,
                passed, ";".join(",".join(map(str, triple)) for triple in poles))
@@ -180,28 +211,27 @@ def write_reports(name: str, reports, stream, fmt: str) -> bool:
     """Write the ``verify`` payload of identity ``name`` to ``stream`` as
     ``fmt``, "json" or "csv"; return whether a check failed.
 
-    ``reports`` is a :class:`GridResult` or an iterable of reports, read
-    once.  JSON is the text of ``{"command": "verify", "identity": name,
-    "reports": [...], "summary": ...}``, written as the envelope, one write
-    per run of reports, and the summary of the reports read; CSV is a
-    header of :attr:`IdentityReport.KEYS` and one row per report.
+    ``reports`` is a :class:`GridResult`, whose runs are read, or an
+    iterable of reports and runs, read once.  JSON is the text of
+    ``{"command": "verify", "identity": name, "reports": [...], "summary":
+    ...}``, written as the envelope, one write per run, and the summary of
+    the runs read; CSV is a header of :attr:`IdentityReport.KEYS` and one
+    row per report.
     """
     grid = reports if isinstance(reports, GridResult) else GridResult(reports)
-    # consecutive reports that share a run object; a fresh object() for a
-    # report without one compares unequal to any other key, so it runs alone
-    runs = (list(run) for _, run in itertools.groupby(grid, lambda r: r.run or object()))
-    skeletons: dict[tuple, list[str] | None] = {}
     if fmt == "csv":
+        run_text = _run_texts(0)
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(IdentityReport.KEYS)
-        for run in runs:
-            writer.writerows(_csv_rows(run, skeletons))
+        for run in grid.runs():
+            writer.writerows(_csv_rows(run_text(run)))
     else:
+        run_text = _run_texts(2)
         stream.write('{\n  "command": "verify",\n  "identity": '
                      f'{encode_basestring_ascii(name)},\n  "reports": ')
         opening = "[\n    "
-        for run in runs:
-            stream.write(opening + _run_text(run, 2, skeletons))
+        for run in grid.runs():
+            stream.write(opening + run_text(run))
             opening = ",\n    "
         closing = "[]" if opening[0] == "[" else "\n  ]"
         stream.write(f'{closing},\n  "summary": {_render(grid.summary(), 1)}\n}}')

@@ -173,7 +173,7 @@ def certify_th1_grid(n_max: int) -> tuple[list[IdentityReport], GridResult]:
     """
     vs = [v for n in range(1, n_max + 1) for v in grid_vs(n)]
     sweeps = [certify_double_sums(vs, DEFAULT_ALPHAS, variant) for variant in TH1_VARIANTS]
-    result = GridResult(chain.from_iterable(sweeps))
+    result = GridResult(chain.from_iterable(sweep.runs() for sweep in sweeps))
     reports = list(result)
     result.skipped_pairs = [pair for sweep in sweeps for pair in sweep.skipped_pairs]
     return reports, result

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -17,6 +18,8 @@ import bellkit
 from bellkit import cli, identities, transforms
 from bellkit.bell import bell_columns
 from bellkit.cli import COMMANDS, FLAGS, build_parser, load_sequence, main
+from bellkit.egf import TruncatedEGF
+from bellkit.output import dumps, json_value
 from bellkit.reports import InputError
 from bellkit.sequences import SequenceTooShort, named_sequence
 
@@ -140,6 +143,29 @@ class TestSeriesCommand:
         payload = json.loads(out)
         assert payload["output"]["order"] == 4
         assert payload["output"]["coeffs"][0] == "0"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("mode", [["log"], ["pow", "--r=-3/2"]])
+    @pytest.mark.parametrize("entries", [
+        ["1/2", "-3", "2/7", "5", "0"],  # canonical: written back as read
+        ["2/4", "-3/1", 1, "-0", " 5", "+2/7"],  # rewritten as rat_str
+    ])
+    def test_the_input_series_is_the_sequence_as_written(self, capsys, tmp_path, entries,
+                                                         mode, fmt):
+        # the input is written from the sequence's text: the JSON object of
+        # the series 1 + sum x_n t^n / n!, as the TruncatedEGF would write it
+        f = tmp_path / "x.json"
+        f.write_text(json.dumps(entries))
+        n = len(entries) - 1
+        code, out, _ = run(capsys, "series", *mode, "--n-max", str(n), "--x", str(f),
+                           "--format", fmt)
+        z = TruncatedEGF.from_sequence(load_sequence(str(f)).prefix(n))
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["input"] == json_value(z)
+            assert '"input": ' + dumps(z).replace("\n", "\n  ") in out
+        else:
+            assert dict(csv.reader(io.StringIO(out)))["input"] == json.dumps(z, default=json_value)
 
     def test_pow_roundtrip_flags(self, capsys):
         code, out, _ = run(

@@ -35,10 +35,10 @@ from bellkit.identities import (
     vanishing_sum_monomials,
 )
 from bellkit import identities
-from bellkit.output import dumps, write_reports
+from bellkit.output import dumps, json_value, write_reports
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat, rat_str
-from bellkit.reports import IdentityReport, InputError, PoleError
+from bellkit.reports import GridResult, IdentityReport, InputError, PoleError, ReportRun
 from bellkit.sequences import SequenceSpec, factorials, naturals, ones, random_rationals
 from bellkit.sparsepoly import SparsePoly
 
@@ -821,12 +821,13 @@ class TestCertifierAgainstOracle:
             Th1Plan, "difference",
             lambda plan, variant: asked.append(variant) or difference(plan, variant),
         )
-        reports = _swept(grid_vs(5), DEFAULT_ALPHAS)
-        assert all(rep.passed for rep in reports)
-        assert asked == _run_variants(reports)
+        runs = _swept(grid_vs(5), DEFAULT_ALPHAS)
+        assert all(rep.passed for run in runs for rep in GridResult([run]))
+        assert asked == _run_variants(runs)
         asked.clear()
-        reports = _swept(grid_vs(5), DEFAULT_ALPHAS, tau=Fraction(7, 3))
-        assert asked == _run_variants(reports) and len(reports) == len(asked) > 0
+        runs = _swept(grid_vs(5), DEFAULT_ALPHAS, tau=Fraction(7, 3))
+        assert asked == _run_variants(runs) and len(runs) == len(asked) > 0
+        assert all(len(run) == 1 for run in runs)
         for variant in "ABC":
             asked.clear()
             assert check_th1(variant, (2, 1), AffineForm(1, 1), Fraction(7, 3)).passed
@@ -835,10 +836,10 @@ class TestCertifierAgainstOracle:
         asked.clear()
         support = identities._w_support
         monkeypatch.setattr(identities, "_w_support", lambda v: _top_doubled(support(v)))
-        reports = _swept(grid_vs(5), DEFAULT_ALPHAS)
-        runs = {id(rep.run) for rep in reports if not rep.passed}
-        assert len(runs) == len({id(rep.run) for rep in reports})
-        assert asked == _run_variants(reports)
+        runs = _swept(grid_vs(5), DEFAULT_ALPHAS)
+        failing = {id(rep.run) for run in runs for rep in GridResult([run]) if not rep.passed}
+        assert len(failing) == len(runs) and all(run.failed > 0 for run in runs)
+        assert asked == _run_variants(runs)
 
     def test_a_perturbed_copy_fails_after_the_original_was_evaluated(self):
         # the copy must not read anything the original's evaluation left behind
@@ -854,13 +855,15 @@ class TestCertifierAgainstOracle:
 
 
 def _swept(vs, alphas, tau=None):
-    """The reports of one sweep per variant A, B and C, in that order."""
-    return [rep for variant in "ABC" for rep in certify_double_sums(vs, alphas, variant, tau=tau)]
+    """The runs of one sweep per variant A, B and C, in that order."""
+    sweeps = [certify_double_sums(vs, alphas, variant, tau=tau) for variant in "ABC"]
+    return [run for sweep in sweeps for run in sweep.runs()]
 
 
-def _run_variants(reports):
-    """The variant of each run of th1 reports, in order."""
-    return [next(run).name[-1].upper() for _, run in itertools.groupby(reports, lambda r: r.run)]
+def _run_variants(runs):
+    """The variant of each run of th1 reports, in order; each is one ReportRun."""
+    assert all(isinstance(run, ReportRun) and run.report is None for run in runs)
+    return [run.name[-1].upper() for run in runs]
 
 
 def _top_doubled(support):
@@ -950,6 +953,61 @@ class TestCertificate:
                 write_reports("th1", expected, summed, "json")
                 assert written.getvalue() == summed.getvalue()
                 assert json.loads(written.getvalue())["summary"]["failed"] > 0
+
+    @pytest.mark.parametrize("variant", "AB")
+    @pytest.mark.parametrize("perturbed", ["top doubled", "a lower weight raised"])
+    def test_runs_that_share_right_sides_write_their_own_left_sides(
+        self, variant, perturbed, monkeypatch
+    ):
+        # Three v of k = 3, the middle one with one weight changed.  Every run
+        # of A or B at k = 3 with the same weight at l = k shares one list of
+        # right sides: the doubled weight at l = k makes the middle v's runs
+        # share one list among themselves, failing with different left sides,
+        # and a raised weight at (l, m) = (0, 0) leaves them in the list of
+        # the passing runs.  The writer must fill each run with its own left
+        # sides, in JSON and in CSV.
+        vs, target = grid_vs(4, 3) + grid_vs(5, 3), (1, 2)
+        assert target in vs and vs[1] == target
+        support, triples = identities._w_support(target), _w_triples(target)
+        if perturbed == "top doubled":
+            support, where = _top_doubled(support), (3, 5)
+        else:
+            support, where = ((0, 0, 2),) + support[1:], (0, 0)
+        triples = [(l, m, w * 2 if where == (3, 5) else w + 1) if (l, m) == where else (l, m, w)
+                   for l, m, w in triples]
+        w_support = identities._w_support
+        monkeypatch.setattr(identities, "_w_support",
+                            lambda v: support if v == target else w_support(v))
+        runs = list(certify_double_sums(vs, DEFAULT_ALPHAS, variant).runs())
+        bad = [run for run in runs if run.failed]
+        shared = [run for run in runs if run.sides is bad[0].sides]
+        assert all(run.sides is bad[0].sides for run in bad)
+        if perturbed == "top doubled":
+            # failing runs with differing left sides share a list of their own
+            assert len(shared) == len(bad) > 1
+            assert len({tuple(map(str, run.lhs)) for run in bad}) > 1
+        else:
+            # a failing run shares its list with passing runs
+            assert len(shared) == len(runs) > len(bad) > 0
+        expected = [
+            rep
+            for v in vs
+            for alpha in DEFAULT_ALPHAS
+            for rep in _oracle_reports(variant, v, alpha, th1_plan(v, alpha),
+                                       triples if v == target else _w_triples(v))
+        ]
+        summary = GridResult(expected)
+        payload = {"command": "verify", "identity": "th1", "reports": list(summary),
+                   "summary": summary.summary()}
+        oracle = json.dumps(payload, indent=2, default=json_value)
+        for fmt in ("json", "csv"):
+            written, summed = io.StringIO(), io.StringIO()
+            write_reports("th1", certify_double_sums(vs, DEFAULT_ALPHAS, variant), written, fmt)
+            write_reports("th1", expected, summed, fmt)
+            assert written.getvalue() == summed.getvalue()
+            if fmt == "json":
+                assert written.getvalue() == oracle
+        assert payload["summary"]["failed"] == sum(run.failed for run in runs) > 0
 
     def test_it_holds_exactly_when_every_sample_passes(self, monkeypatch):
         # any alpha and any one weight perturbed: a perturbed term whose factor

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from bellkit.cli import build_parser
 from bellkit.identities import DEFAULT_ALPHAS, AffineForm, certify_double_sums, grid_vs
 from bellkit.output import dumps, json_value, write_reports
-from bellkit.reports import GridResult, IdentityReport, PoleError
+from bellkit.reports import GridResult, IdentityReport, PoleError, ReportRun
 
 from oracles import certify_th1_grid
 
@@ -219,12 +220,10 @@ def _csv_of(text: str) -> str:
 
 
 def _runs(reports) -> int:
-    """Reports with no run object count one each; a run counts once."""
-    runs, last = 0, None
-    for rep in reports:
-        runs += rep.run is None or rep.run is not last
-        last = rep.run
-    return runs
+    """The number of runs that reports read from a GridResult come from:
+    each report's ``run`` is its ReportRun, and a run's reports are adjacent."""
+    assert all(isinstance(rep.run, ReportRun) for rep in reports)
+    return sum(1 for _ in itertools.groupby(reports, lambda rep: id(rep.run)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,43 +248,63 @@ def test_a_streamed_grid_is_json_dumps_of_the_materialised_payload(vs, alphas, v
     assert _written("t", certify_double_sums(vs, alphas, variant, tau=tau), "csv") == _csv_of(text)
 
 
-def _run(name, params_and_sides, skipped=()):
-    """Reports that share one run object, with the params and sides given."""
-    run = object()
-    reports = []
-    for params, lhs, rhs in params_and_sides:
-        rep = IdentityReport(name, params, lhs, rhs)
-        rep.skipped_poles, rep.run = skipped, run
-        reports.append(rep)
-    return reports
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("variant", "ABC")
+def test_a_sweep_is_written_from_its_runs(variant, fmt, monkeypatch):
+    # the writer reads runs: it makes at most one report object per run
+    vs = grid_vs(5)
+    runs = sum(1 for _ in certify_double_sums(vs, DEFAULT_ALPHAS, variant).runs())
+    made = []
+    post_init = IdentityReport.__post_init__
+    monkeypatch.setattr(IdentityReport, "__post_init__", lambda rep: made.append(1) or post_init(rep))
+    grid = certify_double_sums(vs, DEFAULT_ALPHAS, variant)
+    assert write_reports("t", grid, io.StringIO(), fmt) is False
+    assert grid.all_passed() and grid.checked > runs > 0
+    assert len(made) <= runs
+
+
+def _run(name, params, taus_and_sides, skipped=()):
+    """The ReportRun of ``name`` with ``params(tau)``: (tau, lhs, rhs) at each
+    tau, and no left side when lhs is rhs at every tau."""
+    sides = [(tau, Fraction(rhs)) for tau, _, rhs in taus_and_sides]
+    lhs = [side if lhs is rhs else Fraction(lhs)
+           for (_, lhs, rhs), (_, side) in zip(taus_and_sides, sides)]
+    exact = all(a is side for a, (_, side) in zip(lhs, sides))
+    return ReportRun(name, params, sides, skipped, None if exact else lhs)
 
 
 def test_runs_render_each_report_by_its_own_values():
     v = (2, 1)
     alpha = AffineForm(1, 1)
     third = Fraction(1, 3)
-    reports = [
+    runs = [
         # a failing report in the middle of a run, and sides that are one object
-        *_run("th1a", [({"v": v, "alpha": alpha, "tau": Fraction(i, 2), "k": 3}, lhs, rhs)
-                       for i, (lhs, rhs) in enumerate([(third, third), (1, 2), (5, 5)])],
-              skipped=((0, 0, Fraction(1)),)),
+        _run("th1a", lambda tau: {"v": v, "alpha": alpha, "tau": tau, "k": 3},
+             [(Fraction(i, 2), lhs, rhs)
+              for i, (lhs, rhs) in enumerate([(third, third), (1, 2), (5, 5)])],
+             skipped=((0, 0, Fraction(1)),)),
         # a run of one report
-        *_run("th1b", [({"v": v, "tau": Fraction(-7, 3)}, 0, 0)]),
+        _run("th1b", lambda tau: {"v": v, "tau": tau}, [(Fraction(-7, 3), 0, 0)]),
         # consecutive runs whose fixed values are equal but of different types
-        *_run("t%s", [({"v": (1,), "x": 1, "tau": Fraction(t)}, t, t) for t in (1, 2)]),
-        *_run("t%s", [({"v": (Fraction(1),), "x": Fraction(1), "tau": Fraction(t)}, t, t)
-                      for t in (1, 2)]),
-        *_run("t%s", [({"v": (True,), "x": True, "tau": Fraction(t)}, t, t) for t in (1, 2)]),
-        # no run object: each report on its own
+        _run("t%s", lambda tau: {"v": (1,), "x": 1, "tau": tau},
+             [(Fraction(t), t, t) for t in (1, 2)]),
+        _run("t%s", lambda tau: {"v": (Fraction(1),), "x": Fraction(1), "tau": tau},
+             [(Fraction(t), t, t) for t in (1, 2)]),
+        _run("t%s", lambda tau: {"v": (True,), "x": True, "tau": tau},
+             [(Fraction(t), t, t) for t in (1, 2)]),
+        # lone reports: each its own run of one
         IdentityReport("100%", {"tau": Fraction(1, 2)}, 1, 1),
         IdentityReport("100%", {"tau": Fraction(1, 2)}, 1, 1),
     ]
-    assert not reports[1].passed
-    text, writes = _streamed(GridResult(reports))
-    assert text == _as_reference(_verify_payload("t", reports))
-    assert writes == 2 + 7
+    assert runs[0].lhs[0] is runs[0].sides[0][1] and runs[2].lhs is None
+    reports = list(GridResult(runs))
+    assert not reports[1].passed and runs[0].failed == 1
+    assert [rep.run for rep in reports[:3]] == [runs[0]] * 3
+    text, writes = _streamed(GridResult(runs))
+    assert text == _as_reference(_verify_payload("t", runs))
+    assert writes == 2 + 7 == 2 + _runs(reports)
     rows = io.StringIO()
-    assert write_reports("t", reports, rows, "csv") is True  # reports[1] failed
+    assert write_reports("t", runs, rows, "csv") is True  # reports[1] failed
     assert rows.getvalue() == _csv_of(text)
     shown = json.loads(text)["reports"]
     assert [r["params"]["v"] for r in shown[4:10:2]] == [[1], ["1"], [True]]
