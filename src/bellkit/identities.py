@@ -30,7 +30,9 @@ erroring.
 
 Every report of a double sum, a variant of a (v, alpha) plan or a Bell
 convolution, comes from one :class:`~bellkit.reports.ReportRun` per plan
-and variant.  Each variant of a plan is one identity between rational
+and variant, whose ``params(tau)`` places tau.  A report that a check
+returns alone, a single-tau check's the one report of its run, is a lone
+report, which is written whole.  Each variant of a plan is one identity between rational
 functions of tau; cleared of denominators, its lhs - rhs is one integer
 coefficient vector in a falling-factorial basis
 (:meth:`Th1Plan.difference`), computed once per plan and variant.  The
@@ -395,6 +397,13 @@ def _th1_run(plan: Th1Plan, variant: str, sides, name: str, params, skipped=()) 
     return ReportRun(name, params, sides, skipped, lhs)
 
 
+def _check_at(plan: Th1Plan, variant: str, tau: Fraction, name: str, params) -> IdentityReport:
+    """The report ``name`` with ``params(tau)`` of variant A, B or C of
+    ``plan`` at ``tau``, after :func:`_raise_at_pole`: its run's one report."""
+    _raise_at_pole(plan, variant, tau)
+    return next(iter(_th1_run(plan, variant, _right_sides(plan, variant, [tau]), name, params)))
+
+
 def check_th1(
     variant: str, v, alpha: AffineForm, tau, *, plan: Th1Plan | None = None
 ) -> IdentityReport:
@@ -407,11 +416,8 @@ def check_th1(
     """
     if variant not in TH1_VARIANTS:
         raise InputError(f"variant must be 'A', 'B' or 'C', got {variant!r}")
-    plan, tau = plan or th1_plan(v, alpha), rat(tau)
-    _raise_at_pole(plan, variant, tau)
-    run = _th1_run(plan, variant, _right_sides(plan, variant, [tau]), f"th1{variant.lower()}",
-                   plan.params)
-    return next(iter(GridResult([run])))  # the run's one report
+    plan = plan or th1_plan(v, alpha)
+    return _check_at(plan, variant, rat(tau), f"th1{variant.lower()}", plan.params)
 
 
 def check_hagen_rothe(variant: str, xp, yp, zp, k: int) -> IdentityReport:
@@ -583,13 +589,11 @@ def check_bell_convolution(
         raise InputError(
             f"variant must be one of {tuple(CONVOLUTION_VARIANTS)}, got {variant!r}"
         )
-    plan, tau = plan or bell_convolution_plan(n, k, alpha, x), rat(tau)
-    th1 = CONVOLUTION_VARIANTS[variant]
-    _raise_at_pole(plan, th1, tau)
-    params = {"variant": variant, "n": n, "k": k, "alpha": alpha, "tau": tau, "x": x}
-    run = _th1_run(plan, th1, _right_sides(plan, th1, [tau]), f"bell-convolution-{variant}",
-                   lambda _: params)
-    return next(iter(GridResult([run])))
+    return _check_at(
+        plan or bell_convolution_plan(n, k, alpha, x), CONVOLUTION_VARIANTS[variant], rat(tau),
+        f"bell-convolution-{variant}",
+        lambda tau: {"variant": variant, "n": n, "k": k, "alpha": alpha, "tau": tau, "x": x},
+    )
 
 
 def _splitting(n: int, k: int, r: int, x: SequenceSpec) -> tuple[Fraction, Fraction]:

@@ -6,20 +6,21 @@ form; :func:`dumps` returns the text of
 the CSV of a payload that holds no reports.
 
 :func:`write_reports` writes a ``verify`` payload in either format from
-the runs of a :class:`GridResult` (see :class:`ReportRun`), one run at a
-time as the sweep makes it, so it holds one run at once; it makes no
-report object.  A lone report is written as its run of one.  The reports
-of a run differ only in tau, ``lhs``, ``rhs`` and ``pass``: the writer
-fills the run's fixed values into a template once, with holes for those,
-and fills the holes once per tau.  The text it fills in is made once per
-call: a skeleton for each tuple of param keys, the text of each param
-value other than tau and the leaves (str, int, Fraction and the like),
-and the text of the taus and right sides of the last ``sides`` list read,
-which consecutive runs of variants A and B share.  Values and lists are
-keyed by object identity, never by equal values: ``(1,)``,
-``(Fraction(1),)`` and ``(True,)`` are equal but render differently.  A CSV row holds the cells of a report's
-JSON object as ``json.loads`` reads them back from the run's JSON text, so
-one function decides how a report is written in both formats.
+the runs and lone reports of a :class:`GridResult`, one at a time as the
+sweep makes it, so it holds one at once.  A lone report is rendered
+whole.  A run (:class:`ReportRun`) makes no report object: its
+``params(tau)`` places tau, and its reports differ only in tau, ``lhs``,
+``rhs`` and ``pass``, so the writer fills the run's fixed values into a
+template once, with holes for those, and fills the holes once per tau.
+The text it fills in is made once per call: a skeleton for each tuple of
+param keys, the text of each param value other than tau and the leaves
+(str, int, Fraction and the like), and the text of the taus and right
+sides of the last ``sides`` list read, which consecutive runs of variants
+A and B share.  Values and lists are keyed by object identity, never by
+equal values: ``(1,)``, ``(Fraction(1),)`` and ``(True,)`` are equal but
+render differently.  A CSV row holds the cells of a report's JSON object
+as ``json.loads`` reads them back from its JSON text, so one function
+decides how a report is written in both formats.
 
 CPython encodes in C only when ``indent`` is None; with ``indent=2`` the
 pure-Python encoder was the largest single cost of a certify run's output.
@@ -133,23 +134,23 @@ def _skeleton(keys: tuple, depth: int) -> list[str]:
 
 def _run_texts(depth: int):
     """A function from a run to the text of its reports at ``depth``,
-    joined as list items, with the text it makes kept for one
-    :func:`write_reports` call.
+    joined as list items, and from a lone report to its own text; what it
+    makes for runs is kept for one :func:`write_reports` call.
 
-    It keeps the skeleton of each tuple of param keys, which reports of
-    every name share; the text of each param value that is not tau or a
-    leaf of :data:`_LEAVES` (whose text is made as fast as it is found),
-    such as a v that many runs share; and the text of the last ``sides``
-    list of a run with no left side, which consecutive runs of variants A
-    and B share.  A value or a list is keyed by its identity, never by
-    equality, and held, so that its id is not reused within the call:
-    ``(1,)``, ``(Fraction(1),)`` and ``(True,)`` are equal but render
-    differently.  A run's skipped poles, its own tuple for variant C and the
-    empty tuple otherwise, are rendered for each run, so the text kept does
-    not grow with C's runs.  A run's name and fixed values fill its skeleton
-    once, leaving holes for tau, lhs, rhs and pass; KEYS puts params before
-    lhs, rhs and pass, so the holes come in that order.  The text from the
-    first hole to the last becomes a ``%`` template, filled once per tau.
+    It keeps the skeleton of each tuple of param keys, which runs of every
+    name share; the text of each param value that is not tau or a leaf of
+    :data:`_LEAVES` (whose text is made as fast as it is found), such as a v
+    that many runs share; and the text of the last ``sides`` list of a run
+    with no left side, which consecutive runs of variants A and B share.  A
+    value or a list is keyed by its identity, never by equality, and held,
+    so that its id is not reused within the call: ``(1,)``,
+    ``(Fraction(1),)`` and ``(True,)`` are equal but render differently.  A
+    run's skipped poles, its own tuple for variant C and the empty tuple
+    otherwise, are rendered for each run, so the text kept does not grow
+    with C's runs.  A run's name and fixed values fill its skeleton once,
+    leaving holes for tau, lhs, rhs and pass; KEYS puts params before lhs,
+    rhs and pass, so the holes come in that order.  The text from the first
+    hole to the last becomes a ``%`` template, filled once per tau.
     """
     skeletons: dict[tuple, list[str]] = {}
     fixed: dict[int, tuple] = {}  # id -> (value, its text)
@@ -165,7 +166,9 @@ def _run_texts(depth: int):
             fixed[id(value)] = held = (value, _render(value, depth + 2))
         return held[1]
 
-    def run_text(run: ReportRun) -> str:
+    def run_text(run: ReportRun | IdentityReport) -> str:
+        if not isinstance(run, ReportRun):
+            return _render(run, depth)
         params = run.params(_TAU)
         keys = tuple(params)
         parts = skeletons.get(keys)
@@ -173,7 +176,6 @@ def _run_texts(depth: int):
             parts = skeletons[keys] = _skeleton(keys, depth)
         values = [encode_basestring_ascii(run.name)]
         values += [_QUOTED if item is _TAU else text_of(item) for item in params.values()]
-        skip = 0 if _QUOTED in values else 1  # a lone report's params hold no tau
         values += [_QUOTED, _QUOTED, _HOLE, _render(run.skipped_poles, depth + 1)]
         text = parts[0] + "".join(map(str.__add__, values, parts[1:]))
         # only the text from the first hole to the last is a template, so that
@@ -192,15 +194,15 @@ def _run_texts(depth: int):
         else:
             fills = [(str(tau), rhs, rhs, "true") for tau, side in sides for rhs in [str(side)]]
             last[:] = sides, fills
-        return separator.join([head + template % fill[skip:] + tail for fill in fills])
+        return separator.join([head + template % fill + tail for fill in fills])
 
     return run_text
 
 
 def _csv_rows(text: str):
-    """The CSV rows of a run's JSON ``text``: each report's JSON object as
-    ``json.loads`` reads it back, with params as k=v;... and skipped poles
-    as l,m,tau;..."""
+    """The CSV rows of the JSON ``text`` of a run or a lone report: each
+    report's JSON object as ``json.loads`` reads it back, with params as
+    k=v;... and skipped poles as l,m,tau;..."""
     for report in json.loads("[" + text + "]"):
         name, params, lhs, rhs, passed, poles = (report[key] for key in IdentityReport.KEYS)
         yield (name, ";".join(f"{key}={item}" for key, item in params.items()), lhs, rhs,
@@ -211,12 +213,12 @@ def write_reports(name: str, reports, stream, fmt: str) -> bool:
     """Write the ``verify`` payload of identity ``name`` to ``stream`` as
     ``fmt``, "json" or "csv"; return whether a check failed.
 
-    ``reports`` is a :class:`GridResult`, whose runs are read, or an
-    iterable of reports and runs, read once.  JSON is the text of
+    ``reports`` is a :class:`GridResult`, whose runs and lone reports are
+    read, or an iterable of them, read once.  JSON is the text of
     ``{"command": "verify", "identity": name, "reports": [...], "summary":
-    ...}``, written as the envelope, one write per run, and the summary of
-    the runs read; CSV is a header of :attr:`IdentityReport.KEYS` and one
-    row per report.
+    ...}``, written as the envelope, one write per run or lone report, and
+    the summary of those read; CSV is a header of
+    :attr:`IdentityReport.KEYS` and one row per report.
     """
     grid = reports if isinstance(reports, GridResult) else GridResult(reports)
     if fmt == "csv":

@@ -4,9 +4,11 @@ An :class:`IdentityReport` holds both sides of one identity instance as
 exact rationals; it passes when they are equal, with zero tolerance.  A
 :class:`ReportRun` holds the reports of one identity that differ only in
 tau and their sides, such as those of one (plan, variant) of a double-sum
-sweep, as one object.  A :class:`GridResult` hands out the runs of a check
-or a certification sweep as they are made, counts them as they go by, and
-makes their reports only when they are read as reports.
+sweep, as one object, and makes them when it is iterated.  Two rules hold:
+a run's ``params(tau)`` places tau, and a lone report is handed out, and
+written, whole.  A :class:`GridResult` hands out the runs and lone reports
+of a check or a certification sweep as they are made, and counts them as
+they go by.
 
 :class:`InputError` is the one type for input a function refuses: an
 argument outside its domain, an unreadable file or a pole of an identity
@@ -41,9 +43,7 @@ class IdentityReport:
     """Outcome of one identity check at one parameter point.
 
     ``lhs`` and ``rhs`` that are not ``Fraction`` already are converted, and
-    ``passed`` is their exact equality; the two may be one object.  ``run``
-    is the :class:`ReportRun` that iterating a :class:`GridResult` last
-    handed the report out from, or None for a report that none has.
+    ``passed`` is their exact equality; the two may be one object.
     """
 
     name: str
@@ -52,7 +52,6 @@ class IdentityReport:
     rhs: Fraction
     passed: bool = field(init=False)
     skipped_poles: tuple = field(default=(), init=False)
-    run: ReportRun | None = field(default=None, init=False, repr=False, compare=False)
 
     #: the keys of a report's JSON object and CSV row, in output order
     KEYS = ("identity", "params", "lhs", "rhs", "pass", "skipped_poles")
@@ -67,54 +66,47 @@ class ReportRun:
     """The reports of identity ``name`` at a list of taus, as one object.
 
     ``sides`` holds each (tau, right side) pair, and runs may share one
-    list; ``params(tau)`` is the params dict at a tau; every report of the
-    run has the ``skipped_poles`` given.  ``lhs`` holds the left side at
-    each tau, or is None when the right side is both sides at every tau.
-    ``passed`` holds each report's outcome, by default the exact equality
-    of its sides, or is None when ``lhs`` is and every report passes;
-    ``failed`` counts the reports that fail.
-
-    ``ReportRun.of(report)`` is the run of one report made elsewhere: its
-    ``report`` is that report, which it hands out itself; any other run's
-    ``report`` is None.
+    list; ``params(tau)`` is the params dict at a tau, which holds that tau;
+    every report of the run has the ``skipped_poles`` given.  ``lhs`` holds
+    the left side at each tau, or is None when the right side is both sides
+    at every tau.  ``passed`` holds each report's outcome, by default the
+    exact equality of its sides, or is None when ``lhs`` is and every
+    report passes; ``failed`` counts the reports that fail.  Iterating
+    makes the reports, in the order of ``sides``.
     """
 
-    __slots__ = ("name", "params", "sides", "skipped_poles", "lhs", "passed", "failed", "report")
+    __slots__ = ("name", "params", "sides", "skipped_poles", "lhs", "passed", "failed")
 
     def __init__(self, name: str, params, sides: list, skipped_poles: tuple = (), lhs=None,
                  passed=None):
         self.name, self.params, self.sides = name, params, sides
-        self.skipped_poles, self.lhs, self.report = skipped_poles, lhs, None
+        self.skipped_poles, self.lhs = skipped_poles, lhs
         if lhs is not None and passed is None:
             passed = [a == rhs for a, (_, rhs) in zip(lhs, sides)]
         self.passed = passed
         self.failed = 0 if passed is None else passed.count(False)
 
-    @classmethod
-    def of(cls, report: IdentityReport) -> ReportRun:
-        """The run of ``report`` alone.  The report's ``run`` is left as it
-        is, so the two make no reference cycle and are freed as soon as the
-        writer moves on; iterating a :class:`GridResult` sets it."""
-        run = cls(report.name, lambda _: report.params, [(None, report.rhs)],
-                  report.skipped_poles, [report.lhs], [report.passed])
-        run.report = report
-        return run
-
     def __len__(self) -> int:
         return len(self.sides)
 
+    def __iter__(self) -> Iterator[IdentityReport]:
+        for i, (tau, rhs) in enumerate(self.sides):
+            report = IdentityReport(self.name, self.params(tau),
+                                    rhs if self.lhs is None else self.lhs[i], rhs)
+            report.skipped_poles = self.skipped_poles
+            yield report
+
 
 class GridResult:
-    """The runs of a check or a sweep, made as they are read, and their summary.
+    """The runs and lone reports of a check or a sweep, made as they are
+    read, and their summary.
 
-    ``items`` holds runs (:class:`ReportRun`) and lone reports; a lone
-    report is read as its run of one.  :meth:`runs` yields each run once
-    and counts it by its length and its failures; iterating yields each
-    run's reports in order, each with ``run`` set, and makes them as they
-    are read.  A second pass yields nothing.  ``skipped_pairs`` holds the
-    (v, alpha, pole) pairs a sweep has passed over so far.  The counts and
-    :meth:`summary` cover the runs read so far, so read them after the
-    reports.
+    :meth:`runs` yields each item of ``items``, a :class:`ReportRun` or a
+    lone :class:`IdentityReport`, once, and counts a run by its length and
+    its failures and a lone report as one check; a second pass yields
+    nothing.  ``skipped_pairs`` holds the (v, alpha, pole) pairs a sweep
+    has passed over so far.  The counts and :meth:`summary` cover the items
+    read so far, so read them after the items.
     """
 
     def __init__(self, items: Iterable[ReportRun | IdentityReport] = (), skipped_pairs=None):
@@ -123,25 +115,15 @@ class GridResult:
         self.checked = 0
         self.failed = 0
 
-    def runs(self) -> Iterator[ReportRun]:
-        for run in self._items:
-            if isinstance(run, IdentityReport):
-                run = ReportRun.of(run)
-            self.checked += len(run)
-            self.failed += run.failed
-            yield run
-
-    def __iter__(self) -> Iterator[IdentityReport]:
-        for run in self.runs():
-            if run.report is not None:
-                run.report.run = run
-                yield run.report
-                continue
-            for i, (tau, rhs) in enumerate(run.sides):
-                report = IdentityReport(run.name, run.params(tau),
-                                        rhs if run.lhs is None else run.lhs[i], rhs)
-                report.skipped_poles, report.run = run.skipped_poles, run
-                yield report
+    def runs(self) -> Iterator[ReportRun | IdentityReport]:
+        for item in self._items:
+            if isinstance(item, ReportRun):
+                self.checked += len(item)
+                self.failed += item.failed
+            else:
+                self.checked += 1
+                self.failed += not item.passed
+            yield item
 
     def all_passed(self) -> bool:
         return self.failed == 0

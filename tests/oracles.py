@@ -7,6 +7,8 @@ sharing no code with them; ``w_coefficient`` is the definition sum of
 W(m, l; v), checked against the generating-function product of
 ``identities._w_support``; ``certify_th1_grid`` sweeps every v up to a
 weighted sum through ``certify_double_sums``, once per variant.
+``reports_of`` reads the reports out of what ``GridResult.runs`` yields:
+each run's by iterating it, and each lone report as itself.
 ``hagen_rothe_reference``
 is the Hagen-Rothe and Chu-Vandermonde checker as one loop per variant,
 with the pole order, messages and ``where`` that ``check_hagen_rothe``
@@ -49,13 +51,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product
 from math import comb, factorial
+from typing import Iterator
 
 from bellkit.bell import bell_columns
 from bellkit.egf import TruncatedEGF
 from bellkit.identities import DEFAULT_ALPHAS, TH1_VARIANTS, certify_double_sums, grid_vs
 from bellkit.partitions import enumerate_pi, strip_trailing_zeros
 from bellkit.rationals import binomial_general, rat
-from bellkit.reports import GridResult, IdentityReport, InputError, PoleError
+from bellkit.reports import GridResult, IdentityReport, InputError, PoleError, ReportRun
 from bellkit.sequences import SequenceSpec
 
 
@@ -158,6 +161,16 @@ def w_coefficient(m: int, l: int, v) -> int:
     return total
 
 
+def reports_of(items) -> Iterator[IdentityReport]:
+    """The reports of ``items``, runs and lone reports such as
+    ``GridResult.runs()`` yields, in order, made as they are read."""
+    for item in items:
+        if isinstance(item, ReportRun):
+            yield from item
+        else:
+            yield item
+
+
 def certify_th1_grid(n_max: int) -> tuple[list[IdentityReport], GridResult]:
     """Certify the double-sum identities for every v with weighted sum <= n_max.
 
@@ -174,7 +187,7 @@ def certify_th1_grid(n_max: int) -> tuple[list[IdentityReport], GridResult]:
     vs = [v for n in range(1, n_max + 1) for v in grid_vs(n)]
     sweeps = [certify_double_sums(vs, DEFAULT_ALPHAS, variant) for variant in TH1_VARIANTS]
     result = GridResult(chain.from_iterable(sweep.runs() for sweep in sweeps))
-    reports = list(result)
+    reports = list(reports_of(result.runs()))
     result.skipped_pairs = [pair for sweep in sweeps for pair in sweep.skipped_pairs]
     return reports, result
 

@@ -48,6 +48,7 @@ from oracles import (
     certify_th1_grid,
     hagen_rothe_reference,
     poly_value,
+    reports_of,
     w_coefficient,
 )
 
@@ -505,7 +506,7 @@ class TestGrid:
         vs = [v for n in range(1, 6) for v in grid_vs(n)]
         for variant in "ABC":
             got = [rep for rep in reports if rep.name == f"th1{variant.lower()}"]
-            own = list(certify_double_sums(vs, DEFAULT_ALPHAS, variant))
+            own = list(reports_of(certify_double_sums(vs, DEFAULT_ALPHAS, variant).runs()))
             assert [(rep.params, rep.skipped_poles) for rep in got] == [
                 (rep.params, rep.skipped_poles) for rep in own
             ]
@@ -714,7 +715,7 @@ class TestPlanAgainstOracle:
             certify_double_sums([(2, 1)], [AffineForm(-1, 1)], "A", tau=Fraction(5))
         assert err.value.where == (1, 1)
         result = certify_double_sums([(2, 1)], [AffineForm(-1, 1)], "A")
-        assert list(result) == [] and result.skipped_pairs == [
+        assert list(reports_of(result.runs())) == [] and result.skipped_pairs == [
             ((2, 1), AffineForm(-1, 1), (1, 1))
         ]
 
@@ -755,7 +756,7 @@ class TestCertifierAgainstOracle:
     def test_every_report_up_to_five(self, variant):
         vs = list(_vectors_up_to(5))
         result = certify_double_sums(vs, self.ALPHAS, variant)
-        reports, skipped_pairs = iter(result), []
+        reports, skipped_pairs = reports_of(result.runs()), []
         for v in vs:
             for alpha in self.ALPHAS:
                 pole = _pole_at(oracle_double_sum, "negative-one", v, alpha)
@@ -784,7 +785,9 @@ class TestCertifierAgainstOracle:
                 for tau in WIDE_TAUS:
                     for variant in "ABC":
                         assert _outcome(
-                            lambda: next(iter(certify_double_sums([v], [alpha], variant, tau=tau)))
+                            lambda: next(reports_of(
+                                certify_double_sums([v], [alpha], variant, tau=tau).runs()
+                            ))
                         ) == _outcome(oracle_double_sum, variant, v, alpha, tau)
 
     def test_a_perturbed_weight_fails_with_both_sides_shown(self):
@@ -822,7 +825,7 @@ class TestCertifierAgainstOracle:
             lambda plan, variant: asked.append(variant) or difference(plan, variant),
         )
         runs = _swept(grid_vs(5), DEFAULT_ALPHAS)
-        assert all(rep.passed for run in runs for rep in GridResult([run]))
+        assert all(rep.passed for rep in reports_of(runs))
         assert asked == _run_variants(runs)
         asked.clear()
         runs = _swept(grid_vs(5), DEFAULT_ALPHAS, tau=Fraction(7, 3))
@@ -837,7 +840,7 @@ class TestCertifierAgainstOracle:
         support = identities._w_support
         monkeypatch.setattr(identities, "_w_support", lambda v: _top_doubled(support(v)))
         runs = _swept(grid_vs(5), DEFAULT_ALPHAS)
-        failing = {id(rep.run) for run in runs for rep in GridResult([run]) if not rep.passed}
+        failing = [run for run in runs if not all(rep.passed for rep in reports_of([run]))]
         assert len(failing) == len(runs) and all(run.failed > 0 for run in runs)
         assert asked == _run_variants(runs)
 
@@ -862,7 +865,7 @@ def _swept(vs, alphas, tau=None):
 
 def _run_variants(runs):
     """The variant of each run of th1 reports, in order; each is one ReportRun."""
-    assert all(isinstance(run, ReportRun) and run.report is None for run in runs)
+    assert all(type(run) is ReportRun for run in runs)
     return [run.name[-1].upper() for run in runs]
 
 
@@ -916,7 +919,7 @@ class TestCertificate:
         alphas = DEFAULT_ALPHAS + self.RATIONAL_ALPHAS
         vs = list(_vectors_up_to(7))
         result = certify_double_sums(vs, alphas, variant)
-        reports, pole_pairs, skipped_taus = iter(result), 0, 0
+        reports, pole_pairs, skipped_taus = reports_of(result.runs()), 0, 0
         for v in vs:
             triples = _w_triples(v)
             for alpha in alphas:
@@ -997,7 +1000,8 @@ class TestCertificate:
                                        triples if v == target else _w_triples(v))
         ]
         summary = GridResult(expected)
-        payload = {"command": "verify", "identity": "th1", "reports": list(summary),
+        payload = {"command": "verify", "identity": "th1",
+                   "reports": list(reports_of(summary.runs())),
                    "summary": summary.summary()}
         oracle = json.dumps(payload, indent=2, default=json_value)
         for fmt in ("json", "csv"):
@@ -1017,7 +1021,7 @@ class TestCertificate:
             for support, triples in _perturbed(v, w_support):
                 monkeypatch.setattr(identities, "_w_support", lambda _, s=support: s)
                 for variant in "ABC":
-                    reports = iter(certify_double_sums([v], alphas, variant))
+                    reports = reports_of(certify_double_sums([v], alphas, variant).runs())
                     for alpha in alphas:
                         plan = th1_plan(v, alpha)
                         if plan.pole is not None:

@@ -1,7 +1,7 @@
 import csv
 import io
-import itertools
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,8 +12,9 @@ from bellkit.cli import build_parser
 from bellkit.identities import DEFAULT_ALPHAS, AffineForm, certify_double_sums, grid_vs
 from bellkit.output import dumps, json_value, write_reports
 from bellkit.reports import GridResult, IdentityReport, PoleError, ReportRun
+from bellkit.sequences import SequenceSpec
 
-from oracles import certify_th1_grid
+from oracles import certify_th1_grid, reports_of
 
 #: strings heavy in what JSON escapes: quotes, backslashes, control and non-ASCII characters
 TEXT = st.text(st.sampled_from('a"\\/\n\t\r\x00\x08\x1f\x7f é€ 😀')) | st.text()
@@ -78,7 +79,7 @@ def _as_reference(value):
 def _verify_payload(name: str, reports) -> dict:
     """The ``verify`` payload of ``reports``, read into a list, and their summary."""
     grid = reports if isinstance(reports, GridResult) else GridResult(reports)
-    reports = list(grid)
+    reports = list(reports_of(grid.runs()))
     return {"command": "verify", "identity": name, "reports": reports, "summary": grid.summary()}
 
 
@@ -219,13 +220,6 @@ def _csv_of(text: str) -> str:
     return out.getvalue()
 
 
-def _runs(reports) -> int:
-    """The number of runs that reports read from a GridResult come from:
-    each report's ``run`` is its ReportRun, and a run's reports are adjacent."""
-    assert all(isinstance(rep.run, ReportRun) for rep in reports)
-    return sum(1 for _ in itertools.groupby(reports, lambda rep: id(rep.run)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     vs=st.lists(st.sampled_from(GRID_VS), min_size=1, max_size=3),
@@ -242,8 +236,8 @@ def test_a_streamed_grid_is_json_dumps_of_the_materialised_payload(vs, alphas, v
     text, writes = _streamed(streamed)
     assert text == _as_reference(payload)
     assert streamed.summary() == payload["summary"]
-    # the envelope, one write per run, then the summary
-    assert writes == 2 + _runs(payload["reports"])
+    # the envelope, one write per run or lone report, then the summary
+    assert writes == 2 + sum(1 for _ in certify_double_sums(vs, alphas, variant, tau=tau).runs())
     # CSV holds the cells of the same reports, one run read back at a time
     assert _written("t", certify_double_sums(vs, alphas, variant, tau=tau), "csv") == _csv_of(text)
 
@@ -283,6 +277,8 @@ def test_runs_render_each_report_by_its_own_values():
              [(Fraction(i, 2), lhs, rhs)
               for i, (lhs, rhs) in enumerate([(third, third), (1, 2), (5, 5)])],
              skipped=((0, 0, Fraction(1)),)),
+        # a failing lone report between two runs, with the next run's param keys
+        IdentityReport("lone", {"v": v, "tau": Fraction(5, 2)}, 1, Fraction(3, 2)),
         # a run of one report
         _run("th1b", lambda tau: {"v": v, "tau": tau}, [(Fraction(-7, 3), 0, 0)]),
         # consecutive runs whose fixed values are equal but of different types
@@ -292,25 +288,43 @@ def test_runs_render_each_report_by_its_own_values():
              [(Fraction(t), t, t) for t in (1, 2)]),
         _run("t%s", lambda tau: {"v": (True,), "x": True, "tau": tau},
              [(Fraction(t), t, t) for t in (1, 2)]),
-        # lone reports: each its own run of one
+        # lone reports, written whole
         IdentityReport("100%", {"tau": Fraction(1, 2)}, 1, 1),
         IdentityReport("100%", {"tau": Fraction(1, 2)}, 1, 1),
     ]
     assert runs[0].lhs[0] is runs[0].sides[0][1] and runs[2].lhs is None
-    reports = list(GridResult(runs))
-    assert not reports[1].passed and runs[0].failed == 1
-    assert [rep.run for rep in reports[:3]] == [runs[0]] * 3
+    reports = list(reports_of(runs))
+    assert not reports[1].passed and runs[0].failed == 1 and not reports[3].passed
+    assert reports[:3] == list(runs[0]) and reports[3] is runs[1]
     text, writes = _streamed(GridResult(runs))
     assert text == _as_reference(_verify_payload("t", runs))
-    assert writes == 2 + 7 == 2 + _runs(reports)
+    assert writes == 2 + 8 == 2 + len(runs)
     rows = io.StringIO()
-    assert write_reports("t", runs, rows, "csv") is True  # reports[1] failed
+    assert write_reports("t", runs, rows, "csv") is True  # reports[1] and [3] failed
     assert rows.getvalue() == _csv_of(text)
     shown = json.loads(text)["reports"]
-    assert [r["params"]["v"] for r in shown[4:10:2]] == [[1], ["1"], [True]]
-    assert [r["params"]["x"] for r in shown[4:10:2]] == [1, "1", True]
+    assert [r["params"]["v"] for r in shown[5:11:2]] == [[1], ["1"], [True]]
+    assert [r["params"]["x"] for r in shown[5:11:2]] == [1, "1", True]
     assert shown[1]["lhs"] == "1" and shown[1]["rhs"] == "2" and shown[1]["pass"] is False
-    assert json.loads(text)["summary"]["failed"] == 1
+    assert shown[3]["lhs"] == "1" and shown[3]["rhs"] == "3/2" and shown[3]["pass"] is False
+    assert shown[3]["params"] == {"v": [2, 1], "tau": "5/2"}
+    assert json.loads(text)["summary"]["failed"] == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_written_lone_report_is_not_held(fmt):
+    # each report's param is its own object: the writer must let go of it
+    alive, refs = [], []
+
+    def reports():
+        for i in range(50):
+            alive.append(sum(ref() is not None for ref in refs))
+            x = SequenceSpec([i, 1])
+            refs.append(weakref.ref(x))
+            yield IdentityReport("t", {"x": x}, i, i)
+
+    assert write_reports("t", reports(), io.StringIO(), fmt) is False
+    assert len(alive) == 50 and max(alive) <= 1
 
 
 def test_an_empty_stream_is_an_empty_list():
