@@ -28,22 +28,20 @@ a vanishing denominator at a term that is actually present raises
 The grid certifier skips and records pole parameter values instead of
 erroring.
 
-Every report of a double sum, a variant of a (v, alpha) plan or a Bell
-convolution, comes from one :class:`~bellkit.reports.ReportRun` per plan
-and variant, whose ``params(tau)`` places tau.  A report that a check
-returns alone, a single-tau check's the one report of its run, is a lone
-report, which is written whole.  Each variant of a plan is one identity between rational
-functions of tau; cleared of denominators, its lhs - rhs is one integer
-coefficient vector in a falling-factorial basis
+Each variant of a (v, alpha) plan or of a Bell convolution is one
+identity between rational functions of tau; cleared of denominators, its
+lhs - rhs is one integer coefficient vector in a falling-factorial basis
 (:meth:`Th1Plan.difference`), computed once per plan and variant.  The
 right side at each tau is an integer falling factorial over a known
 denominator, and the left side is the right side plus that vector's value
 at tau over the factor that cleared it.  When every coefficient is 0, the
-identity holds at every tau and the left side is not computed: the run
-holds the right sides alone, and a passing report holds one reduced
-``Fraction``, the right side, as both ``lhs`` and ``rhs``.  Otherwise one
-Horner pass in integers gives each tau's excess, and the run holds each
-tau's left side, so a failing report holds both sides, each reduced.  The
+identity holds at every tau and the left side is not computed: the plan
+and variant's reports are one :class:`~bellkit.reports.ReportRun`, a
+certificate whose ``params(tau)`` places tau and whose reports hold the
+right side, one reduced ``Fraction``, as both ``lhs`` and ``rhs``.
+Otherwise one Horner pass in integers gives each tau's excess, and each
+report is a lone report that holds both sides, each reduced, and is
+written whole, as is the one report of a single-tau check.  The
 negative-one sum is added up in integers over one common denominator.
 """
 
@@ -266,6 +264,16 @@ class Th1Plan:
         two products: (u - s) [u]_i = [u]_{i+1} + (i d - s) [u]_i, and u [u]_i
         likewise with s = 0.
 
+        For integer alpha (d = 1) each coefficient is a polynomial of total
+        degree at most k in (c0, c1, c2): lead (degree 1), P / A (r - 1) and
+        the expansion of [u - S]_j (at most j) multiply to at most k, lead / A
+        is 1 at r = 0, C's factor u - a00 lifts its l > 0 terms, which have
+        j = l - 1, to at most k, and the right side has degree at most 1.
+        Zero at k + 1 values of each of c0, c1 and c2 is then zero
+        everywhere: zero vectors at c0 in 1..k+1 and c1, c2 in 0..k, where
+        alpha >= 1 meets no pole, prove the identity for every affine alpha
+        and every tau off its poles.
+
         Raises ValueError when a term at r = 0, or C's tail, sits at another
         alpha: only an edited plan has one.  Needs ``pole`` to be None.
         """
@@ -363,43 +371,44 @@ def _right_sides(plan: Th1Plan, variant: str, taus) -> list[tuple[Fraction, Frac
     return sides
 
 
-def _th1_run(plan: Th1Plan, variant: str, sides, name: str, params, skipped=()) -> ReportRun:
-    """The run of reports ``name`` with ``params(tau)`` of variant A, B or C
-    at each (tau, right side) of ``sides``, from :func:`_right_sides` at
-    pole-free taus.
+def _th1_run(plan: Th1Plan, variant: str, sides, name: str, params,
+             skipped=()) -> ReportRun | list[IdentityReport]:
+    """The reports ``name`` with ``params(tau)`` and ``skipped`` poles of
+    variant A, B or C at each (tau, right side) of ``sides``, from
+    :func:`_right_sides` at pole-free taus: a run when they all pass, and
+    otherwise a list of lone reports, in the order of ``sides``.
 
     The left side is the right side plus ``plan.difference(variant)`` at
     u = d tau over the factor that cleared it: k! h d^k, and for C also akn
-    (u - a00).  A zero vector makes the right side both sides, and the run
-    holds no left side.  Otherwise one Horner pass in the falling basis,
-    where u - i d = d (p - i q) / q at tau = p/q, gives the vector's value
-    times q^K for its degree K; over q^k k! h d^k, and for C akn (p d - a00
-    q) more, that is the excess.
+    (u - a00).  A zero vector makes the right side both sides at every tau,
+    which the run certifies.  Otherwise one Horner pass in the falling
+    basis, where u - i d = d (p - i q) / q at tau = p/q, gives the vector's
+    value times q^K for its degree K; over q^k k! h d^k, and for C akn
+    (p d - a00 q) more, that is the excess.
     """
     diff = plan.difference(variant)
     if not any(diff):
         return ReportRun(name, params, sides, skipped)
     k, d = plan.k, plan.d
     clear = factorial(k) * plan.h * d**k
-    lhs = []
+    reports = []
     for tau, rhs in sides:
         p, q = tau.numerator, tau.denominator
         num, power = 0, 1
         for i in reversed(range(len(diff))):
             num, power = num * d * (p - i * q) + diff[i] * power, power * q
-        if not num:
-            lhs.append(rhs)
-            continue
         bottom = q**k * clear
         if variant == "C":
             bottom *= plan.akn * (p * d - plan.a00 * q)
-        lhs.append(rhs + Fraction(num, bottom))
-    return ReportRun(name, params, sides, skipped, lhs)
+        lhs = rhs + Fraction(num, bottom)
+        reports.append(IdentityReport(name, params(tau), lhs, rhs, skipped))
+    return reports
 
 
 def _check_at(plan: Th1Plan, variant: str, tau: Fraction, name: str, params) -> IdentityReport:
     """The report ``name`` with ``params(tau)`` of variant A, B or C of
-    ``plan`` at ``tau``, after :func:`_raise_at_pole`: its run's one report."""
+    ``plan`` at ``tau``, after :func:`_raise_at_pole`: the one report of
+    :func:`_th1_run`."""
     _raise_at_pole(plan, variant, tau)
     return next(iter(_th1_run(plan, variant, _right_sides(plan, variant, [tau]), name, params)))
 
@@ -683,26 +692,26 @@ def certify_double_sums(vs, alphas, variant, tau=None) -> GridResult:
     """Check one variant at every (v, alpha): v-major, then alpha, then tau.
 
     ``variant`` is "A", "B" or "C" (a th1 double sum) or "negative-one";
-    to check several, call once for each.  The result makes its runs as
-    they are read, one per (v, alpha) of a th1 variant and one report per
-    (v, alpha) of negative-one: the support of one v and the
-    :class:`Th1Plan` of one (v, alpha) are built when the sweep reaches them
-    and dropped when it moves on.  Its counts and ``skipped_pairs`` grow as
-    it is read.
+    to check several, call once for each.  The result makes its runs and
+    lone reports as they are read: per (v, alpha), a th1 variant's run, or
+    its failing reports one by one, and negative-one's one report.  The
+    support of one v and the :class:`Th1Plan` of one (v, alpha) are built
+    when the sweep reaches them and dropped when it moves on.  Its counts
+    and ``skipped_pairs`` grow as it is read.
 
     With ``tau`` None, a th1 variant is checked at 2k+2 pole-free tau
     values from :func:`tau_samples`: 0, 1/2, ..., k + 1/2 for A and B,
     while C skips its tau poles and records them on its reports.  A pair
     where alpha vanishes at a nonzero-weight (l, m) is recorded in
-    ``skipped_pairs`` and not checked.  Each plan makes its run from its
-    right sides and :meth:`Th1Plan.difference`, as ``check_th1`` does at one
-    tau: a zero vector proves every tau at once, and each report holds its
-    right side as both sides; a nonzero one gives each tau's left side, so a
-    failing report shows where the sides differ.  With an explicit ``tau``
-    each pair is checked at ``tau`` alone, and a pole raises
-    :class:`PoleError`.  Every error is raised by this call, before the
-    first report: the variant and every v are validated, and then, with an
-    explicit ``tau``, each plan's poles in the order the sweep meets them.
+    ``skipped_pairs`` and not checked.  Each plan makes its reports from
+    its right sides and :meth:`Th1Plan.difference`, as ``check_th1`` does at
+    one tau: a zero vector proves every tau at once, and makes the run; a
+    nonzero one gives each tau's left side, so a failing report shows where
+    the sides differ.  With an explicit ``tau`` each pair is checked at
+    ``tau`` alone, and a pole raises :class:`PoleError`.  Every error is
+    raised by this call, before the first report: the variant and every v
+    are validated, and then, with an explicit ``tau``, each plan's poles in
+    the order the sweep meets them.
     """
     tau, alphas = None if tau is None else rat(tau), tuple(alphas)
     accepted = (*TH1_VARIANTS, "negative-one")
@@ -726,7 +735,8 @@ def _plans(vnks, alphas):
 
 
 def _sweep(vnks, alphas, variant, tau, skipped_pairs):
-    """The runs of :func:`certify_double_sums`, over validated (v, n, k).
+    """The runs and lone reports of :func:`certify_double_sums`, over
+    validated (v, n, k).
 
     Each plan is one :func:`_th1_run` at its taus, made with no pole check:
     the sampled taus avoid every pole, and ``certify_double_sums`` has
@@ -755,8 +765,9 @@ def _sweep(vnks, alphas, variant, tau, skipped_pairs):
             rights = _right_sides(plan, variant, taus)
             if key is not None:
                 sides[key] = rights
-        yield _th1_run(plan, variant, rights, f"th1{variant.lower()}", plan.params,
+        run = _th1_run(plan, variant, rights, f"th1{variant.lower()}", plan.params,
                        tuple(skipped))
+        yield from (run,) if type(run) is ReportRun else run
 
 
 def grid_vs(n: int, k: int | None = None) -> list[IndexVector]:

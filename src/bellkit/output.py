@@ -9,18 +9,19 @@ the CSV of a payload that holds no reports.
 the runs and lone reports of a :class:`GridResult`, one at a time as the
 sweep makes it, so it holds one at once.  A lone report is rendered
 whole.  A run (:class:`ReportRun`) makes no report object: its
-``params(tau)`` places tau, and its reports differ only in tau, ``lhs``,
-``rhs`` and ``pass``, so the writer fills the run's fixed values into a
-template once, with holes for those, and fills the holes once per tau.
-The text it fills in is made once per call: a skeleton for each tuple of
-param keys, the text of each param value other than tau and the leaves
-(str, int, Fraction and the like), and the text of the taus and right
-sides of the last ``sides`` list read, which consecutive runs of variants
-A and B share.  Values and lists are keyed by object identity, never by
-equal values: ``(1,)``, ``(Fraction(1),)`` and ``(True,)`` are equal but
-render differently.  A CSV row holds the cells of a report's JSON object
-as ``json.loads`` reads them back from its JSON text, so one function
-decides how a report is written in both formats.
+``params(tau)`` places tau, and its reports pass and differ only in tau
+and the right side, which is both sides, so the writer fills the run's
+fixed values into a template once, with holes for tau, ``lhs`` and
+``rhs``, and fills the holes once per tau.  The text it fills in is made
+once per call: a skeleton for each tuple of param keys, the text of each
+param value other than tau and the leaves (str, int, Fraction and the
+like), and the text of the taus and right sides of the last ``sides``
+list read, which consecutive runs of variants A and B share.  Values and
+lists are keyed by object identity, never by equal values: ``(1,)``,
+``(Fraction(1),)`` and ``(True,)`` are equal but render differently.  A
+CSV row holds the cells of a report's JSON object as ``json.loads`` reads
+them back from its JSON text, so one function decides how a report is
+written in both formats.
 
 CPython encodes in C only when ``indent`` is None; with ``indent=2`` the
 pure-Python encoder was the largest single cost of a certify run's output.
@@ -140,21 +141,21 @@ def _run_texts(depth: int):
     It keeps the skeleton of each tuple of param keys, which runs of every
     name share; the text of each param value that is not tau or a leaf of
     :data:`_LEAVES` (whose text is made as fast as it is found), such as a v
-    that many runs share; and the text of the last ``sides`` list of a run
-    with no left side, which consecutive runs of variants A and B share.  A
-    value or a list is keyed by its identity, never by equality, and held,
-    so that its id is not reused within the call: ``(1,)``,
-    ``(Fraction(1),)`` and ``(True,)`` are equal but render differently.  A
+    that many runs share; and the text of the last ``sides`` list read,
+    which consecutive runs of variants A and B share.  A value or a list is
+    keyed by its identity, never by equality, and held, so that its id is
+    not reused within the call: ``(1,)``, ``(Fraction(1),)`` and
+    ``(True,)`` are equal but render differently.  A
     run's skipped poles, its own tuple for variant C and the empty tuple
     otherwise, are rendered for each run, so the text kept does not grow
-    with C's runs.  A run's name and fixed values fill its skeleton once,
-    leaving holes for tau, lhs, rhs and pass; KEYS puts params before lhs,
-    rhs and pass, so the holes come in that order.  The text from the first
-    hole to the last becomes a ``%`` template, filled once per tau.
+    with C's runs.  A run's name, fixed values and "pass": true fill its
+    skeleton once, leaving holes for tau, lhs and rhs; KEYS puts params
+    before lhs and rhs, so the holes come in that order.  The text from the
+    first hole to the last becomes a ``%`` template, filled once per tau.
     """
     skeletons: dict[tuple, list[str]] = {}
     fixed: dict[int, tuple] = {}  # id -> (value, its text)
-    last: list = [None, None]  # a sides list, and (tau, rhs, rhs, "true") as text for each side
+    last: list = [None, None]  # a sides list, and (tau, rhs, rhs) as text for each side
     separator = ",\n" + "  " * depth
 
     def text_of(value) -> str:
@@ -176,7 +177,7 @@ def _run_texts(depth: int):
             parts = skeletons[keys] = _skeleton(keys, depth)
         values = [encode_basestring_ascii(run.name)]
         values += [_QUOTED if item is _TAU else text_of(item) for item in params.values()]
-        values += [_QUOTED, _QUOTED, _HOLE, _render(run.skipped_poles, depth + 1)]
+        values += [_QUOTED, _QUOTED, "true", _render(run.skipped_poles, depth + 1)]
         text = parts[0] + "".join(map(str.__add__, values, parts[1:]))
         # only the text from the first hole to the last is a template, so that
         # a long fixed value, such as a sequence x, is copied and never parsed
@@ -185,14 +186,10 @@ def _run_texts(depth: int):
         template = text[first:end].replace("%", "%%").replace(_HOLE, "%s")
         # "%s" of a Fraction is its str, the "p/q" or "p" of rat_str
         sides = run.sides
-        if run.lhs is not None:
-            fills = [(str(tau), rhs if lhs is side else str(lhs), rhs, "true" if ok else "false")
-                     for (tau, side), lhs, ok in zip(sides, run.lhs, run.passed)
-                     for rhs in [str(side)]]
-        elif sides is last[0]:
+        if sides is last[0]:
             fills = last[1]
         else:
-            fills = [(str(tau), rhs, rhs, "true") for tau, side in sides for rhs in [str(side)]]
+            fills = [(str(tau), rhs, rhs) for tau, side in sides for rhs in [str(side)]]
             last[:] = sides, fills
         return separator.join([head + template % fill + tail for fill in fills])
 

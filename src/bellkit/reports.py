@@ -2,13 +2,14 @@
 
 An :class:`IdentityReport` holds both sides of one identity instance as
 exact rationals; it passes when they are equal, with zero tolerance.  A
-:class:`ReportRun` holds the reports of one identity that differ only in
-tau and their sides, such as those of one (plan, variant) of a double-sum
-sweep, as one object, and makes them when it is iterated.  Two rules hold:
-a run's ``params(tau)`` places tau, and a lone report is handed out, and
-written, whole.  A :class:`GridResult` hands out the runs and lone reports
-of a check or a certification sweep as they are made, and counts them as
-they go by.
+:class:`ReportRun` is a certificate: the reports of one identity that
+differ only in tau and pass, with their right side as both sides, such as
+those of one (plan, variant) of a double-sum sweep whose difference vector
+is zero, held as one object and made when it is iterated.  Two rules hold:
+a run's ``params(tau)`` places tau, and a lone report, such as a failing
+one of a double sum, is handed out, and written, whole.  A
+:class:`GridResult` hands out the runs and lone reports of a check or a
+certification sweep as they are made, and counts them as they go by.
 
 :class:`InputError` is the one type for input a function refuses: an
 argument outside its domain, an unreadable file or a pole of an identity
@@ -51,7 +52,7 @@ class IdentityReport:
     lhs: Fraction
     rhs: Fraction
     passed: bool = field(init=False)
-    skipped_poles: tuple = field(default=(), init=False)
+    skipped_poles: tuple = ()
 
     #: the keys of a report's JSON object and CSV row, in output order
     KEYS = ("identity", "params", "lhs", "rhs", "pass", "skipped_poles")
@@ -63,38 +64,26 @@ class IdentityReport:
 
 
 class ReportRun:
-    """The reports of identity ``name`` at a list of taus, as one object.
+    """The passing reports of identity ``name`` at a list of taus, as one object.
 
     ``sides`` holds each (tau, right side) pair, and runs may share one
-    list; ``params(tau)`` is the params dict at a tau, which holds that tau;
-    every report of the run has the ``skipped_poles`` given.  ``lhs`` holds
-    the left side at each tau, or is None when the right side is both sides
-    at every tau.  ``passed`` holds each report's outcome, by default the
-    exact equality of its sides, or is None when ``lhs`` is and every
-    report passes; ``failed`` counts the reports that fail.  Iterating
-    makes the reports, in the order of ``sides``.
+    list; the right side is both sides of its report.  ``params(tau)`` is
+    the params dict at a tau, which holds that tau; every report of the
+    run has the ``skipped_poles`` given.  Iterating makes the reports, in
+    the order of ``sides``.
     """
 
-    __slots__ = ("name", "params", "sides", "skipped_poles", "lhs", "passed", "failed")
+    __slots__ = ("name", "params", "sides", "skipped_poles")
 
-    def __init__(self, name: str, params, sides: list, skipped_poles: tuple = (), lhs=None,
-                 passed=None):
-        self.name, self.params, self.sides = name, params, sides
-        self.skipped_poles, self.lhs = skipped_poles, lhs
-        if lhs is not None and passed is None:
-            passed = [a == rhs for a, (_, rhs) in zip(lhs, sides)]
-        self.passed = passed
-        self.failed = 0 if passed is None else passed.count(False)
+    def __init__(self, name: str, params, sides: list, skipped_poles: tuple = ()):
+        self.name, self.params, self.sides, self.skipped_poles = name, params, sides, skipped_poles
 
     def __len__(self) -> int:
         return len(self.sides)
 
     def __iter__(self) -> Iterator[IdentityReport]:
-        for i, (tau, rhs) in enumerate(self.sides):
-            report = IdentityReport(self.name, self.params(tau),
-                                    rhs if self.lhs is None else self.lhs[i], rhs)
-            report.skipped_poles = self.skipped_poles
-            yield report
+        for tau, rhs in self.sides:
+            yield IdentityReport(self.name, self.params(tau), rhs, rhs, self.skipped_poles)
 
 
 class GridResult:
@@ -102,8 +91,8 @@ class GridResult:
     read, and their summary.
 
     :meth:`runs` yields each item of ``items``, a :class:`ReportRun` or a
-    lone :class:`IdentityReport`, once, and counts a run by its length and
-    its failures and a lone report as one check; a second pass yields
+    lone :class:`IdentityReport`, once, and counts a run by its length, as
+    passing checks, and a lone report as one check; a second pass yields
     nothing.  ``skipped_pairs`` holds the (v, alpha, pole) pairs a sweep
     has passed over so far.  The counts and :meth:`summary` cover the items
     read so far, so read them after the items.
@@ -119,7 +108,6 @@ class GridResult:
         for item in self._items:
             if isinstance(item, ReportRun):
                 self.checked += len(item)
-                self.failed += item.failed
             else:
                 self.checked += 1
                 self.failed += not item.passed

@@ -351,6 +351,33 @@ class TestHomogeneity:
         assert bell_eval(n, k, graded) == c ** n * base
 
 
+class TestClosedFormsAtLargeN:
+    """The kernel against classical closed forms, each computed by a route
+    that shares no code with ``bell_columns``, far beyond the partition
+    oracle's reach."""
+
+    def test_lah_numbers_to_two_hundred(self):
+        # x_j = j! gives B(n, k) = C(n-1, k-1) n! / k!, every row denominator 1
+        n_max = 200
+        num, h = bell_columns(SequenceSpec([factorial(j) for j in range(1, n_max + 1)]), n_max)
+        assert h == [1] * (n_max + 1)
+        for n in range(1, n_max + 1):
+            assert num[0][n] == 0
+            for k in range(1, n + 1):
+                assert num[k][n] == math.comb(n - 1, k - 1) * factorial(n) // factorial(k)
+
+    def test_stirling_set_numbers_by_the_explicit_sum_to_one_hundred(self):
+        # x_j = 1 gives S(n, k) = (1/k!) sum_i (-1)^(k-i) C(k, i) i^n
+        n_max = 100
+        num, h = bell_columns(ones(n_max), n_max)
+        assert h == [1] * (n_max + 1)
+        for k in range(1, n_max + 1):
+            signed = [(-1) ** (k - i) * math.comb(k, i) for i in range(k + 1)]
+            for n in range(k, n_max + 1):
+                total = sum(c * i**n for i, c in enumerate(signed))
+                assert total == num[k][n] * factorial(k)
+
+
 class TestStirling2:
     def test_known_value(self):
         assert stirling2(4, 2) == 7

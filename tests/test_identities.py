@@ -824,9 +824,9 @@ class TestCertifierAgainstOracle:
             Th1Plan, "difference",
             lambda plan, variant: asked.append(variant) or difference(plan, variant),
         )
-        runs = _swept(grid_vs(5), DEFAULT_ALPHAS)
-        assert all(rep.passed for rep in reports_of(runs))
-        assert asked == _run_variants(runs)
+        stock = _swept(grid_vs(5), DEFAULT_ALPHAS)
+        assert all(rep.passed for rep in reports_of(stock))
+        assert asked == _run_variants(stock)
         asked.clear()
         runs = _swept(grid_vs(5), DEFAULT_ALPHAS, tau=Fraction(7, 3))
         assert asked == _run_variants(runs) and len(runs) == len(asked) > 0
@@ -835,14 +835,21 @@ class TestCertifierAgainstOracle:
             asked.clear()
             assert check_th1(variant, (2, 1), AffineForm(1, 1), Fraction(7, 3)).passed
             assert asked == [variant]
-        # the weight at l = k, W(n, k; v) = 1, doubled: every plan fails
+        # the weight at l = k, W(n, k; v) = 1, doubled: every plan fails, and
+        # hands out its reports one by one, each plan's together
         asked.clear()
         support = identities._w_support
         monkeypatch.setattr(identities, "_w_support", lambda v: _top_doubled(support(v)))
-        runs = _swept(grid_vs(5), DEFAULT_ALPHAS)
-        failing = [run for run in runs if not all(rep.passed for rep in reports_of([run]))]
-        assert len(failing) == len(runs) and all(run.failed > 0 for run in runs)
-        assert asked == _run_variants(runs)
+        reports = _swept(grid_vs(5), DEFAULT_ALPHAS)
+        assert all(type(rep) is IdentityReport for rep in reports)
+        plans = [list(group) for _, group in itertools.groupby(
+            reports, lambda rep: (rep.name, rep.params["v"], rep.params["alpha"])
+        )]
+        assert [(plan[0].name, len(plan)) for plan in plans] == [
+            (run.name, len(run)) for run in stock
+        ]
+        assert all(not all(rep.passed for rep in plan) for plan in plans)
+        assert asked == _run_variants(stock)
 
     def test_a_perturbed_copy_fails_after_the_original_was_evaluated(self):
         # the copy must not read anything the original's evaluation left behind
@@ -964,11 +971,12 @@ class TestCertificate:
     ):
         # Three v of k = 3, the middle one with one weight changed.  Every run
         # of A or B at k = 3 with the same weight at l = k shares one list of
-        # right sides: the doubled weight at l = k makes the middle v's runs
-        # share one list among themselves, failing with different left sides,
-        # and a raised weight at (l, m) = (0, 0) leaves them in the list of
-        # the passing runs.  The writer must fill each run with its own left
-        # sides, in JSON and in CSV.
+        # right sides.  The middle v's failing plans hand out lone reports:
+        # the doubled weight at l = k gives them right sides of their own,
+        # one at each tau, with left sides that differ by alpha, and a raised
+        # weight at (l, m) = (0, 0) leaves them the right sides of the passing
+        # runs.  The writer must write each report with its own left side, in
+        # JSON and in CSV.
         vs, target = grid_vs(4, 3) + grid_vs(5, 3), (1, 2)
         assert target in vs and vs[1] == target
         support, triples = identities._w_support(target), _w_triples(target)
@@ -981,17 +989,23 @@ class TestCertificate:
         w_support = identities._w_support
         monkeypatch.setattr(identities, "_w_support",
                             lambda v: support if v == target else w_support(v))
-        runs = list(certify_double_sums(vs, DEFAULT_ALPHAS, variant).runs())
-        bad = [run for run in runs if run.failed]
-        shared = [run for run in runs if run.sides is bad[0].sides]
-        assert all(run.sides is bad[0].sides for run in bad)
+        items = list(certify_double_sums(vs, DEFAULT_ALPHAS, variant).runs())
+        runs = [item for item in items if type(item) is ReportRun]
+        lone = [item for item in items if type(item) is IdentityReport]
+        bad = [rep for rep in lone if not rep.passed]
+        assert len(runs) + len(lone) == len(items) and len(bad) > 0
+        assert all(rep.params["v"] == target for rep in lone)
+        assert all(run.sides is runs[0].sides for run in runs)
+        right = dict(runs[0].sides)
         if perturbed == "top doubled":
-            # failing runs with differing left sides share a list of their own
-            assert len(shared) == len(bad) > 1
-            assert len({tuple(map(str, run.lhs)) for run in bad}) > 1
+            # every plan of the middle v fails, and at tau = 1/2 its reports
+            # share a right side that is not the runs' and differ in left side
+            half = [rep for rep in lone if rep.params["tau"] == Fraction(1, 2)]
+            assert len(half) == len(DEFAULT_ALPHAS) and len({rep.rhs for rep in half}) == 1
+            assert half[0].rhs != right[Fraction(1, 2)] and len({rep.lhs for rep in half}) > 1
         else:
-            # a failing run shares its list with passing runs
-            assert len(shared) == len(runs) > len(bad) > 0
+            # a failing report has the right side of the passing runs
+            assert all(rep.rhs == right[rep.params["tau"]] for rep in lone)
         expected = [
             rep
             for v in vs
@@ -1011,7 +1025,40 @@ class TestCertificate:
             assert written.getvalue() == summed.getvalue()
             if fmt == "json":
                 assert written.getvalue() == oracle
-        assert payload["summary"]["failed"] == sum(run.failed for run in runs) > 0
+        assert payload["summary"]["failed"] == len(bad) > 0
+
+    @pytest.mark.parametrize("variant", "ABC")
+    @pytest.mark.parametrize("perturbed", ["top doubled", "a lower weight raised"])
+    def test_a_run_is_a_certificate(self, variant, perturbed, monkeypatch):
+        # every v's weight at l = k doubled, or at (l, m) = (0, 0) raised: a
+        # run passes every report, and the failing plans' reports come out
+        # one by one, as the oracle orders them, with C's skipped poles
+        alphas, w_support = DEFAULT_ALPHAS[:2] + self.RATIONAL_ALPHAS[::6], identities._w_support
+        if perturbed == "top doubled":
+            edit = _top_doubled
+        else:
+            def edit(support):
+                (l, m, w), *rest = support
+                return ((l, m, w + 1), *rest)
+        monkeypatch.setattr(identities, "_w_support", lambda v: edit(w_support(v)))
+        vs = list(_vectors_up_to(4))
+        items = list(certify_double_sums(vs, alphas, variant).runs())
+        assert all(rep.passed for run in items if type(run) is ReportRun for rep in run)
+        # a raised weight at (0, 0) is multiplied by C(alpha(0, 0), k) in A
+        # and C, which vanishes at alpha(0, 0) = 1 < k: those plans still hold
+        runs = any(type(run) is ReportRun for run in items)
+        assert runs == (perturbed != "top doubled" and variant != "B")
+        expected = [
+            rep
+            for v in vs
+            for alpha in alphas
+            if (plan := th1_plan(v, alpha)).pole is None
+            for rep in _oracle_reports(variant, v, alpha, plan, edit(tuple(_w_triples(v))))
+        ]
+        assert list(reports_of(items)) == expected
+        failing = [rep for rep in items if type(rep) is IdentityReport and not rep.passed]
+        assert failing == [rep for rep in expected if not rep.passed] != []
+        assert any(rep.skipped_poles for rep in failing) == (variant == "C")
 
     def test_it_holds_exactly_when_every_sample_passes(self, monkeypatch):
         # any alpha and any one weight perturbed: a perturbed term whose factor
@@ -1055,6 +1102,47 @@ class TestCertificate:
                 edited()
             assert type(err.value) is ValueError
             assert str(err.value) == f"an edited plan: its term at l = {l} is off its alpha"
+
+
+def _degree_grid(k):
+    """The integer alphas c0 + c1*l + c2*m with c0 in 1..k+1 and c1, c2 in
+    0..k: k + 1 values of each coefficient, and alpha >= 1 on any support."""
+    return (AffineForm(c0, c1, c2)
+            for c0 in range(1, k + 2) for c1 in range(k + 1) for c2 in range(k + 1))
+
+
+class TestEveryAffineAlpha:
+    """Each coefficient of an integer alpha's ``difference`` is a polynomial
+    of total degree at most k in (c0, c1, c2), so zero vectors on
+    :func:`_degree_grid` prove A, B and C for every affine alpha."""
+
+    def test_every_alpha_holds_up_to_eight(self):
+        vectors = 0
+        for v in _vectors_up_to(8):
+            _, n, k = identities._vnk(v)
+            support = (v, n, k, 1, identities._w_support(v))
+            for alpha in _degree_grid(k):
+                plan = Th1Plan(support, alpha)
+                assert plan.pole is None
+                for variant in "ABC":
+                    assert not any(plan.difference(variant)), (v, alpha, variant)
+                    vectors += 1
+        assert vectors == 22971
+
+    def test_every_raised_weight_fails_on_the_grid(self):
+        # each weight of each v with n <= 6 raised by 1, in each variant:
+        # some grid point must show a nonzero vector
+        cases = 0
+        for v in _vectors_up_to(6):
+            _, n, k = identities._vnk(v)
+            stock = identities._w_support(v)
+            for i, (l, m, w) in enumerate(stock):
+                support = stock[:i] + ((l, m, w + 1),) + stock[i + 1:]
+                for variant in "ABC":
+                    cases += 1
+                    assert any(any(Th1Plan((v, n, k, 1, support), alpha).difference(variant))
+                               for alpha in _degree_grid(k)), (v, support, variant)
+        assert cases == 414
 
 
 def oracle_bell_convolution(variant, n, k, alpha, tau, x):

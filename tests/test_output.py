@@ -258,47 +258,48 @@ def test_a_sweep_is_written_from_its_runs(variant, fmt, monkeypatch):
 
 
 def _run(name, params, taus_and_sides, skipped=()):
-    """The ReportRun of ``name`` with ``params(tau)``: (tau, lhs, rhs) at each
-    tau, and no left side when lhs is rhs at every tau."""
-    sides = [(tau, Fraction(rhs)) for tau, _, rhs in taus_and_sides]
-    lhs = [side if lhs is rhs else Fraction(lhs)
-           for (_, lhs, rhs), (_, side) in zip(taus_and_sides, sides)]
-    exact = all(a is side for a, (_, side) in zip(lhs, sides))
-    return ReportRun(name, params, sides, skipped, None if exact else lhs)
+    """The ReportRun of ``name`` with ``params(tau)``: a passing report with
+    its side as both sides at each (tau, side)."""
+    return ReportRun(name, params, [(tau, Fraction(side)) for tau, side in taus_and_sides],
+                     skipped)
 
 
 def test_runs_render_each_report_by_its_own_values():
     v = (2, 1)
     alpha = AffineForm(1, 1)
-    third = Fraction(1, 3)
+
+    def th1a(tau):
+        return {"v": v, "alpha": alpha, "tau": tau, "k": 3}
+
+    poles = ((0, 0, Fraction(1)),)
     runs = [
-        # a failing report in the middle of a run, and sides that are one object
-        _run("th1a", lambda tau: {"v": v, "alpha": alpha, "tau": tau, "k": 3},
-             [(Fraction(i, 2), lhs, rhs)
-              for i, (lhs, rhs) in enumerate([(third, third), (1, 2), (5, 5)])],
-             skipped=((0, 0, Fraction(1)),)),
+        # a failing report between two runs of its name, params and skipped poles
+        _run("th1a", th1a, [(Fraction(0), Fraction(1, 3))], skipped=poles),
+        IdentityReport("th1a", th1a(Fraction(1, 2)), 1, 2, poles),
+        _run("th1a", th1a, [(Fraction(1), 5)], skipped=poles),
         # a failing lone report between two runs, with the next run's param keys
         IdentityReport("lone", {"v": v, "tau": Fraction(5, 2)}, 1, Fraction(3, 2)),
         # a run of one report
-        _run("th1b", lambda tau: {"v": v, "tau": tau}, [(Fraction(-7, 3), 0, 0)]),
+        _run("th1b", lambda tau: {"v": v, "tau": tau}, [(Fraction(-7, 3), 0)]),
         # consecutive runs whose fixed values are equal but of different types
         _run("t%s", lambda tau: {"v": (1,), "x": 1, "tau": tau},
-             [(Fraction(t), t, t) for t in (1, 2)]),
+             [(Fraction(t), t) for t in (1, 2)]),
         _run("t%s", lambda tau: {"v": (Fraction(1),), "x": Fraction(1), "tau": tau},
-             [(Fraction(t), t, t) for t in (1, 2)]),
+             [(Fraction(t), t) for t in (1, 2)]),
         _run("t%s", lambda tau: {"v": (True,), "x": True, "tau": tau},
-             [(Fraction(t), t, t) for t in (1, 2)]),
+             [(Fraction(t), t) for t in (1, 2)]),
         # lone reports, written whole
         IdentityReport("100%", {"tau": Fraction(1, 2)}, 1, 1),
         IdentityReport("100%", {"tau": Fraction(1, 2)}, 1, 1),
     ]
-    assert runs[0].lhs[0] is runs[0].sides[0][1] and runs[2].lhs is None
     reports = list(reports_of(runs))
-    assert not reports[1].passed and runs[0].failed == 1 and not reports[3].passed
-    assert reports[:3] == list(runs[0]) and reports[3] is runs[1]
+    assert reports[:4] == [*runs[0], runs[1], *runs[2], runs[3]]
+    assert reports[0].lhs is reports[0].rhs and reports[0].skipped_poles is poles
+    assert not reports[1].passed and not reports[3].passed
+    assert sum(not rep.passed for rep in reports) == 2
     text, writes = _streamed(GridResult(runs))
     assert text == _as_reference(_verify_payload("t", runs))
-    assert writes == 2 + 8 == 2 + len(runs)
+    assert writes == 2 + 10 == 2 + len(runs)
     rows = io.StringIO()
     assert write_reports("t", runs, rows, "csv") is True  # reports[1] and [3] failed
     assert rows.getvalue() == _csv_of(text)

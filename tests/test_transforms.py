@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -187,6 +188,33 @@ class TestInverse:
         table_y = bell_columns(y, 5)
         for n in (1, 3, 4, 5):
             assert _inverse_entry(params, n, table_y) == x[n]
+
+
+class TestFirstUnitVector:
+    """At e1 = (1, 0, 0, ...), B(n, k) is 1 at k = n and 0 otherwise, so the
+    forward transform is y_n = C((a+b)n, n-1) (n-1)!, a scaled Fuss-Catalan
+    number: a check of the weights at large n, not of the kernel's sums."""
+
+    PAIRS = [(2, 3), (0, 1), (-1, 2), (1, 0)]
+
+    @staticmethod
+    def closed_form(a, b, n_max):
+        return tuple(
+            Fraction(math.comb((a + b) * n, n - 1) * factorial(n - 1))
+            for n in range(1, n_max + 1)
+        )
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_forward_to_two_hundred(self, a, b):
+        e1 = SequenceSpec([1] + [0] * 199)
+        y = forward_transform(e1, TransformParams(a, b), 200)
+        assert y.values == self.closed_form(a, b, 200)
+
+    @pytest.mark.parametrize("a, b", [pair for pair in PAIRS if pair != (-1, 2)])
+    def test_inverse_gives_e1_back_to_one_hundred(self, a, b):
+        # (a, b) = (-1, 2) has its pole a*n + b = 0 at n = 2
+        y = SequenceSpec(self.closed_form(a, b, 100))
+        assert inverse_transform(y, TransformParams(a, b), 100).values == (1,) + (0,) * 99
 
 
 class TestBEqualsOneSpecialization:
